@@ -121,7 +121,7 @@ def cmd_solve(cfg: RunConfig, workers: int) -> int:
     u0 = initial_field(cfg)
     u, report = minimize(u0, cfg.params, cfg.solver, workers=workers)
     outputs = emit_solve_report(report, out, tag)
-    suite = el_residual_suite(u, cfg.params)
+    suite = report.el_suite
     outputs += emit_el_table(suite, out, tag)
     solution_path = out / f"solution_{tag}.field"
     write_field(solution_path, u, meta={"iterations": report.iterations})

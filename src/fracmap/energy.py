@@ -6,11 +6,35 @@ The discrete energy of a map u on the periodic grid is
     E(u) = sum_{x != y} h^{2n} |u(x) - u(y)|^p / dist(x, y)^{n + s p}
 
 with dist the torus metric and the sum running over ordered site pairs of
-the requested region (full torus when no region is given). All reductions
-follow a fixed order: one partial sum per source row, then a single sum
-over the row array in index order. Worker threads only split the row
-computation, never the reduction, so results are bit-identical for any
-worker count.
+the requested region (full torus when no region is given).
+
+Every pair sum reads one kernel, the S x S weight matrix
+w_xy = h^{2n} / dist(x, y)^{n + s p}. It is built once per process for
+each grid and kernel exponent n + s p and shared read-only by every caller
+(PairKernelCache is a handle on it). Besides the energy itself there is a
+single pair pass, the flux
+
+    G^B(x) = sum_{y in B} w_xy (|du|^2 + eps_reg)^{(p-2)/2} du,
+    du = u(x) - u(y), x in B (zero outside B),
+
+and everything linear in the pair field is read off it. The weight is
+symmetric and du antisymmetric in (x, y), so a double sum
+sum_{x,y in B} w |du|^{p-2} du . (f(x) - f(y)) equals 2 sum_{x in B}
+f(x) . G^B(x): the gradient is 2p G, an EL residual is
+2 sum_x q(x) . G^B(x), the T operator correlates G^B with the Riesz
+kernel, and the duality right side is 2 gamma sum_x phi(x) G^B(x).
+
+All reductions follow a fixed order, and the energy and the gradient are
+pinned to the last bit by it: differences are formed per component as
+contiguous arrays and |du|^2 is summed in component order; an energy row
+is one numpy (pairwise) sum over y, then the rows are summed in index
+order; a flux entry G_i(x) is a plain running sum over y in index order,
+starting from zero. The solver's stopping rule works at the
+float64 floor of the energy, so a change of reduction order can change an
+iteration path; the tests compare both functions bit for bit against a
+reference copy of these formulas. Worker threads only split the energy's
+rows, never the reduction, so results are bit-identical for any worker
+count.
 
 For p < 2 the pair weight |u(x)-u(y)|^{p-2} degenerates at coincident
 values; a regularizer eps_reg > 0 replaces |du|^2 by |du|^2 + eps_reg
@@ -28,11 +52,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask, pairwise_dist
+from .grid import BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask, site_coords, torus_dist
 
-# above this many ordered pairs the full weight matrix is not materialized
-STREAM_PAIR_LIMIT = 2**26
-ROW_BLOCK = 256
+# largest pair kernel that is built: 2**26 weights take 512 MB
+MAX_KERNEL_PAIRS = 2**26
+# sites per pass block; a block's (64, S) float64 temporaries stay
+# cache-sized (512 kB on a 2d M = 32 grid), where 256-site blocks made the
+# energy pass 2-3x slower on a 2-core x86 VM
+ROW_BLOCK = 64
+# up to this many sites a whole energy pass takes well under a millisecond
+# and starting worker threads costs more than they save
+SERIAL_MAX_SITES = 256
 
 
 @dataclass(frozen=True)
@@ -61,61 +91,46 @@ def critical_params(grid: GridSpec, s: float, eps_reg: float = 0.0) -> EnergyPar
     return EnergyParams(s=s, p=grid.dim / s, eps_reg=eps_reg)
 
 
-class PairKernelCache:
-    """Pair weights w_xy = h^{2n} / dist(x,y)^{n+sp}, diagonal absent.
+@lru_cache(maxsize=4)
+def _pair_weights(grid: GridSpec, exponent: float) -> np.ndarray:
+    """The read-only S x S matrix h^{2n} / dist(x,y)^exponent, zero diagonal."""
+    S = grid.n_sites
+    if S * S > MAX_KERNEL_PAIRS:
+        raise ValueError(
+            f"a grid of {S} sites needs {S * S} pair weights; at most {MAX_KERNEL_PAIRS} are supported"
+        )
+    x = site_coords(grid)
+    d = torus_dist(x[:, None, :], x[None, :, :], grid.box_length)
+    w = np.zeros_like(d)
+    nz = d > 0
+    w[nz] = grid.h ** (2 * grid.dim) / d[nz] ** exponent
+    w.flags.writeable = False
+    return w
 
-    Below STREAM_PAIR_LIMIT ordered pairs the matrix is precomputed;
-    above, row blocks are recomputed on demand. Both paths produce the
-    same floats for every row. The weights depend on s and p only through
-    the kernel exponent n + s p.
+
+class PairKernelCache:
+    """Pair weights w_xy = h^{2n} / dist(x,y)^{n+sp}, zero on the diagonal.
+
+    A handle on the process-wide kernel: the S x S matrix `weights` is
+    built once per process for each grid and exponent n + s p (at most
+    MAX_KERNEL_PAIRS entries) and shared, read-only, by every handle, so
+    constructing one after the first costs a cache lookup. The weights
+    depend on s and p only through n + s p.
     """
 
     def __init__(self, grid: GridSpec, params: EnergyParams):
         self.grid = grid
         self.exponent = grid.dim + params.s * params.p
-        self._scale = grid.h ** (2 * grid.dim)
-        self._coords = None
-        self._w = None
-        if grid.n_sites**2 <= STREAM_PAIR_LIMIT:
-            self._w = self._block(0, grid.n_sites)
+        self.weights = _pair_weights(grid, self.exponent)
 
     @classmethod
     def from_exponent(cls, grid: GridSpec, s: float, p: float) -> "PairKernelCache":
+        """Handle for a bare (s, p), which need not form valid EnergyParams."""
         obj = cls.__new__(cls)
         obj.grid = grid
         obj.exponent = grid.dim + s * p
-        obj._scale = grid.h ** (2 * grid.dim)
-        obj._coords = None
-        obj._w = None
-        if grid.n_sites**2 <= STREAM_PAIR_LIMIT:
-            obj._w = obj._block(0, grid.n_sites)
+        obj.weights = _pair_weights(grid, obj.exponent)
         return obj
-
-    def _block(self, i0: int, i1: int) -> np.ndarray:
-        if self._w is not None:
-            return self._w[i0:i1]
-        from .grid import site_coords, torus_dist
-
-        if self._coords is None:
-            self._coords = site_coords(self.grid)
-        x = self._coords
-        d = torus_dist(x[i0:i1, None, :], x[None, :, :], self.grid.box_length)
-        w = np.zeros_like(d)
-        nz = d > 0
-        w[nz] = self._scale / d[nz] ** self.exponent
-        return w
-
-    def row_blocks(self, block: int = ROW_BLOCK):
-        S = self.grid.n_sites
-        for i0 in range(0, S, block):
-            i1 = min(i0 + block, S)
-            yield i0, i1, self._block(i0, i1)
-
-    def full(self) -> np.ndarray:
-        if self._w is not None:
-            return self._w
-        S = self.grid.n_sites
-        return np.vstack([b for _, _, b in self.row_blocks(S)])
 
 
 @dataclass(frozen=True)
@@ -130,20 +145,43 @@ def _check_same_grid(cache: PairKernelCache, field) -> None:
         raise ValueError("kernel cache grid does not match the field grid")
 
 
-def _pair_energy_rows(w_block, u, i0, i1, p, eps, mask=None):
-    """Per-row energy contributions for rows i0..i1 (fixed reduction order)."""
-    du2 = ((u[i0:i1, None, :] - u[None, :, :]) ** 2).sum(-1)
-    if eps > 0.0:
-        vals = (du2 + eps) ** (p / 2) - eps ** (p / 2)
-    elif p == 2.0:
-        vals = du2
-    else:
-        vals = du2 ** (p / 2)
-    contrib = w_block * vals
+def _sq_norm(dus: list) -> np.ndarray:
+    """|du|^2 from one difference array per component, summed in component order."""
+    du2 = dus[0] * dus[0]
+    for d in dus[1:]:
+        du2 += d * d
+    return du2
+
+
+def _row_blocks(S: int, mask):
+    """Row blocks of a pass; blocks with no row in the region are skipped."""
+    for i0 in range(0, S, ROW_BLOCK):
+        i1 = min(i0 + ROW_BLOCK, S)
+        if mask is None or mask[i0:i1].any():
+            yield i0, i1
+
+
+def _restrict(block: np.ndarray, mask, i0: int, i1: int) -> np.ndarray:
+    """Zero, in place, the pair terms of a (rows i0..i1, S) block whose
+    row or column site lies outside the region."""
     if mask is not None:
-        contrib = contrib * mask[None, :]
-        contrib[~mask[i0:i1]] = 0.0
-    return contrib.sum(axis=1)
+        block *= mask
+        block[~mask[i0:i1]] = 0.0
+    return block
+
+
+def _pair_energy_rows(w, Ut, i0, i1, p, eps, mask=None):
+    """Per-row energy contributions for rows i0..i1 (fixed reduction order).
+    Ut holds the samples component-major, shape (N, S)."""
+    vals = _sq_norm([c[i0:i1, None] - c[None, :] for c in Ut])
+    if eps > 0.0:
+        vals += eps
+        vals **= p / 2
+        vals -= eps ** (p / 2)
+    elif p != 2.0:
+        vals **= p / 2
+    vals *= w[i0:i1]
+    return _restrict(vals, mask, i0, i1).sum(axis=1)
 
 
 def _resolve_region(region, grid: GridSpec):
@@ -159,29 +197,23 @@ def _resolve_region(region, grid: GridSpec):
     raise TypeError("region must be None, a site mask, or (BallHierarchy, level)")
 
 
-def _energy_raw(u, grid, s, p, eps, region=None, cache=None, workers: int = 1) -> float:
-    if cache is None:
-        cache = _cache_for(grid, s, p)
-    mask = _resolve_region(region, grid)
-    S = grid.n_sites
-    rows = np.empty(S)
-    blocks = list(range(0, S, ROW_BLOCK))
+def _energy_raw(samples, cache, p, eps, region=None, workers: int = 1) -> float:
+    mask = _resolve_region(region, cache.grid)
+    S = cache.grid.n_sites
+    Ut = np.ascontiguousarray(samples.T)
+    rows = np.zeros(S)
 
-    def run(i0):
-        i1 = min(i0 + ROW_BLOCK, S)
-        rows[i0:i1] = _pair_energy_rows(cache._block(i0, i1), u, i0, i1, p, eps, mask)
+    def run(block):
+        i0, i1 = block
+        rows[i0:i1] = _pair_energy_rows(cache.weights, Ut, i0, i1, p, eps, mask)
 
-    if workers > 1 and len(blocks) > 1:
+    if workers > 1 and S > SERIAL_MAX_SITES:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run, blocks))
+            list(ex.map(run, _row_blocks(S, mask)))
     else:
-        for i0 in blocks:
-            run(i0)
+        for block in _row_blocks(S, mask):
+            run(block)
     return float(np.sum(rows))
-
-
-def _cache_for(grid: GridSpec, s: float, p: float) -> "PairKernelCache":
-    return PairKernelCache.from_exponent(grid, s, p)
 
 
 def energy(u: VectorField, params: EnergyParams, region=None, cache=None, workers: int = 1) -> float:
@@ -190,10 +222,7 @@ def energy(u: VectorField, params: EnergyParams, region=None, cache=None, worker
         _check_same_grid(cache, u)
     else:
         cache = PairKernelCache(u.grid, params)
-    return _energy_raw(
-        u.samples, u.grid, params.s, params.p, params.eps_reg,
-        region=region, cache=cache, workers=workers,
-    )
+    return _energy_raw(u.samples, cache, params.p, params.eps_reg, region=region, workers=workers)
 
 
 def seminorm(f, s: float, p: float, region=None) -> float:
@@ -204,43 +233,58 @@ def seminorm(f, s: float, p: float, region=None) -> float:
     """
     if isinstance(f, ScalarField):
         samples = f.samples[:, None]
-        grid = f.grid
     elif isinstance(f, VectorField):
-        samples, grid = f.samples, f.grid
+        samples = f.samples
     else:
         raise TypeError(f"expected a field, got {type(f).__name__}")
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got {p}")
-    return _energy_raw(samples, grid, s, p, 0.0, region=region) ** (1.0 / p)
+    cache = PairKernelCache.from_exponent(f.grid, s, p)
+    return _energy_raw(samples, cache, p, 0.0, region=region) ** (1.0 / p)
 
 
-def _du_weight(du2: np.ndarray, params: EnergyParams) -> np.ndarray:
+def _du_weight(du2: np.ndarray, params: EnergyParams):
     """(|du|^2 + eps)^{(p-2)/2}, with the 0^0 := 1 convention at p = 2."""
     p, eps = params.p, params.eps_reg
     if p == 2.0 and eps == 0.0:
-        return np.ones_like(du2)
+        return 1.0
     if eps == 0.0 and p < 2.0:
         raise ValueError("pair weight degenerates: need p >= 2 or eps_reg > 0")
     return (du2 + eps) ** ((p - 2.0) / 2.0)
 
 
-def energy_gradient(u: VectorField, params: EnergyParams, cache=None) -> VectorField:
-    """Exact gradient of the (possibly regularized) discrete energy.
+def pair_flux(u: VectorField, params: EnergyParams, region=None, cache=None) -> VectorField:
+    """The pair flux G^B(x) = sum_{y in B} w_xy (|du|^2 + eps)^{(p-2)/2} du
+    with du = u(x) - u(y), for x in the region B and zero outside it.
 
-    g(x) = 2 p sum_y w_xy (|u(x)-u(y)|^2 + eps)^{(p-2)/2} (u(x) - u(y))
+    A block holds the pairs of a run of sites x as (S, rows) arrays, one
+    per component, so each G(x) is a sum over y in index order starting
+    from zero; that order fixes the floats energy_gradient returns.
     """
-    if params.p < 2.0 and params.eps_reg == 0.0:
-        raise ValueError("gradient needs p >= 2 or eps_reg > 0")
     if cache is None:
         cache = PairKernelCache(u.grid, params)
     _check_same_grid(cache, u)
-    U = u.samples
-    g = np.empty_like(U)
-    for i0, i1, w in ((a, b, c) for a, b, c in cache.row_blocks()):
-        du = U[i0:i1, None, :] - U[None, :, :]
-        wgt = w * _du_weight((du**2).sum(-1), params)
-        g[i0:i1] = 2.0 * params.p * np.einsum("xy,xyi->xi", wgt, du)
-    return VectorField(grid=u.grid, components=u.components, samples=g)
+    mask = _resolve_region(region, u.grid)
+    Ut = np.ascontiguousarray(u.samples.T)
+    G = np.zeros_like(u.samples)
+    for i0, i1 in _row_blocks(u.grid.n_sites, mask):
+        dus = [c[None, i0:i1] - c[:, None] for c in Ut]
+        # the weights are symmetric, so column x holds w_xy for every y
+        wgt = cache.weights[:, i0:i1] * _du_weight(_sq_norm(dus), params)
+        _restrict(wgt.T, mask, i0, i1)
+        for i, d in enumerate(dus):
+            d *= wgt
+            G[i0:i1, i] = np.add.reduce(d, axis=0, initial=0.0)
+    return VectorField(grid=u.grid, components=u.components, samples=G)
+
+
+def energy_gradient(u: VectorField, params: EnergyParams, cache=None) -> VectorField:
+    """Exact gradient of the (possibly regularized) discrete energy.
+
+    g(x) = 2 p sum_y w_xy (|u(x)-u(y)|^2 + eps)^{(p-2)/2} (u(x) - u(y)) = 2 p G(x)
+    """
+    G = pair_flux(u, params, cache=cache)
+    return VectorField(grid=u.grid, components=u.components, samples=2.0 * params.p * G.samples)
 
 
 def first_variation(u: VectorField, psi: VectorField, params: EnergyParams, cache=None) -> float:
@@ -271,6 +315,14 @@ def _validate_omega(omega: np.ndarray, N: int) -> np.ndarray:
     return omega
 
 
+def el_pairing(u: VectorField, flux: VectorField, phi: ScalarField, omega: np.ndarray) -> float:
+    """Euler-Lagrange pairing read off the pair flux of u over a region B:
+    2 sum_{x in B} q(x) . G^B(x) with q = omega u phi (see el_residual)."""
+    omega = _validate_omega(omega, u.components)
+    q = (u.samples @ omega.T) * phi.samples[:, None]
+    return 2.0 * float(np.sum(q * flux.samples))
+
+
 def el_residual(
     u: VectorField,
     phi: ScalarField,
@@ -283,28 +335,11 @@ def el_residual(
 
     residual = sum_{x != y in region} w_xy |du|^{p-2}
                sum_i (u^i(x) - u^i(y)) (q^i(x) - q^i(y)),
-    with q^i = omega_ij u^j phi. Vanishes at critical points when the
-    region covers the whole pairing (the default), and exactly for
-    omega = 0 or constant u.
+    with q^i = omega_ij u^j phi, evaluated as 2 sum_x q(x) . G^B(x).
+    Vanishes at critical points when the region covers the whole pairing
+    (the default), and exactly for omega = 0 or constant u.
     """
-    omega = _validate_omega(omega, u.components)
-    if cache is None:
-        cache = PairKernelCache(u.grid, params)
-    _check_same_grid(cache, u)
-    mask = _resolve_region(region, u.grid)
-    U = u.samples
-    q = (U @ omega.T) * phi.samples[:, None]
-    total_rows = np.empty(u.grid.n_sites)
-    for i0, i1, w in cache.row_blocks():
-        du = U[i0:i1, None, :] - U[None, :, :]
-        dq = q[i0:i1, None, :] - q[None, :, :]
-        wgt = w * _du_weight((du**2).sum(-1), params)
-        contrib = wgt * np.einsum("xyi,xyi->xy", du, dq)
-        if mask is not None:
-            contrib = contrib * mask[None, :]
-            contrib[~mask[i0:i1]] = 0.0
-        total_rows[i0:i1] = contrib.sum(axis=1)
-    return float(np.sum(total_rows))
+    return el_pairing(u, pair_flux(u, params, region=region, cache=cache), phi, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +422,25 @@ def _kappa_duality_1d(M: int, L: float, t: float) -> np.ndarray:
     return k
 
 
-def _pair_field(u: VectorField, params: EnergyParams, cache, mask):
-    """P_i(x,y) = w_xy |du|^{p-2} du^i restricted to region x region."""
-    U = u.samples
-    w = cache.full().copy()
-    if mask is not None:
-        w *= mask[:, None] & mask[None, :]
-    du = U[:, None, :] - U[None, :, :]
-    wgt = w * _du_weight((du**2).sum(-1), params)
-    return wgt[:, :, None] * du
+def _riesz_matrix(grid: GridSpec, t: float, mode: str) -> np.ndarray:
+    """S x S matrix K[x, z] = k(x - z) of the t_operator kernel."""
+    M = grid.points_per_axis
+    L = grid.box_length
+    if mode == "exact":
+        kap = _kappa_exact_1d(M, L, t) if grid.dim == 1 else _kappa_exact_2d(M, L, t)
+    elif mode == "duality":
+        if grid.dim != 1:
+            raise ValueError("duality quadrature is implemented for dim 1 only")
+        kap = _kappa_duality_1d(M, L, t)
+    else:
+        raise ValueError(f"unknown t_operator mode {mode!r}")
+    if grid.dim == 1:
+        idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
+        return kap[idx]
+    i0, i1 = np.divmod(np.arange(grid.n_sites), M)
+    d0 = (i0[:, None] - i0[None, :]) % M
+    d1 = (i1[:, None] - i1[None, :]) % M
+    return kap[d0, d1]
 
 
 def t_operator(
@@ -406,7 +451,8 @@ def t_operator(
     cache=None,
     mode: str = "exact",
 ) -> VectorField:
-    """Pairing field T u^i(z) = sum_{x!=y in B} P_i(x,y) [k(x-z) - k(y-z)].
+    """Pairing field T u^i(z) = sum_{x!=y in B} P_i(x,y) [k(x-z) - k(y-z)],
+    with P(x,y) = w_xy |du|^{p-2} du, evaluated as 2 sum_x k(x-z) G^B(x).
 
     k is the Riesz-type kernel dist^{t-n}; its evaluation at zero
     displacement (z landing on x or y) is excluded, i.e. contributes
@@ -416,35 +462,9 @@ def t_operator(
     identity against the spectral fractional Laplacian.
     """
     _validate_t(t, params)
-    if cache is None:
-        cache = PairKernelCache(u.grid, params)
-    _check_same_grid(cache, u)
-    mask = _resolve_region(region, u.grid)
-    M = u.grid.points_per_axis
-    L = u.grid.box_length
-    if mode == "exact":
-        kap = _kappa_exact_1d(M, L, t) if u.grid.dim == 1 else _kappa_exact_2d(M, L, t)
-    elif mode == "duality":
-        if u.grid.dim != 1:
-            raise ValueError("duality quadrature is implemented for dim 1 only")
-        kap = _kappa_duality_1d(M, L, t)
-    else:
-        raise ValueError(f"unknown t_operator mode {mode!r}")
-
-    P = _pair_field(u, params, cache, mask)
-    r = P.sum(axis=1)  # (S, N); P is antisymmetric in (x, y)
-    S = u.grid.n_sites
-    if u.grid.dim == 1:
-        idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-        Kmat = kap[idx]
-    else:
-        i = np.arange(S)
-        i0, i1 = np.divmod(i, M)
-        d0 = (i0[:, None] - i0[None, :]) % M
-        d1 = (i1[:, None] - i1[None, :]) % M
-        Kmat = kap[d0, d1]
-    Tz = 2.0 * (Kmat.T @ r)
-    return VectorField(grid=u.grid, components=u.components, samples=Tz)
+    Kmat = _riesz_matrix(u.grid, t, mode)
+    G = pair_flux(u, params, region=region, cache=cache).samples
+    return VectorField(grid=u.grid, components=u.components, samples=2.0 * (Kmat.T @ G))
 
 
 def riesz_pairing_constant(t: float, n: int) -> float:
@@ -468,22 +488,19 @@ def duality_check(
 
         <Lambda^t phi, T u^i> = gamma_n(t) sum_{x!=y in B} P_i(x,y)(phi(x)-phi(y))
 
-    evaluated independently: left side through the duality-mode operator
-    field against the spectral Lambda^t phi, right side as the plain
-    double sum. Returns (lhs vector, rhs vector, relative error).
+    evaluated from one pair flux G^B: left side through the duality-mode
+    operator field (as t_operator) against the spectral Lambda^t phi, right
+    side as the double sum 2 gamma_n(t) sum_{x in B} phi(x) G^B(x).
+    Returns (lhs vector, rhs vector, relative error).
     """
     from .fracops import FracOpParams, frac_laplacian
 
-    if cache is None:
-        cache = PairKernelCache(u.grid, params)
-    mask = _resolve_region(region, u.grid)
-    T = t_operator(u, t, params, region=mask, cache=cache, mode="duality")
+    _validate_t(t, params)
+    Kmat = _riesz_matrix(u.grid, t, "duality")
+    G = pair_flux(u, params, region=region, cache=cache).samples
     lap_phi = frac_laplacian(phi, FracOpParams(order=t, variant="spectral")).samples
-    hn = u.grid.h**u.grid.dim
-    lhs = hn * (lap_phi @ T.samples)
-    P = _pair_field(u, params, cache, mask)
-    dphi = phi.samples[:, None] - phi.samples[None, :]
-    rhs = riesz_pairing_constant(t, u.grid.dim) * np.einsum("xyi,xy->i", P, dphi)
+    lhs = u.grid.h**u.grid.dim * (lap_phi @ (2.0 * (Kmat.T @ G)))
+    rhs = 2.0 * riesz_pairing_constant(t, u.grid.dim) * (phi.samples @ G)
     rel = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
     return lhs, rhs, rel
 
@@ -506,7 +523,7 @@ def holefill_check(u: VectorField, hierarchy: BallHierarchy, K: int, L: int, par
         raise ValueError("ball nesting violated")
     ring = ml & ~mk
     U = u.samples
-    w = cache.full()
+    w = cache.weights
     du2 = ((U[:, None, :] - U[None, :, :]) ** 2).sum(-1)
     p, eps = params.p, params.eps_reg
     vals = du2 ** (p / 2) if eps == 0.0 else (du2 + eps) ** (p / 2) - eps ** (p / 2)

@@ -29,12 +29,13 @@ from .energy import (
     ElResidualReport,
     EnergyParams,
     PairKernelCache,
-    el_residual,
+    el_pairing,
     energy,
     energy_gradient,
+    pair_flux,
     seminorm,
 )
-from .grid import GridSpec, ScalarField, VectorField, site_coords, torus_dist
+from .grid import GridSpec, ScalarField, VectorField, _smoothstep, site_coords, torus_dist
 
 GROWBACK = 2.0
 MAX_BACKTRACKS = 60
@@ -75,6 +76,7 @@ class SolveReport:
     converged: bool
     stop_reason: str
     wall_time: float
+    el_suite: ElResidualReport | None = None  # the EL suite at the returned field
 
 
 def project_sphere(samples: np.ndarray) -> np.ndarray:
@@ -96,7 +98,8 @@ def minimize(
     config: SolverConfig = SolverConfig(),
     workers: int = 1,
 ):
-    """Descend from u0; returns (critical field, SolveReport).
+    """Descend from u0; returns (critical field, SolveReport). The report
+    carries the EL residual suite of the returned field.
 
     Stops when the tangential gradient norm falls below grad_tol, when the
     per-step energy decrease falls below energy_tol (if positive), at
@@ -171,17 +174,13 @@ def minimize(
         converged=converged,
         stop_reason=stop_reason,
         wall_time=time.time() - t_start,
+        el_suite=suite,
     )
     return result, report
 
 
 def _wrap(samples: np.ndarray, like: VectorField) -> VectorField:
     return VectorField(grid=like.grid, components=like.components, samples=samples)
-
-
-def _smoothstep(r):
-    u = np.clip(r, 0.0, 1.0)
-    return u * u * (3.0 - 2.0 * u)
 
 
 def test_function_basis(grid: GridSpec):
@@ -218,17 +217,17 @@ def el_residual_suite(u: VectorField, params: EnergyParams, cache=None) -> ElRes
 
     The pairing region is the full torus: the residual of a critical point
     only vanishes when the whole double sum is tested, and that is the
-    quantity the convergence verdict reports.
+    quantity the convergence verdict reports. Every entry is read off one
+    pair flux of u.
     """
-    if cache is None:
-        cache = PairKernelCache(u.grid, params)
+    flux = pair_flux(u, params, cache=cache)
     u_sem = seminorm(u, params.s, params.p)
     entries = []
     worst = 0.0
     for phi_label, phi in test_function_basis(u.grid):
         phi_sem = seminorm(phi, params.s, params.p)
         for om_label, om in elementary_omegas(u.components):
-            raw = el_residual(u, phi, om, params, cache=cache)
+            raw = el_pairing(u, flux, phi, om)
             denom = phi_sem * u_sem ** (params.p - 1.0)
             val = abs(raw) / denom if denom > 0 else abs(raw)
             entries.append((phi_label, om_label, val))

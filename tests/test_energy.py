@@ -27,6 +27,7 @@ from fracmap.grid import (
     ball_mask,
     make_grid,
     site_coords,
+    torus_dist,
 )
 from fracmap.solver import project_sphere
 
@@ -243,10 +244,12 @@ def test_el_residual_matches_naive_loop():
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     params = EnergyParams(s=0.5, p=2.0)
     phif = ScalarField(grid=g, samples=phi)
-    got = el_residual(u, phif, omega, params)
-    want = naive_el_residual(u.samples, phi, omega, site_coords(g), g.box_length, g.h,
-                             1, 0.5, 2.0)
-    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=1.2, level_min=0, level_max=0)
+    for mask in (None, ball_mask(hier, 0)):
+        got = el_residual(u, phif, omega, params, region=mask)
+        want = naive_el_residual(u.samples, phi, omega, site_coords(g), g.box_length, g.h,
+                                 1, 0.5, 2.0, mask=mask)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_el_residual_sign_and_zero_cases():
@@ -404,28 +407,101 @@ def test_holefill_difference_is_cross_term_sum():
     np.testing.assert_allclose(e_outer - e_inner, cross, rtol=1e-12)
 
 
-def test_pair_cache_row_blocks_match_full():
-    g = make_grid(1, 32, TWO_PI)
-    params = EnergyParams(s=0.5, p=2.0)
-    cache = PairKernelCache(g, params)
-    full = cache.full()
-    rebuilt = np.empty_like(full)
-    for lo, hi, block in cache.row_blocks():
-        rebuilt[lo:hi] = block
-    np.testing.assert_array_equal(rebuilt, full)
+def test_pair_kernel_matches_direct_distance_loop():
+    for g in (make_grid(1, 32, TWO_PI), make_grid(2, 8, TWO_PI)):
+        params = EnergyParams(s=0.5, p=3.0)
+        w = PairKernelCache(g, params).weights
+        coords = site_coords(g)
+        exponent = g.dim + params.s * params.p
+        want = np.zeros((g.n_sites, g.n_sites))
+        for i in range(g.n_sites):
+            d = torus_dist(coords[i], coords, g.box_length)
+            others = np.arange(g.n_sites) != i
+            want[i, others] = g.h ** (2 * g.dim) / d[others] ** exponent
+        np.testing.assert_array_equal(w, want)
+        np.testing.assert_array_equal(w, w.T)  # pair_flux reads columns as rows
 
 
-def test_pair_cache_streaming_path_identical():
-    # force the on-demand branch and check it reproduces the precomputed rows
+def test_pair_kernel_built_once_per_process():
     g = make_grid(1, 32, TWO_PI)
-    params = EnergyParams(s=0.5, p=2.0)
-    cached = PairKernelCache(g, params)
-    full = cached.full()
-    streaming = PairKernelCache(g, params)
-    object.__setattr__(streaming, "_w", None)
-    rebuilt = np.empty_like(full)
-    for lo, hi, block in streaming.row_blocks():
-        rebuilt[lo:hi] = block
-    np.testing.assert_array_equal(rebuilt, full)
+    a = PairKernelCache(g, EnergyParams(s=0.5, p=2.0))
+    b = PairKernelCache.from_exponent(g, 0.5, 2.0)
+    assert a.weights is b.weights and a.exponent == b.exponent
+    assert not a.weights.flags.writeable
+    # the weights depend on (s, p) only through n + s p
+    assert PairKernelCache(g, EnergyParams(s=0.25, p=4.0)).weights is a.weights
     u = _unit_field(g, seed=29)
-    assert energy(u, params, cache=streaming) == energy(u, params, cache=cached)
+    assert energy(u, EnergyParams(s=0.5, p=2.0), cache=b) == energy(u, EnergyParams(s=0.5, p=2.0))
+    with pytest.raises(ValueError, match="pair weights"):
+        PairKernelCache(make_grid(2, 128, TWO_PI), EnergyParams(s=0.5, p=2.0))
+
+
+# Reference copy of the blocked pair passes that fix the floats of energy
+# and energy_gradient: interleaved (rows, S, N) differences, one pairwise
+# numpy sum per energy row, one einsum per gradient block. The solver's
+# stopping rule works at the float64 floor, so any other reduction order
+# can change an iteration path; the module must agree with these bit for
+# bit.
+
+
+def _reference_weights(grid, s, p):
+    x = site_coords(grid)
+    d = torus_dist(x[:, None, :], x[None, :, :], grid.box_length)
+    w = np.zeros_like(d)
+    nz = d > 0
+    w[nz] = grid.h ** (2 * grid.dim) / d[nz] ** (grid.dim + s * p)
+    return w
+
+
+def _reference_energy(w, u, p, eps, mask=None):
+    S = u.shape[0]
+    rows = np.empty(S)
+    for i0 in range(0, S, 256):
+        i1 = min(i0 + 256, S)
+        du2 = ((u[i0:i1, None, :] - u[None, :, :]) ** 2).sum(-1)
+        if eps > 0.0:
+            vals = (du2 + eps) ** (p / 2) - eps ** (p / 2)
+        elif p == 2.0:
+            vals = du2
+        else:
+            vals = du2 ** (p / 2)
+        contrib = w[i0:i1] * vals
+        if mask is not None:
+            contrib = contrib * mask[None, :]
+            contrib[~mask[i0:i1]] = 0.0
+        rows[i0:i1] = contrib.sum(axis=1)
+    return float(np.sum(rows))
+
+
+def _reference_gradient(w, u, p, eps):
+    S = u.shape[0]
+    g = np.empty_like(u)
+    for i0 in range(0, S, 256):
+        i1 = min(i0 + 256, S)
+        du = u[i0:i1, None, :] - u[None, :, :]
+        du2 = (du**2).sum(-1)
+        weight = np.ones_like(du2) if p == 2.0 and eps == 0.0 else (du2 + eps) ** ((p - 2.0) / 2.0)
+        g[i0:i1] = 2.0 * p * np.einsum("xy,xyi->xi", w[i0:i1] * weight, du)
+    return g
+
+
+@pytest.mark.parametrize("dim, M, N, s, p, eps", [
+    (1, 128, 2, 0.5, 2.0, 0.0),
+    (1, 128, 3, 0.35, 3.0, 0.0),
+    (1, 512, 2, 0.5, 4.0, 0.0),
+    (2, 16, 2, 0.5, 3.0, 0.0),
+    (2, 16, 3, 0.5, 4.0, 0.0),
+    (1, 64, 2, 0.6, 1.5, 1e-3),
+    (2, 8, 3, 0.6, 1.5, 1e-2),
+])
+def test_energy_and_gradient_bit_identical_to_reference(dim, M, N, s, p, eps):
+    g = make_grid(dim, M, TWO_PI)
+    u = _unit_field(g, seed=30 + M + N, components=N)
+    params = EnergyParams(s=s, p=p, eps_reg=eps)
+    w = _reference_weights(g, s, p)
+    mask = np.random.default_rng(31).random(g.n_sites) < 0.6
+    assert energy(u, params) == _reference_energy(w, u.samples, p, eps)
+    assert energy(u, params, workers=2) == _reference_energy(w, u.samples, p, eps)
+    assert energy(u, params, region=mask) == _reference_energy(w, u.samples, p, eps, mask)
+    np.testing.assert_array_equal(energy_gradient(u, params).samples,
+                                  _reference_gradient(w, u.samples, p, eps))

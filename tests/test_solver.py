@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracmap.energy import EnergyParams, energy
+from fracmap.energy import EnergyParams, el_residual, energy, seminorm
 from fracmap.grid import VectorField, make_grid, site_coords
 from fracmap.solver import (
     SolverConfig,
@@ -154,6 +154,24 @@ def test_minimize_reports_stall_honestly():
     assert np.all(np.diff(trace) <= 0.0)
     e_final = energy(VectorField(grid=g, components=2, samples=u.samples), params)
     np.testing.assert_allclose(e_final, trace[-1], rtol=1e-12)
+
+
+def test_minimize_returns_its_el_suite():
+    g = make_grid(1, 32, TWO_PI)
+    params = EnergyParams(s=0.5, p=3.0)
+    u, report = minimize(_winding(g), params, SolverConfig(max_iters=30))
+    suite = el_residual_suite(u, params)
+    assert report.el_suite == suite
+    assert report.final_el_residual_max == suite.max_abs
+    # every entry read off the shared flux matches its own el_residual pass
+    u_sem = seminorm(u, params.s, params.p)
+    entries = iter(suite.entries)
+    for phi_label, phi in bump_basis(g):
+        denom = seminorm(phi, params.s, params.p) * u_sem ** (params.p - 1.0)
+        for om_label, om in elementary_omegas(2):
+            label, omega_id, val = next(entries)
+            assert (label, omega_id) == (phi_label, om_label)
+            assert abs(val - abs(el_residual(u, phi, om, params)) / denom) <= 1e-14
 
 
 def test_el_residual_suite_structure():
