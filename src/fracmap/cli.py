@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands: solve, verify, probe, decay, selftest. Exit codes are a
-stable contract: 0 pass, 1 verification failure, 2 config error, 3
-non-convergence (reports are still written in that case). Everything a
-command does is deterministic given the config bytes and the seed;
-worker counts change wall time, never results.
+stable contract: 0 pass, 1 a scientific check failed or a computation
+raised a numerical error, 2 config or usage error (a malformed config,
+--set, flag or input file), 3 non-convergence (reports are still written
+in that case). Everything a command does is deterministic given the
+config bytes and the seed; worker counts change wall time, never results.
 """
 from __future__ import annotations
 
@@ -19,13 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import lab, reporting
-from .energy import EnergyParams, duality_check, el_residual, energy, holefill_check
+from .energy import EnergyParams, _validate_t, duality_check, el_residual, energy, holefill_check
 from .grid import BallHierarchy, ScalarField, VectorField, ball_mean, make_grid, site_coords
 from .reporting import (
     ConfigError,
+    FieldDigestError,
+    FieldFormatError,
     RunConfig,
     RunManifest,
-    apply_overrides,
+    as_config_error,
     config_hash,
     emit_decay_table,
     emit_el_table,
@@ -51,57 +54,48 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _load(args) -> RunConfig:
-    doc = {}
-    if args.config:
-        text = Path(args.config).read_text()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"{args.config}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-            ) from None
-    if args.set:
-        doc = apply_overrides(doc, args.set)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["out_dir"] = args.out
-    return parse_config(doc)
+def _finish(cfg: RunConfig, started: str, outputs: list) -> None:
+    """Write the run manifest, the one artifact that carries wall-clock time."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(
+        config_hash=config_hash(cfg.raw),
+        artifact_version=reporting.ARTIFACT_VERSION,
+        started=started,
+        finished=_now(),
+        outputs=[Path(p).name for p in outputs],
+    )
+    manifest.write(out / f"manifest_{cfg.tag}.json")
 
 
 def initial_field(cfg: RunConfig) -> VectorField:
     """Materialize the configured initial data."""
-    kind = cfg.initial.get("kind", "winding")
+    init = cfg.initial
     grid = cfg.grid
-    if kind == "winding":
-        degree = int(cfg.initial.get("degree", 1))
-        amp = float(cfg.initial.get("phase_amp", 0.3))
+    if init["kind"] == "winding":
         x = site_coords(grid)[:, 0]
-        theta = degree * (2.0 * np.pi / grid.box_length) * x + amp * np.sin(
+        theta = init["degree"] * (2.0 * np.pi / grid.box_length) * x + init["phase_amp"] * np.sin(
             2.0 * np.pi * x / grid.box_length
         )
         samples = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return VectorField(grid=grid, components=2, samples=samples, unit_constrained=True)
-    if kind == "constant":
-        value = np.asarray(cfg.initial.get("value", [1.0, 0.0]), dtype=np.float64)
-        unit = project_sphere(value[None, :])[0]
+    if init["kind"] == "constant":
+        value = np.asarray(init["value"], dtype=np.float64)
+        unit = as_config_error("initial.value", project_sphere, value[None, :])[0]
         samples = np.tile(unit, (grid.n_sites, 1))
         return VectorField(grid=grid, components=len(value), samples=samples, unit_constrained=True)
-    if kind == "random":
-        seed = int(cfg.initial.get("seed", cfg.seed))
+    if init["kind"] == "random":
+        seed = cfg.seed if init["seed"] is None else init["seed"]
         return lab.unit_circle_family(grid, 1, seed)[0]
-    if kind == "file":
-        path = cfg.initial.get("path")
-        if not path:
-            raise ConfigError("initial.path: required for kind = file")
-        f = read_field(path)
-        if not isinstance(f, VectorField):
-            raise ConfigError(f"initial.path: {path} holds a scalar field")
-        if f.grid != grid:
-            raise ConfigError(f"initial.path: grid in {path} does not match the config grid")
-        return f
-    raise ConfigError(f"initial.kind: unknown kind {kind!r}")
+    path = init["path"]
+    if not path:
+        raise ConfigError("initial.path: required for kind = file")
+    f = read_field(path)
+    if not isinstance(f, VectorField):
+        raise ConfigError(f"initial.path: {path} holds a scalar field")
+    if f.grid != grid:
+        raise ConfigError(f"initial.path: grid in {path} does not match the config grid")
+    return f
 
 
 def _default_hierarchy(cfg: RunConfig) -> BallHierarchy:
@@ -115,28 +109,20 @@ def _default_hierarchy(cfg: RunConfig) -> BallHierarchy:
 
 
 def cmd_solve(cfg: RunConfig, workers: int) -> int:
-    tag = config_hash(cfg.raw)[:12]
     out = Path(cfg.out_dir)
     started = _now()
     u0 = initial_field(cfg)
     u, report = minimize(u0, cfg.params, cfg.solver, workers=workers)
-    outputs = emit_solve_report(report, out, tag)
+    outputs = emit_solve_report(report, out, cfg.tag)
     suite = report.el_suite
-    outputs += emit_el_table(suite, out, tag)
-    solution_path = out / f"solution_{tag}.field"
+    outputs += emit_el_table(suite, out, cfg.tag)
+    solution_path = out / f"solution_{cfg.tag}.field"
     write_field(solution_path, u, meta={"iterations": report.iterations})
     outputs.append(solution_path)
     if cfg.hierarchy is not None:
         table = lab.decay_profile(u, cfg.hierarchy, cfg.params)
-        outputs += emit_decay_table(table, out, tag)
-    manifest = RunManifest(
-        config_hash=config_hash(cfg.raw),
-        artifact_version=reporting.ARTIFACT_VERSION,
-        started=started,
-        finished=_now(),
-        outputs=[Path(p).name for p in outputs],
-    )
-    manifest.write(out / f"manifest_{tag}.json")
+        outputs += emit_decay_table(table, out, cfg.tag)
+    _finish(cfg, started, outputs)
     ok = report.converged and suite.max_abs <= EL_TOL
     print(
         f"solve: converged={report.converged} iterations={report.iterations} "
@@ -145,8 +131,7 @@ def cmd_solve(cfg: RunConfig, workers: int) -> int:
     return EXIT_PASS if ok else EXIT_NO_CONVERGENCE
 
 
-def cmd_verify(cfg: RunConfig, field_path: str, workers: int) -> int:
-    tag = config_hash(cfg.raw)[:12]
+def cmd_verify(cfg: RunConfig, field_path: str) -> int:
     out = Path(cfg.out_dir)
     started = _now()
     u = read_field(field_path)
@@ -162,14 +147,17 @@ def cmd_verify(cfg: RunConfig, field_path: str, workers: int) -> int:
 
     suite = el_residual_suite(u, params)
     checks["el_residual"] = {"value": suite.max_abs, "tol": EL_TOL, "pass": suite.max_abs <= EL_TOL}
-    outputs = emit_el_table(suite, out, tag)
+    outputs = emit_el_table(suite, out, cfg.tag)
 
     hierarchy = _default_hierarchy(cfg)
     lhs, rhs, hf_ok = holefill_check(u, hierarchy, hierarchy.level_min, hierarchy.level_max, params)
     checks["holefill"] = {"lhs": lhs, "rhs": rhs, "pass": bool(hf_ok)}
 
     if cfg.grid.dim == 1:
-        t = cfg.t if cfg.t is not None else params.s - 0.05
+        t = cfg.t
+        if t is None:
+            t = params.s - 0.05
+            as_config_error("energy.t (default s - 0.05)", _validate_t, t, params)
         x = site_coords(cfg.grid)[:, 0]
         phi = ScalarField(
             grid=cfg.grid, samples=np.cos(2.0 * np.pi * x / cfg.grid.box_length)
@@ -180,66 +168,40 @@ def cmd_verify(cfg: RunConfig, field_path: str, workers: int) -> int:
         checks["duality"] = {"skipped": "cell-averaged pairing kernel exists for dim 1 only"}
 
     ok = all(c.get("pass", True) for c in checks.values())
-    vpath = out
-    vpath.mkdir(parents=True, exist_ok=True)
-    (out / f"verify_{tag}.json").write_text(json.dumps(checks, indent=2, sort_keys=True) + "\n")
-    outputs.append(out / f"verify_{tag}.json")
-    manifest = RunManifest(
-        config_hash=config_hash(cfg.raw),
-        artifact_version=reporting.ARTIFACT_VERSION,
-        started=started,
-        finished=_now(),
-        outputs=[Path(p).name for p in outputs],
-    )
-    manifest.write(out / f"manifest_{tag}.json")
+    vpath = out / f"verify_{cfg.tag}.json"
+    vpath.write_text(json.dumps(checks, indent=2, sort_keys=True) + "\n")
+    outputs.append(vpath)
+    _finish(cfg, started, outputs)
     for name, result in checks.items():
         print(f"verify {name}: {result}")
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_probe(cfg: RunConfig, workers: int) -> int:
-    tag = config_hash(cfg.raw)[:12]
-    out = Path(cfg.out_dir)
+def cmd_probe(cfg: RunConfig) -> int:
     started = _now()
     outputs = []
     all_pass = True
     for name in cfg.probes:
-        report = lab.run_probe(name, seed=cfg.seed, overrides=cfg.probe_params.get(name))
-        outputs += emit_probe_report(report, out, tag)
+        report = as_config_error(f"probe_params.{name}", lab.run_probe, name, seed=cfg.seed,
+                                 overrides=cfg.probe_params.get(name))
+        outputs += emit_probe_report(report, cfg.out_dir, cfg.tag)
         all_pass = all_pass and report.passed
         print(
             f"probe {name}: worst_ratio={report.worst_ratio:.6g} "
             f"frozen_C={report.frozen_c:.6g} pass={report.passed}"
         )
-    manifest = RunManifest(
-        config_hash=config_hash(cfg.raw),
-        artifact_version=reporting.ARTIFACT_VERSION,
-        started=started,
-        finished=_now(),
-        outputs=[Path(p).name for p in outputs],
-    )
-    manifest.write(out / f"manifest_{tag}.json")
+    _finish(cfg, started, outputs)
     return EXIT_PASS if all_pass else EXIT_FAIL
 
 
-def cmd_decay(cfg: RunConfig, workers: int) -> int:
-    tag = config_hash(cfg.raw)[:12]
-    out = Path(cfg.out_dir)
+def cmd_decay(cfg: RunConfig) -> int:
     started = _now()
     u = initial_field(cfg)
-    hierarchy = cfg.hierarchy
-    if hierarchy is None:
+    if cfg.hierarchy is None:
         raise ConfigError("hierarchy: required for the decay command")
-    table = lab.decay_profile(u, hierarchy, cfg.params)
-    outputs = emit_decay_table(table, out, tag)
-    manifest = RunManifest(
-        config_hash=config_hash(cfg.raw),
-        artifact_version=reporting.ARTIFACT_VERSION,
-        started=started,
-        finished=_now(),
-        outputs=[Path(p).name for p in outputs],
-    )
-    manifest.write(out / f"manifest_{tag}.json")
+    table = lab.decay_profile(u, cfg.hierarchy, cfg.params)
+    outputs = emit_decay_table(table, cfg.out_dir, cfg.tag)
+    _finish(cfg, started, outputs)
     theta = "undefined" if table.theta is None else f"{table.theta:.4f}"
     print(f"decay: theta={theta} levels={len(table.rows)}")
     return EXIT_PASS
@@ -348,7 +310,8 @@ def _add_common(sub):
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config entry, dotted keys (repeatable)")
     sub.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                     help="worker threads for the energy double sum")
+                     help="worker threads for the energy passes of solve; "
+                          "the other commands ignore it")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
@@ -366,26 +329,22 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return cmd_selftest()
     try:
-        cfg = _load(args)
+        cfg = load_config(args.config, args.set, args.seed, args.out)
         if args.command == "solve":
             return cmd_solve(cfg, args.workers)
         if args.command == "verify":
-            return cmd_verify(cfg, args.field, args.workers)
+            return cmd_verify(cfg, args.field)
         if args.command == "probe":
-            return cmd_probe(cfg, args.workers)
-        if args.command == "decay":
-            return cmd_decay(cfg, args.workers)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as e:
+            return cmd_probe(cfg)
+        return cmd_decay(cfg)
+    except (ConfigError, FieldFormatError, FieldDigestError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as e:
-        # probe preconditions (exponent relations, guard rails) are config errors
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    raise AssertionError("unreachable")
+        # a numerical failure (a non-monotone decay table, a failed
+        # projection): the config was valid, the computation was not
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

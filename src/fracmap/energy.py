@@ -70,7 +70,6 @@ class EnergyParams:
     s: float
     p: float
     eps_reg: float = 0.0
-    quadrature: str = "full_double_sum"
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
@@ -82,8 +81,6 @@ class EnergyParams:
         if self.eps_reg == 0.0 and self.p < 2.0:
             # the |du|^{p-2} pair weight degenerates without a regularizer
             raise ValueError("eps_reg = 0 is only permitted for p >= 2")
-        if self.quadrature != "full_double_sum":
-            raise ValueError(f"unknown quadrature {self.quadrature!r}")
 
 
 def critical_params(grid: GridSpec, s: float, eps_reg: float = 0.0) -> EnergyParams:

@@ -40,7 +40,6 @@ class GridSpec:
     dim: int
     points_per_axis: int
     box_length: float
-    periodic: bool = True
 
     @property
     def h(self) -> float:

@@ -37,6 +37,9 @@ from .grid import (
 
 PROBE_NAMES = ("sobolev", "commutator", "kernel_case", "lp_sup", "t1", "holefill")
 
+# fewest hierarchy levels a decay table accepts
+DECAY_MIN_LEVELS = 4
+
 # worst-offender rows kept per case in the kernel_case CSV; the full
 # 1e5-per-case sweep would dominate the output directory otherwise
 KERNEL_CASE_CSV_ROWS = 200
@@ -62,6 +65,24 @@ class ProbeReport:
     passed: bool
     seed: int
     rows: tuple  # of (sample id, lhs, rhs, ratio)
+
+
+def _probe_report(name, rows, seed, bound_const=None, sample_count=None, passed=None):
+    """Close a probe: the worst ratio over rows (0 when there are none)
+    against the frozen constant, loaded when bound_const is None. The
+    sample count defaults to the row count and the verdict to worst <= C."""
+    if bound_const is None:
+        bound_const = load_frozen_constants()[name]
+    worst = max([0.0] + [row[3] for row in rows])
+    return ProbeReport(
+        name=name,
+        sample_count=len(rows) if sample_count is None else sample_count,
+        worst_ratio=worst,
+        frozen_c=bound_const,
+        passed=bool(worst <= bound_const) if passed is None else passed,
+        seed=seed,
+        rows=tuple(rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +154,8 @@ def decay_profile(u: VectorField, hierarchy: BallHierarchy, params: EnergyParams
     inconsistent pieces and raises.
     """
     levels = range(hierarchy.level_min, hierarchy.level_max + 1)
-    if len(levels) < 4:
-        raise ValueError("hierarchy must span at least 4 levels")
+    if len(levels) < DECAY_MIN_LEVELS:
+        raise ValueError(f"hierarchy must span at least {DECAY_MIN_LEVELS} levels")
     rows = []
     for lev in levels:
         e = energy(u, params, region=ball_mask(hierarchy, lev))
@@ -337,10 +358,7 @@ def kernel_case_probe(
 ) -> ProbeReport:
     """Monte-Carlo sweep of the three-case majorant, count_per_case
     triples per case; the CSV keeps the worst offenders per case."""
-    if bound_const is None:
-        bound_const = load_frozen_constants()["kernel_case"]
     rng = np.random.default_rng(seed)
-    worst = 0.0
     rows = []
     for target in (1, 2, 3):
         x, y, z = _sample_case_triples(rng, n, count_per_case, target)
@@ -351,20 +369,12 @@ def kernel_case_probe(
         lhs = np.abs(dxz ** (beta - n) - dyz ** (beta - n))
         rhs = _case_majorant(case, dxy, dxz, dyz, beta, eps, n)
         ratio = lhs / rhs
-        worst = max(worst, float(ratio.max()))
+        # descending, so each case's largest ratio is kept
         order = np.argsort(ratio)[::-1][:KERNEL_CASE_CSV_ROWS]
         rows.extend(
             (f"case{target}/{i}", float(lhs[i]), float(rhs[i]), float(ratio[i])) for i in order
         )
-    return ProbeReport(
-        name="kernel_case",
-        sample_count=3 * count_per_case,
-        worst_ratio=worst,
-        frozen_c=bound_const,
-        passed=bool(worst <= bound_const),
-        seed=seed,
-        rows=tuple(rows),
-    )
+    return _probe_report("kernel_case", rows, seed, bound_const, sample_count=3 * count_per_case)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +416,6 @@ def sobolev_probe(
         raise ValueError(f"p must lie in (1, n/(s-t)) = (1, {n / (s - t)})")
     p_star = float(sobolev_exponent(float(n), s, t, p))
     rows = []
-    worst = 0.0
     for i, f in enumerate(f_family):
         if t == 0.0:
             lf = f.samples
@@ -417,19 +426,8 @@ def sobolev_probe(
         if rhs == 0.0:
             continue  # constants carry no information here
         ratio = lhs / rhs
-        worst = max(worst, ratio)
         rows.append((i, lhs, rhs, ratio))
-    if bound_const is None:
-        bound_const = load_frozen_constants()["sobolev"]
-    return ProbeReport(
-        name="sobolev",
-        sample_count=len(rows),
-        worst_ratio=worst,
-        frozen_c=bound_const,
-        passed=bool(worst <= bound_const),
-        seed=seed,
-        rows=tuple(rows),
-    )
+    return _probe_report("sobolev", rows, seed, bound_const)
 
 
 def sobolev_growth(f_family, s: float, p: float):
@@ -468,7 +466,6 @@ def commutator_probe(
             f"exponent relation 1/p = 1/p1 + 1/p2 - (alpha-eps)/n violated by {gap:.3e}"
         )
     rows = []
-    worst = 0.0
     for i, (a, b) in enumerate(pairs):
         h_ab = commutator_H(a, b, alpha)
         if eps == 0.0:
@@ -482,19 +479,8 @@ def commutator_probe(
         if rhs == 0.0:
             continue
         ratio = lhs / rhs
-        worst = max(worst, ratio)
         rows.append((i, lhs, rhs, ratio))
-    if bound_const is None:
-        bound_const = load_frozen_constants()["commutator"]
-    return ProbeReport(
-        name="commutator",
-        sample_count=len(rows),
-        worst_ratio=worst,
-        frozen_c=bound_const,
-        passed=bool(worst <= bound_const),
-        seed=seed,
-        rows=tuple(rows),
-    )
+    return _probe_report("commutator", rows, seed, bound_const)
 
 
 # ---------------------------------------------------------------------------
@@ -556,24 +542,12 @@ def t1_probe(
     fs = band_limited_family(grid, count, seed, max_mode=4)
     gs = band_limited_family(grid, count, seed + 1, max_mode=4)
     rows = []
-    worst = 0.0
     for i, (f, g) in enumerate(zip(fs, gs)):
         lhs, rhs, ratio = t1_bound_probe(f, g, s, t)
         if rhs == 0.0:
             continue
-        worst = max(worst, ratio)
         rows.append((i, lhs, rhs, ratio))
-    if bound_const is None:
-        bound_const = load_frozen_constants()["t1"]
-    return ProbeReport(
-        name="t1",
-        sample_count=len(rows),
-        worst_ratio=worst,
-        frozen_c=bound_const,
-        passed=bool(worst <= bound_const),
-        seed=seed,
-        rows=tuple(rows),
-    )
+    return _probe_report("t1", rows, seed, bound_const)
 
 
 # ---------------------------------------------------------------------------
@@ -593,24 +567,12 @@ def lp_sup_probe(
     sup |Lambda^t P_j f| to 2^{j(n/p + t - s)} [f]_{s,p}."""
     bank = build_lp_bank(f_family[0].grid)
     rows = []
-    worst = 0.0
     for i, f in enumerate(f_family):
         for j, lhs, rhs, ratio in lp_sup_bound_probe(f, bank, s, t, p):
             if rhs == 0.0:
                 continue
-            worst = max(worst, ratio)
             rows.append((f"{i}/band{j}", lhs, rhs, ratio))
-    if bound_const is None:
-        bound_const = load_frozen_constants()["lp_sup"]
-    return ProbeReport(
-        name="lp_sup",
-        sample_count=len(rows),
-        worst_ratio=worst,
-        frozen_c=bound_const,
-        passed=bool(worst <= bound_const),
-        seed=seed,
-        rows=tuple(rows),
-    )
+    return _probe_report("lp_sup", rows, seed, bound_const)
 
 
 def holefill_probe(
@@ -630,26 +592,14 @@ def holefill_probe(
     levels = range(hierarchy.level_min, hierarchy.level_max + 1)
     combos = [(a, b) for a in levels for b in levels if a < b]
     rows = []
-    worst = 0.0
     ok = True
     for i, u in enumerate(fields):
         for K, L in combos:
             lhs, rhs, passed = holefill_check(u, hierarchy, K, L, params)
             ratio = lhs / rhs if rhs > 0 else 0.0
-            worst = max(worst, ratio)
             ok = ok and passed
             rows.append((f"{i}/B{K}in{L}", lhs, rhs, ratio))
-    if bound_const is None:
-        bound_const = load_frozen_constants()["holefill"]
-    return ProbeReport(
-        name="holefill",
-        sample_count=len(rows),
-        worst_ratio=worst,
-        frozen_c=bound_const,
-        passed=bool(ok),
-        seed=seed,
-        rows=tuple(rows),
-    )
+    return _probe_report("holefill", rows, seed, bound_const, passed=ok)
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,37 @@
 """Run configuration, manifests, and serialization.
 
-Configs are strict JSON: every key must be known, constraint violations
-name the offending key, and derived quantities (grid spacing, critical
-exponent, ball radii) are computed at load time so downstream code never
-re-derives them inconsistently. Scientific outputs are byte-reproducible;
-wall-clock timestamps are quarantined in the run manifest.
+A config is a strict JSON object described by one table, SCHEMA, of
+(type, default) per key, with one nested table per section. Unknown keys
+are errors; a float key takes any JSON number, an int key an integral
+number, a bool key only true or false, a string key only a string, and
+null is accepted only where the default is None. Value ranges are checked
+by the constructors the values feed (make_grid, EnergyParams,
+SolverConfig, BallHierarchy), and the few rules that tie keys together
+(critical p = n/s, winding data needs dim 1, the admissible t window,
+probe names) by parse_config. Every violation raises ConfigError naming
+the offending key. The canonical input document, without defaults, is
+kept as RunConfig.raw: its hash tags the artifact file names.
+Scientific outputs are byte-reproducible; wall-clock timestamps are
+quarantined in the run manifest.
 
 Field files are a one-line JSON header followed by a raw little-endian
 float64 block in sample-major order, with a sha256 digest of the block in
 the header. Cheap to write, bit-exact to read back, and self-describing
-enough to catch truncation and mismatched grids.
+enough to catch truncation and mismatched grids: any malformed file
+raises FieldFormatError or FieldDigestError.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .energy import EnergyParams
+from .energy import MAX_KERNEL_PAIRS, EnergyParams, _validate_t
 from .grid import BallHierarchy, GridSpec, ScalarField, VectorField, make_grid
-from .lab import DecayTable, ProbeReport, PROBE_NAMES
+from .lab import DECAY_MIN_LEVELS, DecayTable, ProbeReport, PROBE_NAMES
 from .solver import SolverConfig
 
 SCHEMA_VERSION = 1
@@ -47,125 +56,148 @@ class RunConfig:
     out_dir: str
     raw: dict = field(repr=False, default_factory=dict)
 
+    @property
+    def tag(self) -> str:
+        """File-name tag of the run's artifacts: a prefix of the config hash."""
+        return config_hash(self.raw)[:12]
 
-_TOP_KEYS = {
-    "schema_version",
-    "grid",
-    "energy",
-    "solver",
-    "hierarchy",
-    "initial",
-    "probes",
-    "probe_params",
-    "seed",
-    "out_dir",
+
+# The config schema: key -> (type, default); a nested dict is a section.
+# `null` is accepted exactly where the default is None.
+SCHEMA = {
+    "schema_version": (int, SCHEMA_VERSION),
+    "grid": ({
+        "dim": (int, 1),
+        "points_per_axis": (int, 64),
+        "box_length": (float, 2.0 * np.pi),
+    }, {}),
+    "energy": ({
+        "s": (float, 0.5),
+        "p": (float, None),  # None: p = n/s
+        "eps_reg": (float, 0.0),
+        "t": (float, None),
+        "critical_mode": (bool, False),
+    }, {}),
+    "solver": ({f.name: (type(f.default), f.default) for f in fields(SolverConfig)}, {}),
+    "hierarchy": ({
+        "center": (list[float], None),  # None: the origin
+        "base_radius": (float, 0.05),
+        "levels": (int, 5),
+    }, None),
+    "initial": ({
+        "kind": (str, "winding"),
+        "degree": (int, 1),
+        "phase_amp": (float, 0.3),
+        "value": (list[float], [1.0, 0.0]),
+        "path": (str, None),
+        "seed": (int, None),  # None: the run seed
+    }, {}),
+    "probes": (list[str], list(PROBE_NAMES)),
+    "probe_params": (dict, {}),
+    "seed": (int, 0),
+    "out_dir": (str, "runs"),
 }
-_GRID_KEYS = {"dim", "points_per_axis", "box_length"}
-_ENERGY_KEYS = {"s", "p", "eps_reg", "t", "critical_mode"}
-_SOLVER_KEYS = {"max_iters", "step0", "armijo_c", "armijo_shrink", "grad_tol", "energy_tol"}
-_HIER_KEYS = {"center", "base_radius", "levels"}
-_INITIAL_KEYS = {"kind", "degree", "phase_amp", "value", "path", "seed"}
+
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+             dict: "an object", list[float]: "a list of numbers", list[str]: "a list of strings"}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    for k in d:
-        if k not in allowed:
-            raise ConfigError(f"unknown config key {where}.{k}" if where else f"unknown config key {k}")
+def _typed(value, typ, where: str, nullable: bool = False):
+    """Check one config value against its schema type."""
+    if value is None and nullable:
+        return None
+    if isinstance(typ, dict):
+        return _section(value, typ, where)
+    item = getattr(typ, "__args__", (None,))[0]  # list[float] -> float
+    if item is not None and isinstance(value, list):
+        return [_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value)]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if typ is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if typ is float and number:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where}: {value} is out of range") from None
+    if typ in (bool, str, dict) and isinstance(value, typ):
+        return value
+    raise ConfigError(f"{where}: expected {_EXPECTED[typ]}, got {json.dumps(value, default=repr)}")
+
+
+def _section(doc, schema: dict, where: str) -> dict:
+    """One config object: unknown keys are errors, and every schema key is
+    in the result, typed, with its default where the key is absent."""
+    if not isinstance(doc, dict):
+        raise ConfigError(
+            f"{where or 'config root'}: expected an object, got {json.dumps(doc, default=repr)}"
+        )
+    prefix = f"{where}." if where else ""
+    for key in doc:
+        if key not in schema:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+    return {key: _typed(doc.get(key, default), typ, prefix + key, nullable=default is None)
+            for key, (typ, default) in schema.items()}
+
+
+def as_config_error(where: str, fn, *args, **kwargs):
+    """Call fn; a ValueError (or, from probe parameters, a TypeError or
+    ArithmeticError) it raises on the config's values becomes a
+    ConfigError naming `where`."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, TypeError, ArithmeticError) as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a config dictionary into a RunConfig. All constraint
     violations raise ConfigError naming the offending key."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "")
-    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {doc['schema_version']}")
+    c = _section(doc, SCHEMA, "")
+    if c["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {c['schema_version']}")
 
-    gdoc = doc.get("grid", {})
-    if not isinstance(gdoc, dict):
-        raise ConfigError("grid: must be an object")
-    _reject_unknown(gdoc, _GRID_KEYS, "grid")
-    try:
-        grid = make_grid(
-            int(gdoc.get("dim", 1)),
-            int(gdoc.get("points_per_axis", 64)),
-            float(gdoc.get("box_length", 2.0 * np.pi)),
-        )
-    except ValueError as e:
-        raise ConfigError(f"grid: {e}") from None
+    g = c["grid"]
+    grid = as_config_error("grid", make_grid, g["dim"], g["points_per_axis"], g["box_length"])
+    if grid.n_sites**2 > MAX_KERNEL_PAIRS:
+        raise ConfigError(f"grid: {grid.n_sites} sites need more than the "
+                          f"{MAX_KERNEL_PAIRS} pair weights the kernel supports")
 
-    edoc = doc.get("energy", {})
-    _reject_unknown(edoc, _ENERGY_KEYS, "energy")
-    s = float(edoc.get("s", 0.5))
-    critical = bool(edoc.get("critical_mode", False))
-    if critical:
-        p_implied = grid.dim / s
-        if "p" in edoc and abs(float(edoc["p"]) - p_implied) > 1e-12:
-            raise ConfigError(
-                f"energy.p: critical_mode pins p = n/s = {p_implied}, got {edoc['p']}"
-            )
-        p = p_implied
-    else:
-        p = float(edoc.get("p", grid.dim / s))
-    try:
-        params = EnergyParams(s=s, p=p, eps_reg=float(edoc.get("eps_reg", 0.0)))
-    except ValueError as e:
-        raise ConfigError(f"energy: {e}") from None
-    t = edoc.get("t")
-    if t is not None:
-        t = float(t)
-        if not (0.0 < t < 1.0):
-            raise ConfigError(f"energy.t: must lie in (0,1), got {t}")
-        lower = 1.0 - (1.0 - s) * p
-        if not (t > lower):
-            raise ConfigError(f"energy.t: must exceed 1 - (1-s)p = {lower}, got {t}")
+    e = c["energy"]
+    critical_p = grid.dim / e["s"] if e["s"] > 0 else np.inf  # EnergyParams rejects s <= 0
+    p = critical_p if e["critical_mode"] or e["p"] is None else e["p"]
+    params = as_config_error("energy", EnergyParams, s=e["s"], p=p, eps_reg=e["eps_reg"])
+    if e["critical_mode"] and e["p"] is not None and abs(e["p"] - p) > 1e-12:
+        raise ConfigError(f"energy.p: critical_mode pins p = n/s = {p}, got {e['p']}")
+    if e["t"] is not None:
+        as_config_error("energy.t", _validate_t, e["t"], params)
 
-    sdoc = doc.get("solver", {})
-    _reject_unknown(sdoc, _SOLVER_KEYS, "solver")
-    try:
-        solver = SolverConfig(seed=int(doc.get("seed", 0)), **{k: v for k, v in sdoc.items()})
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"solver: {e}") from None
+    solver = as_config_error("solver", SolverConfig, **c["solver"])
 
-    hdoc = doc.get("hierarchy")
+    h = c["hierarchy"]
     hierarchy = None
-    if hdoc is not None:
-        _reject_unknown(hdoc, _HIER_KEYS, "hierarchy")
-        levels = int(hdoc.get("levels", 5))
-        if levels < 1:
-            raise ConfigError("hierarchy.levels: must be positive")
-        center = hdoc.get("center", [0.0] * grid.dim)
-        try:
-            hierarchy = BallHierarchy(
-                grid=grid,
-                center=np.asarray(center, dtype=np.float64),
-                base_radius=float(hdoc.get("base_radius", 0.05)),
-                level_min=0,
-                level_max=levels - 1,
-            )
-        except ValueError as e:
-            raise ConfigError(f"hierarchy: {e}") from None
+    if h is not None:
+        if h["levels"] < DECAY_MIN_LEVELS:
+            raise ConfigError(f"hierarchy.levels: the decay table needs at least "
+                              f"{DECAY_MIN_LEVELS}, got {h['levels']}")
+        hierarchy = as_config_error(
+            "hierarchy", BallHierarchy,
+            grid=grid,
+            center=np.zeros(grid.dim) if h["center"] is None else np.asarray(h["center"]),
+            base_radius=h["base_radius"],
+            level_min=0,
+            level_max=h["levels"] - 1,
+        )
 
-    idoc = doc.get("initial", {"kind": "winding", "degree": 1, "phase_amp": 0.3})
-    _reject_unknown(idoc, _INITIAL_KEYS, "initial")
-    kind = idoc.get("kind", "winding")
-    if kind not in ("winding", "constant", "file", "random"):
-        raise ConfigError(f"initial.kind: unknown kind {kind!r}")
-    if kind == "winding" and grid.dim != 1:
+    initial = c["initial"]
+    if initial["kind"] not in ("winding", "constant", "file", "random"):
+        raise ConfigError(f"initial.kind: unknown kind {initial['kind']!r}")
+    if initial["kind"] == "winding" and grid.dim != 1:
         raise ConfigError("initial.kind: winding initial data needs dim = 1")
 
-    probes = doc.get("probes", list(PROBE_NAMES))
-    if not isinstance(probes, (list, tuple)):
-        raise ConfigError("probes: must be a list of probe names")
-    for name in probes:
+    for name in c["probes"]:
         if name not in PROBE_NAMES:
             raise ConfigError(f"probes: unknown probe {name!r}; choose from {PROBE_NAMES}")
-
-    pdoc = doc.get("probe_params", {})
-    if not isinstance(pdoc, dict):
-        raise ConfigError("probe_params: must be an object keyed by probe name")
-    for name, kwargs in pdoc.items():
+    for name, kwargs in c["probe_params"].items():
         if name not in PROBE_NAMES:
             raise ConfigError(f"probe_params: unknown probe {name!r}")
         if not isinstance(kwargs, dict):
@@ -176,24 +208,36 @@ def parse_config(doc: dict) -> RunConfig:
         params=params,
         solver=solver,
         hierarchy=hierarchy,
-        initial=dict(idoc),
-        probes=tuple(probes),
-        probe_params={k: dict(v) for k, v in pdoc.items()},
-        t=t,
-        seed=int(doc.get("seed", 0)),
-        out_dir=str(doc.get("out_dir", "runs")),
+        initial=initial,
+        probes=tuple(c["probes"]),
+        probe_params={k: dict(v) for k, v in c["probe_params"].items()},
+        t=e["t"],
+        seed=c["seed"],
+        out_dir=c["out_dir"],
         raw=canonical_config(doc),
     )
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a JSON config file. Parse errors carry the line
-    and column; schema errors name the offending key."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+def load_config(path=None, overrides=(), seed=None, out_dir=None) -> RunConfig:
+    """Read a JSON config file (none: the empty config), apply --set
+    overrides, the seed and the output directory, and validate. Parse
+    errors carry the line and column; schema errors name the offending
+    key."""
+    doc = {}
+    if path:
+        try:
+            doc = json.loads(Path(path).read_bytes())
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"{path}: cannot read: {e}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("config root: expected an object")
+    doc = apply_overrides(doc, overrides)
+    if seed is not None:
+        doc["seed"] = seed
+    if out_dir is not None:
+        doc["out_dir"] = out_dir
     return parse_config(doc)
 
 
@@ -219,14 +263,14 @@ def apply_overrides(doc: dict, assignments) -> dict:
         key, _, value = item.partition("=")
         try:
             parsed = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON: the value is a string
             parsed = value
         node = out
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override {key!r} descends into a non-object")
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ConfigError(f"override {key!r} descends into a non-object")
         node[parts[-1]] = parsed
     return out
 
@@ -292,19 +336,19 @@ def read_field(path):
         block = fh.read()
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as e:
-        raise FieldFormatError(f"{path}: bad header: {e.msg}") from None
-    for key in ("dim", "points_per_axis", "box_length", "components", "digest"):
-        if key not in header:
-            raise FieldFormatError(f"{path}: header missing {key!r}")
-    grid = make_grid(header["dim"], header["points_per_axis"], header["box_length"])
-    components = int(header["components"])
+        grid = make_grid(header["dim"], header["points_per_axis"], header["box_length"])
+        components = int(header["components"])
+        digest = header["digest"]
+    except KeyError as e:
+        raise FieldFormatError(f"{path}: header missing {e}") from None
+    except (ValueError, TypeError) as e:
+        raise FieldFormatError(f"{path}: bad header: {e}") from None
     expect = grid.n_sites * max(components, 1) * 8
     if len(block) != expect:
         raise FieldFormatError(
             f"{path}: sample block holds {len(block)} bytes, header implies {expect}"
         )
-    if hashlib.sha256(block).hexdigest() != header["digest"]:
+    if hashlib.sha256(block).hexdigest() != digest:
         raise FieldDigestError(f"{path}: sample block digest mismatch")
     samples = np.frombuffer(block, dtype="<f8").astype(np.float64)
     if components == 0:

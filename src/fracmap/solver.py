@@ -50,7 +50,6 @@ class SolverConfig:
     armijo_shrink: float = 0.5
     grad_tol: float = 1e-7
     energy_tol: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 0:

@@ -8,7 +8,9 @@ import json
 import shutil
 
 import numpy as np
+import pytest
 
+from fracmap import lab
 from fracmap.cli import main
 from fracmap.grid import VectorField, make_grid
 from fracmap.reporting import write_field
@@ -156,3 +158,42 @@ def test_runs_are_byte_identical(tmp_path):
     assert names
     for name in names:
         assert filecmp.cmp(first / name, out / name, shallow=False), name
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"energy": []}, "energy"),
+    ({"grid": {"dim": None}}, "grid.dim"),
+    ([], "config root"),
+    ({"solver": []}, "solver"),
+    ({"hierarchy": []}, "hierarchy"),
+    ({"initial": "winding"}, "initial"),
+    ({"grid": {"points_per_axis": 64.7}}, "grid.points_per_axis"),
+    ({"seed": 2.7}, "seed"),
+    ({"solver": {"max_iters": 1.5}}, "solver.max_iters"),
+    ({"energy": {"critical_mode": "false"}}, "energy.critical_mode"),
+])
+def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
+    cfg = _write(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"config error: {key}:")
+
+
+def test_set_into_a_non_object_root_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, [])
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--set", "seed=1"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_numerical_value_error_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("localized energies not monotone")
+
+    monkeypatch.setattr(lab, "decay_profile", broken)
+    doc = dict(SOLVE_DOC, hierarchy={"center": [3.141592653589793], "levels": 5})
+    cfg = _write(tmp_path, doc)
+    assert main(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: localized energies not monotone\n"

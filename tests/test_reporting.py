@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracmap.grid import ScalarField, VectorField, make_grid
 from fracmap.reporting import (
@@ -83,6 +86,40 @@ def test_parse_config_initial_kinds():
         parse_config({"energy": {"s": 0.5, "p": 2.0}, "initial": {"kind": "banana"}})
 
 
+def test_parse_config_strict_types():
+    cfg = parse_config({"grid": {"points_per_axis": 64.0, "box_length": 6},
+                        "energy": {"t": None}, "hierarchy": {}})
+    assert cfg.grid.points_per_axis == 64 and type(cfg.grid.points_per_axis) is int
+    assert cfg.grid.box_length == 6.0 and type(cfg.grid.box_length) is float
+    assert cfg.params.p == 2.0 and cfg.t is None
+    assert cfg.hierarchy.center.tolist() == [0.0]
+    assert cfg.raw == {"grid": {"points_per_axis": 64.0, "box_length": 6},
+                       "energy": {"t": None}, "hierarchy": {}}  # no defaults injected
+    for doc, key in (({"grid": {"points_per_axis": 64.7}}, "grid.points_per_axis"),
+                     ({"energy": {"s": True}}, "energy.s"),
+                     ({"energy": {"s": "0.5"}}, "energy.s"),
+                     ({"energy": {"critical_mode": "false"}}, "energy.critical_mode"),
+                     ({"solver": {"max_iters": 1.5}}, "solver.max_iters"),
+                     ({"solver": {"grad_tol": None}}, "solver.grad_tol"),
+                     ({"solver": {"seed": 1}}, "solver.seed"),
+                     ({"hierarchy": {"center": [0.1, "x"]}}, "hierarchy.center[1]"),
+                     ({"energy": {"s": 10**400}}, "energy.s"),
+                     ({"energy": {"s": 0.0}}, "energy")):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(doc)
+
+
+def test_parse_config_rejects_hierarchy_and_grid_no_run_can_use():
+    # decay_profile and the pair kernel would raise a plain ValueError
+    # (exit 1) mid-run; the config is rejected up front instead
+    with pytest.raises(ConfigError, match="hierarchy.levels"):
+        parse_config({"hierarchy": {"levels": 3}})
+    with pytest.raises(ConfigError, match="grid"):
+        parse_config({"grid": {"points_per_axis": 2**14}})
+    with pytest.raises(ConfigError, match="grid"):
+        parse_config({"grid": {"dim": 2, "points_per_axis": 2**40}})
+
+
 def test_load_config_reports_json_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"energy": {"s": 0.5,, "p": 2}}')
@@ -151,6 +188,14 @@ def test_field_corruption_detected(tmp_path):
     (tmp_path / "garbage.field").write_bytes(b"not a header\n")
     with pytest.raises(FieldFormatError):
         read_field(tmp_path / "garbage.field")
+    # a header that parses but describes no valid field
+    header, _, block = bytes(path.read_bytes()).partition(b"\n")
+    for old, new in ((b'"dim": 1', b'"dim": 3'), (b'"dim": 1', b'"dim": null'),
+                     (b'"components": 2', b'"components": "x"'), (b"{", b"\xff{")):
+        assert old in header
+        (tmp_path / "bad.field").write_bytes(header.replace(old, new) + b"\n" + block)
+        with pytest.raises(FieldFormatError):
+            read_field(tmp_path / "bad.field")
 
 
 def test_emit_solve_report_files(tmp_path):
@@ -194,3 +239,71 @@ def test_manifest_contents(tmp_path):
     doc = json.loads((tmp_path / "manifest.json").read_text())
     assert doc["config_hash"] == "deadbeef"
     assert doc["outputs"] == ["a.json"]
+
+
+# leaves include values that the schema accepts, so that draws get past
+# the type checks and reach the range and cross-key rules
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([0.5, 2.0, 3.0, 1, 2, 4, 64, "winding", "constant", "random", "file"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+SECTIONS = {"grid": ["dim", "points_per_axis", "box_length"],
+            "energy": ["s", "p", "eps_reg", "t", "critical_mode"],
+            "solver": ["max_iters", "step0", "armijo_c", "armijo_shrink", "grad_tol", "energy_tol"],
+            "hierarchy": ["center", "base_radius", "levels"],
+            "initial": ["kind", "degree", "phase_amp", "value", "path", "seed"]}
+TOP_KEYS = [*SECTIONS, "schema_version", "probes", "probe_params", "seed", "out_dir"]
+NEAR_SCHEMA = st.dictionaries(
+    st.sampled_from(TOP_KEYS),
+    st.one_of(JSON, *(st.dictionaries(st.sampled_from(keys), JSON, max_size=3)
+                      for keys in SECTIONS.values())),
+    max_size=3,
+)
+DOTTED = st.sampled_from([f"{s}.{k}" for s, keys in SECTIONS.items() for k in keys] + TOP_KEYS)
+OVERRIDES = st.lists(
+    st.tuples(DOTTED, JSON.map(json.dumps) | st.text(max_size=6)).map("=".join), max_size=3
+) | st.lists(st.text(max_size=10), max_size=2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=JSON | NEAR_SCHEMA, overrides=OVERRIDES)
+def test_any_config_document_raises_only_config_error(doc, overrides):
+    try:
+        cfg = parse_config(apply_overrides(doc, overrides))
+    except ConfigError:
+        return
+    assert cfg.tag == config_hash(cfg.raw)[:12]
+
+
+def _field_file_bytes(tmp_path) -> list:
+    g = make_grid(1, 8, TWO_PI)
+    theta = np.linspace(0.0, 1.0, 8)
+    fields = [ScalarField(grid=g, samples=theta),
+              VectorField(grid=g, components=2, samples=np.stack([np.cos(theta), np.sin(theta)], 1),
+                          unit_constrained=True)]
+    out = []
+    for f in fields:
+        write_field(tmp_path / "f.field", f, meta={"iterations": 3})
+        out.append((tmp_path / "f.field").read_bytes())
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.integers(0, 1), cut=st.integers(0, 10**6), bit=st.integers(0, 7),
+       truncate=st.booleans())
+def test_damaged_field_files_raise_only_field_errors(tmp_path, which, cut, bit, truncate):
+    blob = bytearray(_field_file_bytes(tmp_path)[which])
+    pos = cut % len(blob)
+    if truncate:
+        blob = blob[:pos]
+    else:
+        blob[pos] ^= 1 << bit
+    path = tmp_path / "damaged.field"
+    path.write_bytes(bytes(blob))
+    try:
+        read_field(path)
+    except (FieldFormatError, FieldDigestError):
+        pass
