@@ -15,10 +15,12 @@ Scientific outputs are byte-reproducible; wall-clock timestamps are
 quarantined in the run manifest.
 
 Field files are a one-line JSON header followed by a raw little-endian
-float64 block in sample-major order, with a sha256 digest of the block in
-the header. Cheap to write, bit-exact to read back, and self-describing
-enough to catch truncation and mismatched grids: any malformed file
-raises FieldFormatError or FieldDigestError.
+float64 block in sample-major order. The header holds a sha256 digest of
+the block and a sha256 `header_digest` over the canonical JSON of dim,
+points_per_axis, box_length, components and unit_constrained; read_field
+checks the latter when present and also reads files without it. Cheap to write, bit-exact to read back, and self-describing enough
+to catch truncation, damaged headers and mismatched grids: any malformed
+file raises FieldFormatError or FieldDigestError.
 """
 from __future__ import annotations
 
@@ -300,6 +302,13 @@ class FieldDigestError(ValueError):
     """The sample block does not match its recorded digest."""
 
 
+def _header_digest(header: dict) -> str:
+    """sha256 over the canonical JSON of the header keys that fix how the
+    sample block is read."""
+    doc = {k: header[k] for k in ("dim", "points_per_axis", "box_length", "components", "unit_constrained")}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def write_field(path, f, meta: dict | None = None) -> None:
     """Header line (JSON) + raw little-endian float64 sample block."""
     if isinstance(f, ScalarField):
@@ -322,6 +331,7 @@ def write_field(path, f, meta: dict | None = None) -> None:
         "unit_constrained": unit,
         "digest": hashlib.sha256(block).hexdigest(),
     }
+    header["header_digest"] = _header_digest(header)
     if meta:
         header["meta"] = meta
     with open(path, "wb") as fh:
@@ -330,7 +340,8 @@ def write_field(path, f, meta: dict | None = None) -> None:
 
 
 def read_field(path):
-    """Inverse of write_field; digest and shape are both verified."""
+    """Inverse of write_field; the block digest, the header digest (when
+    the file has one) and the shape are all verified."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         block = fh.read()
@@ -339,10 +350,13 @@ def read_field(path):
         grid = make_grid(header["dim"], header["points_per_axis"], header["box_length"])
         components = int(header["components"])
         digest = header["digest"]
+        header_ok = "header_digest" not in header or header["header_digest"] == _header_digest(header)
     except KeyError as e:
         raise FieldFormatError(f"{path}: header missing {e}") from None
     except (ValueError, TypeError) as e:
         raise FieldFormatError(f"{path}: bad header: {e}") from None
+    if not header_ok:
+        raise FieldDigestError(f"{path}: header digest mismatch")
     expect = grid.n_sites * max(components, 1) * 8
     if len(block) != expect:
         raise FieldFormatError(
@@ -385,15 +399,16 @@ def emit_solve_report(report, out_dir, tag: str) -> list:
         "final_el_residual_max": report.final_el_residual_max,
         "converged": report.converged,
         "stop_reason": report.stop_reason,
+        "energy_evals": report.energy_evals,
+        "gradient_evals": report.gradient_evals,
     }
     jpath = out_dir / f"solve_{tag}.json"
     jpath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     cpath = out_dir / f"trace_{tag}.csv"
     with open(cpath, "w") as fh:
         fh.write("iteration,energy,step,grad_norm\n")
-        for i, e in enumerate(report.energy_trace):
-            step = report.step_trace[i - 1] if 0 < i <= len(report.step_trace) else 0.0
-            gn = report.grad_trace[i] if i < len(report.grad_trace) else float("nan")
+        for i, (e, gn) in enumerate(zip(report.energy_trace, report.grad_trace, strict=True)):
+            step = report.step_trace[i - 1] if i > 0 else 0.0
             fh.write(_csv_line((i, float(e), float(step), float(gn))))
     return [jpath, cpath]
 

@@ -1,17 +1,36 @@
 """Sphere-constrained descent for the nonlocal energy.
 
-The iteration is projected gradient descent with a backtracking line
-search: from the current unit field u, step along the negative tangential
-gradient and renormalize each sample vector,
+The iteration is projected, preconditioned descent with a backtracking
+line search. The pair weights depend only on x - y, so the kernel is
+circulant and its discrete Fourier symbol
 
-    u_next = normalize(u - tau * g_tan),
+    m(k) = 2p (w^(0) - w^(k)),   w^ = rfftn of one kernel row,
 
-accepting the step when the composite energy satisfies the sufficient
-decrease test E(u_next) <= E(u) - c tau |g_tan|^2. The step grows back by
-a fixed factor after every accepted step, so the search adapts in both
-directions. Renormalization is the radial retraction onto the sphere; it
-preserves the winding class of one-dimensional initial data in practice,
-which the regression fixtures rely on but the solver never asserts.
+costs one FFT per minimize call; at p = 2 it is the exact Hessian symbol
+of the energy. With P = m + m_1 (m_1 the smallest positive m) and g_T the
+tangential gradient at the current unit field u, the step is
+
+    d = P_T(P^{-1} g_T),   u_next = normalize(u - tau d),
+
+where P^{-1} is one rfftn/irfftn pair per component over the grid axes and
+P_T the projection onto the tangent space. A step is accepted when
+E(u_next) <= E(u) - c tau (g_T . d). Preconditioning by an H^s-type metric
+(as in Alouges' projection method and its fractional versions) makes the
+iteration count nearly independent of M: the criterion-5 winding at
+s = 1/2, p = 2 converges in 53, 47, 44 and 43 steps at M = 32 ... 256,
+where plain steepest descent took 445 ... 2673. For p != 2 the same
+formula is used; it does not depend on u (a symbol rebuilt from the
+current |du|^{p-2} did worse in every case tried). The stop rule does not see the preconditioner: it
+tests the plain norm |g_T| against grad_tol. The step grows back by a
+fixed factor after every accepted step, so the search adapts in both
+directions.
+
+Renormalization is the radial retraction onto the sphere. The solver
+never asserts the winding class of one-dimensional data. The degree is a
+continuous function on the energy space only where s p >= n (the maps are
+then VMO), and below that a descent can unwind: at s = 0.3, p = 2 the
+criterion-5 winding at M = 64 ends at degree 0 under this descent and
+under plain steepest descent alike (at s = 0.3, p = 3 both keep degree 1).
 
 Near round-off the energy cannot certify decrease anymore (differences
 fall below the float64 resolution of E); the line search then fails
@@ -20,7 +39,6 @@ failed searches.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +92,8 @@ class SolveReport:
     final_el_residual_max: float
     converged: bool
     stop_reason: str
-    wall_time: float
+    energy_evals: int  # calls of energy made by the descent
+    gradient_evals: int  # calls of energy_gradient made by the descent
     el_suite: ElResidualReport | None = None  # the EL suite at the returned field
 
 
@@ -89,6 +108,31 @@ def project_sphere(samples: np.ndarray) -> np.ndarray:
 def tangent_project(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Remove the radial component: g - (u.g) u, rowwise."""
     return g - (u * g).sum(axis=1, keepdims=True) * u
+
+
+def kernel_symbol(cache: PairKernelCache, p: float) -> np.ndarray:
+    """The Fourier symbol m(k) = 2p (w^(0) - w^(k)) of the circulant pair
+    kernel, on the rfftn half grid. At p = 2, irfftn(m rfftn(u)) is the
+    energy gradient of an unconstrained u to round-off."""
+    shape = (cache.grid.points_per_axis,) * cache.grid.dim
+    w_hat = np.fft.rfftn(cache.weights[0].reshape(shape)).real
+    return 2.0 * p * (w_hat.flat[0] - w_hat)
+
+
+def _preconditioner(cache: PairKernelCache, p: float):
+    """v -> P^{-1} v with P = m + m_1, m the kernel symbol and m_1 its
+    smallest positive value, applied per component over the grid axes."""
+    m = kernel_symbol(cache, p)
+    inv = 1.0 / (m + m[m > 0].min())
+    shape = (cache.grid.points_per_axis,) * cache.grid.dim
+    axes = tuple(range(cache.grid.dim))
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        grid_v = v.reshape(shape + v.shape[1:])
+        out = np.fft.irfftn(np.fft.rfftn(grid_v, axes=axes) * inv[..., None], s=shape, axes=axes)
+        return out.reshape(v.shape)
+
+    return apply
 
 
 def minimize(
@@ -108,59 +152,66 @@ def minimize(
     depend on it.
     """
     cache = PairKernelCache(u0.grid, params)
+    precondition = _preconditioner(cache, params.p)
     u = project_sphere(np.array(u0.samples))
     E = energy(_wrap(u, u0), params, cache=cache, workers=workers)
+    energy_evals, gradient_evals = 1, 0
+
+    def tangential_gradient(u):
+        nonlocal gradient_evals
+        gradient_evals += 1
+        gt = tangent_project(energy_gradient(_wrap(u, u0), params, cache=cache).samples, u)
+        return gt, float(np.linalg.norm(gt))
+
+    gt, gn = tangential_gradient(u)
     tau = config.step0
     energy_trace = [E]
     step_trace: list = []
-    grad_trace: list = []
+    grad_trace = [gn]
     failed_streak = 0
     converged = False
     stop_reason = "max_iters"
-    t_start = time.time()
     it = 0
-    while it < config.max_iters:
-        g = energy_gradient(_wrap(u, u0), params, cache=cache).samples
-        gt = tangent_project(g, u)
-        gn = float(np.linalg.norm(gt))
-        grad_trace.append(gn)
+    while True:
         if gn <= config.grad_tol:
             converged = True
             stop_reason = "grad_tol"
             break
+        if it >= config.max_iters:
+            break
+        # a failed search leaves u, and so the direction, unchanged
+        if failed_streak == 0:
+            d = tangent_project(precondition(gt), u)
+            slope = float(np.sum(gt * d))
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            cand = project_sphere(u - tau * gt)
+            cand = project_sphere(u - tau * d)
             Ec = energy(_wrap(cand, u0), params, cache=cache, workers=workers)
-            if Ec <= E - config.armijo_c * tau * gn * gn:
+            energy_evals += 1
+            if Ec <= E - config.armijo_c * tau * slope:
                 decrease = E - Ec
                 u, E = cand, Ec
                 step_trace.append(tau)
-                energy_trace.append(E)
                 tau *= GROWBACK
                 accepted = True
                 break
             tau *= config.armijo_shrink
         it += 1
+        energy_trace.append(E)
         if accepted:
             failed_streak = 0
-            if config.energy_tol > 0 and decrease <= config.energy_tol:
-                converged = True
-                stop_reason = "energy_tol"
-                break
+            gt, gn = tangential_gradient(u)
         else:
             failed_streak += 1
             step_trace.append(0.0)
-            energy_trace.append(E)
-            if failed_streak >= MAX_FAILED_SEARCHES:
-                stop_reason = "line_search_stalled"
-                break
-    g = energy_gradient(_wrap(u, u0), params, cache=cache).samples
-    gn = float(np.linalg.norm(tangent_project(g, u)))
-    if gn <= config.grad_tol:
-        converged = True
-        if stop_reason == "max_iters":
-            stop_reason = "grad_tol"
+        grad_trace.append(gn)
+        if accepted and config.energy_tol > 0 and decrease <= config.energy_tol:
+            converged = True
+            stop_reason = "energy_tol"
+            break
+        if failed_streak >= MAX_FAILED_SEARCHES:
+            stop_reason = "line_search_stalled"
+            break
     result = VectorField(grid=u0.grid, components=u0.components, samples=u, unit_constrained=True)
     suite = el_residual_suite(result, params, cache=cache)
     report = SolveReport(
@@ -172,7 +223,8 @@ def minimize(
         final_el_residual_max=suite.max_abs,
         converged=converged,
         stop_reason=stop_reason,
-        wall_time=time.time() - t_start,
+        energy_evals=energy_evals,
+        gradient_evals=gradient_evals,
         el_suite=suite,
     )
     return result, report

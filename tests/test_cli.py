@@ -75,6 +75,12 @@ def test_set_overrides_reach_the_run(tmp_path):
     code = main(["solve", "--config", str(cfg), "--out", str(out),
                  "--set", "solver.max_iters=2"])
     assert code == 3  # two iterations cannot converge from the winding start
+    # the trace has a gradient norm on every row, the last one the final norm
+    solve_doc = json.loads(next(out.glob("solve_*.json")).read_text())
+    assert solve_doc["iterations"] == 2 and solve_doc["gradient_evals"] == 3
+    lines = next(out.glob("trace_*.csv")).read_text().splitlines()
+    assert len(lines) == 4 and "nan" not in "".join(lines)
+    assert float(lines[-1].split(",")[3]) == solve_doc["final_grad_norm"]
 
 
 def test_verify_accepts_critical_point(tmp_path):

@@ -196,23 +196,39 @@ def test_field_corruption_detected(tmp_path):
         (tmp_path / "bad.field").write_bytes(header.replace(old, new) + b"\n" + block)
         with pytest.raises(FieldFormatError):
             read_field(tmp_path / "bad.field")
+    # a header that still describes a valid field, but not this one: one bit
+    # of box_length flipped (6.28... -> 4.28...) is caught by the header digest
+    at = header.index(b'"box_length": 6') + len(b'"box_length": ')
+    flipped = bytearray(header)
+    flipped[at] ^= 0x02
+    (tmp_path / "bad.field").write_bytes(bytes(flipped) + b"\n" + block)
+    with pytest.raises(FieldDigestError):
+        read_field(tmp_path / "bad.field")
+    # files without a header digest, as other writers produce them, are still read
+    doc = json.loads(header)
+    del doc["header_digest"]
+    (tmp_path / "old.field").write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + block)
+    assert read_field(tmp_path / "old.field").grid == g
 
 
 def test_emit_solve_report_files(tmp_path):
     from fracmap.solver import SolveReport
 
     report = SolveReport(iterations=2, energy_trace=(3.0, 2.5, 2.25),
-                         step_trace=(1.0, 0.5), grad_trace=(0.7, 0.3),
+                         step_trace=(1.0, 0.5), grad_trace=(0.9, 0.7, 0.3),
                          final_grad_norm=0.3, final_el_residual_max=1e-9,
-                         converged=True, stop_reason="grad_tol", wall_time=0.1)
+                         converged=True, stop_reason="grad_tol",
+                         energy_evals=4, gradient_evals=3)
     emit_solve_report(report, tmp_path, "abc")
     doc = json.loads((tmp_path / "solve_abc.json").read_text())
     assert doc["converged"] is True
     assert doc["stop_reason"] == "grad_tol"
+    assert (doc["energy_evals"], doc["gradient_evals"]) == (4, 3)
     assert "wall_time" not in doc  # timing is not reproducible output
     lines = (tmp_path / "trace_abc.csv").read_text().strip().splitlines()
     assert lines[0] == "iteration,energy,step,grad_norm"
     assert len(lines) == 4
+    assert lines[-1] == "2,2.25,0.5,0.29999999999999999"
 
 
 def test_emit_probe_report_files(tmp_path):
@@ -295,7 +311,8 @@ def _field_file_bytes(tmp_path) -> list:
 @given(which=st.integers(0, 1), cut=st.integers(0, 10**6), bit=st.integers(0, 7),
        truncate=st.booleans())
 def test_damaged_field_files_raise_only_field_errors(tmp_path, which, cut, bit, truncate):
-    blob = bytearray(_field_file_bytes(tmp_path)[which])
+    original = _field_file_bytes(tmp_path)[which]
+    blob = bytearray(original)
     pos = cut % len(blob)
     if truncate:
         blob = blob[:pos]
@@ -304,6 +321,12 @@ def test_damaged_field_files_raise_only_field_errors(tmp_path, which, cut, bit, 
     path = tmp_path / "damaged.field"
     path.write_bytes(bytes(blob))
     try:
-        read_field(path)
+        back = read_field(path)
     except (FieldFormatError, FieldDigestError):
-        pass
+        return
+    # a damaged file that still reads must read as the field that was written
+    path.write_bytes(original)
+    intact = read_field(path)
+    assert type(back) is type(intact) and back.grid == intact.grid
+    assert back.samples.tobytes() == intact.samples.tobytes()
+    assert getattr(back, "unit_constrained", None) == getattr(intact, "unit_constrained", None)

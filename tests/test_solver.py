@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from fracmap.energy import EnergyParams, el_residual, energy, seminorm
+from fracmap import solver
+from fracmap.energy import EnergyParams, PairKernelCache, el_residual, energy, energy_gradient, seminorm
 from fracmap.grid import VectorField, make_grid, site_coords
 from fracmap.solver import (
     SolverConfig,
     el_residual_suite,
     elementary_omegas,
+    kernel_symbol,
     minimize,
     project_sphere,
     tangent_project,
@@ -55,6 +57,54 @@ def test_solver_config_validation():
         SolverConfig(step0=0.0)
     with pytest.raises(ValueError):
         SolverConfig(grad_tol=-1.0)
+
+
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 16)])
+def test_kernel_symbol_is_the_p2_gradient(dim, M):
+    # at p = 2 the energy is a circulant quadratic form, so multiplying by
+    # its symbol in Fourier space is the gradient of any unconstrained field
+    g = make_grid(dim, M, TWO_PI)
+    params = EnergyParams(s=0.5, p=2.0)
+    v = np.random.default_rng(44).normal(size=(g.n_sites, 3))
+    m = kernel_symbol(PairKernelCache(g, params), params.p)
+    shape, axes = (M,) * dim, tuple(range(dim))
+    via_symbol = np.fft.irfftn(m[..., None] * np.fft.rfftn(v.reshape(shape + (3,)), axes=axes),
+                               s=shape, axes=axes).reshape(v.shape)
+    grad = energy_gradient(VectorField(grid=g, components=3, samples=v), params).samples
+    assert np.abs(via_symbol - grad).max() <= 1e-12 * np.abs(grad).max()
+
+
+@pytest.mark.parametrize("p, M, max_iters", [(2.0, 32, 80), (2.0, 64, 80), (2.0, 128, 80),
+                                             (2.0, 256, 80), (3.0, 128, 40)])
+def test_minimize_iterations_do_not_grow_with_M(p, M, max_iters):
+    g = make_grid(1, M, TWO_PI)
+    u, report = minimize(_winding(g), EnergyParams(s=0.5, p=p), SolverConfig())
+    assert report.converged and report.stop_reason == "grad_tol"
+    assert report.iterations <= max_iters
+    assert np.all(np.diff(report.energy_trace) <= 0.0)
+    assert report.final_el_residual_max <= 1e-6
+
+
+def test_minimize_counts_its_evaluations(monkeypatch):
+    calls = {"energy": 0, "energy_gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "energy", counted("energy", energy))
+    monkeypatch.setattr(solver, "energy_gradient", counted("energy_gradient", energy_gradient))
+    g = make_grid(1, 32, TWO_PI)
+    for cfg in (SolverConfig(max_iters=3), SolverConfig()):
+        calls.update(energy=0, energy_gradient=0)
+        _, report = minimize(_winding(g), EnergyParams(s=0.5, p=2.0), cfg)
+        assert (report.energy_evals, report.gradient_evals) == (calls["energy"], calls["energy_gradient"])
+        # one gradient at the start and one after every accepted step
+        assert report.gradient_evals == 1 + sum(step > 0 for step in report.step_trace)
+        assert len(report.grad_trace) == len(report.energy_trace)
+        assert report.grad_trace[-1] == report.final_grad_norm
 
 
 def test_minimize_constant_field_is_already_critical():
@@ -150,6 +200,7 @@ def test_minimize_reports_stall_honestly():
     u, report = minimize(_winding(g), params, cfg)
     assert not report.converged
     assert report.stop_reason == "line_search_stalled"
+    assert len(report.grad_trace) == len(report.energy_trace)
     trace = np.array(report.energy_trace)
     assert np.all(np.diff(trace) <= 0.0)
     e_final = energy(VectorField(grid=g, components=2, samples=u.samples), params)
