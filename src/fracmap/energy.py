@@ -21,8 +21,9 @@ and everything linear in the pair field is read off it. The weight is
 symmetric and du antisymmetric in (x, y), so a double sum
 sum_{x,y in B} w |du|^{p-2} du . (f(x) - f(y)) equals 2 sum_{x in B}
 f(x) . G^B(x): the gradient is 2p G, an EL residual is
-2 sum_x q(x) . G^B(x), the T operator correlates G^B with the Riesz
-kernel, and the duality right side is 2 gamma sum_x phi(x) G^B(x).
+2 sum_x q(x) . G^B(x), the duality right side is 2 gamma sum_x phi(x) G^B(x),
+and the T operator 2 sum_x k(x - z) G^B(x) is one FFT correlation of G^B
+with the length-S Riesz lag kernel k = dist^{t-n}.
 
 All reductions follow a fixed order, and the energy and the gradient are
 pinned to the last bit by it: differences are formed per component as
@@ -52,7 +53,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask, site_coords, torus_dist
+from .grid import (BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask,
+                   fourier_multiply, lag_spectrum, site_coords, torus_dist)
 
 # largest pair kernel that is built: 2**26 weights take 512 MB
 MAX_KERNEL_PAIRS = 2**26
@@ -97,10 +99,12 @@ def _pair_weights(grid: GridSpec, exponent: float) -> np.ndarray:
             f"a grid of {S} sites needs {S * S} pair weights; at most {MAX_KERNEL_PAIRS} are supported"
         )
     x = site_coords(grid)
-    d = torus_dist(x[:, None, :], x[None, :, :], grid.box_length)
-    w = np.zeros_like(d)
-    nz = d > 0
-    w[nz] = grid.h ** (2 * grid.dim) / d[nz] ** exponent
+    w = np.zeros((S, S))
+    # one row block at a time, so the distance temporaries stay block-sized
+    for i0, i1 in _row_blocks(S, None):
+        d = torus_dist(x[i0:i1, None, :], x[None, :, :], grid.box_length)
+        nz = d > 0
+        w[i0:i1][nz] = grid.h ** (2 * grid.dim) / d[nz] ** exponent
     w.flags.writeable = False
     return w
 
@@ -353,24 +357,13 @@ def _validate_t(t: float, params: EnergyParams) -> None:
 
 
 @lru_cache(maxsize=32)
-def _kappa_exact_1d(M: int, L: float, t: float) -> np.ndarray:
-    h = L / M
-    d = np.arange(M) * h
-    d = np.minimum(d, L - d)
-    k = np.zeros(M)
-    k[1:] = d[1:] ** (t - 1.0)
-    return k
-
-
-@lru_cache(maxsize=32)
-def _kappa_exact_2d(M: int, L: float, t: float) -> np.ndarray:
-    h = L / M
-    ax = np.arange(M) * h
-    ax = np.minimum(ax, L - ax)
-    d = np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2)
-    k = np.zeros((M, M))
+def _kappa_exact(grid: GridSpec, t: float) -> np.ndarray:
+    """The minimum-image Riesz kernel dist(x, 0)^{t-n} as a length-S lag
+    kernel, zero at zero displacement."""
+    d = torus_dist(site_coords(grid), 0.0, grid.box_length)
+    k = np.zeros_like(d)
     nz = d > 0
-    k[nz] = d[nz] ** (t - 2.0)
+    k[nz] = d[nz] ** (t - grid.dim)
     return k
 
 
@@ -419,25 +412,20 @@ def _kappa_duality_1d(M: int, L: float, t: float) -> np.ndarray:
     return k
 
 
-def _riesz_matrix(grid: GridSpec, t: float, mode: str) -> np.ndarray:
-    """S x S matrix K[x, z] = k(x - z) of the t_operator kernel."""
-    M = grid.points_per_axis
-    L = grid.box_length
+def _riesz_symbol(grid: GridSpec, t: float, mode: str) -> np.ndarray:
+    """Half-grid symbol of the correlation G -> sum_x k(x - z) G(x) with the
+    lag kernel k of the t_operator mode. The exact kernel is even only up
+    to an ulp, so the symbol is the conjugate spectrum of k itself rather
+    than the spectrum of its mirror image."""
     if mode == "exact":
-        kap = _kappa_exact_1d(M, L, t) if grid.dim == 1 else _kappa_exact_2d(M, L, t)
+        kap = _kappa_exact(grid, t)
     elif mode == "duality":
         if grid.dim != 1:
             raise ValueError("duality quadrature is implemented for dim 1 only")
-        kap = _kappa_duality_1d(M, L, t)
+        kap = _kappa_duality_1d(grid.points_per_axis, grid.box_length, t)
     else:
         raise ValueError(f"unknown t_operator mode {mode!r}")
-    if grid.dim == 1:
-        idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-        return kap[idx]
-    i0, i1 = np.divmod(np.arange(grid.n_sites), M)
-    d0 = (i0[:, None] - i0[None, :]) % M
-    d1 = (i1[:, None] - i1[None, :]) % M
-    return kap[d0, d1]
+    return np.conj(lag_spectrum(grid, kap))
 
 
 def t_operator(
@@ -456,12 +444,14 @@ def t_operator(
     nothing. mode "exact" uses the raw minimum-image kernel and is what
     the brute-force cross-checks compare against; mode "duality" (n = 1)
     uses the cell-averaged periodized kernel built for the pairing
-    identity against the spectral fractional Laplacian.
+    identity against the spectral fractional Laplacian. The sum over x is
+    an FFT correlation of G^B with the length-S lag kernel.
     """
     _validate_t(t, params)
-    Kmat = _riesz_matrix(u.grid, t, mode)
+    symbol = _riesz_symbol(u.grid, t, mode)
     G = pair_flux(u, params, region=region, cache=cache).samples
-    return VectorField(grid=u.grid, components=u.components, samples=2.0 * (Kmat.T @ G))
+    T = 2.0 * fourier_multiply(u.grid, G, symbol)
+    return VectorField(grid=u.grid, components=u.components, samples=T)
 
 
 def riesz_pairing_constant(t: float, n: int) -> float:
@@ -486,17 +476,17 @@ def duality_check(
         <Lambda^t phi, T u^i> = gamma_n(t) sum_{x!=y in B} P_i(x,y)(phi(x)-phi(y))
 
     evaluated from one pair flux G^B: left side through the duality-mode
-    operator field (as t_operator) against the spectral Lambda^t phi, right
-    side as the double sum 2 gamma_n(t) sum_{x in B} phi(x) G^B(x).
+    operator field (the FFT correlation of t_operator) against the spectral
+    Lambda^t phi, right side as 2 gamma_n(t) sum_{x in B} phi(x) G^B(x).
     Returns (lhs vector, rhs vector, relative error).
     """
     from .fracops import FracOpParams, frac_laplacian
 
     _validate_t(t, params)
-    Kmat = _riesz_matrix(u.grid, t, "duality")
+    symbol = _riesz_symbol(u.grid, t, "duality")
     G = pair_flux(u, params, region=region, cache=cache).samples
     lap_phi = frac_laplacian(phi, FracOpParams(order=t, variant="spectral")).samples
-    lhs = u.grid.h**u.grid.dim * (lap_phi @ (2.0 * (Kmat.T @ G)))
+    lhs = u.grid.h**u.grid.dim * (lap_phi @ (2.0 * fourier_multiply(u.grid, G, symbol)))
     rhs = 2.0 * riesz_pairing_constant(t, u.grid.dim) * (phi.samples @ G)
     rel = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
     return lhs, rhs, rel
@@ -508,7 +498,9 @@ def holefill_check(u: VectorField, hierarchy: BallHierarchy, K: int, L: int, par
     lhs = sum over x in B_L, y in B_L minus B_K of the energy integrand;
     rhs = E(B_L) - E(B_K). The difference rhs - lhs is itself a sum of
     nonnegative terms (the pairs coupling B_L minus B_K with B_K), so the
-    inequality holds termwise on the grid; pass allows 1e-12 slack.
+    inequality holds termwise on the grid; pass allows 1e-12 slack. With
+    the ring R = B_L minus B_K, rhs counts the B_K x R pairs in both orders
+    and the R x R pairs once, so lhs = (rhs + E(R)) / 2.
     """
     if not (K < L):
         raise ValueError("need K < L")
@@ -518,15 +510,10 @@ def holefill_check(u: VectorField, hierarchy: BallHierarchy, K: int, L: int, par
     ml = ball_mask(hierarchy, L)
     if np.any(mk & ~ml):
         raise ValueError("ball nesting violated")
-    ring = ml & ~mk
-    U = u.samples
-    w = cache.weights
-    du2 = ((U[:, None, :] - U[None, :, :]) ** 2).sum(-1)
-    p, eps = params.p, params.eps_reg
-    vals = du2 ** (p / 2) if eps == 0.0 else (du2 + eps) ** (p / 2) - eps ** (p / 2)
-    integrand = w * vals
-    lhs = float(np.sum(integrand[np.ix_(ml, ring)].sum(axis=1)))
-    e_l = float(np.sum(integrand[np.ix_(ml, ml)].sum(axis=1)))
-    e_k = float(np.sum(integrand[np.ix_(mk, mk)].sum(axis=1)))
-    rhs = e_l - e_k
+
+    def region_energy(mask):
+        return _energy_raw(u.samples, cache, params.p, params.eps_reg, region=mask)
+
+    rhs = region_energy(ml) - region_energy(mk)
+    lhs = 0.5 * (rhs + region_energy(ml & ~mk))
     return lhs, rhs, bool(lhs <= rhs + 1e-12)

@@ -4,9 +4,8 @@ three-term product commutator, all on the periodic grid.
 Spectral variants are the reference implementations: the multiplier |k|^t
 acts on the DFT modes (physical frequency k = 2 pi j / L for integer j)
 with the zero mode annihilated. The singular-integral variant of the
-Laplacian exists to validate the kernel handling that the nonlocal energy
-reuses: it sums the difference quotient against the fully periodized
-kernel
+Laplacian is an independent check of the spectral one: it sums the
+difference quotient against the fully periodized kernel
 
     K(d) = sum_m |d + m L|^{-n-t}
 
@@ -17,7 +16,9 @@ standard normalization
     c_{n,t} = 2^t Gamma((n+t)/2) / (pi^{n/2} |Gamma(-t/2)|),
 
 which makes the two variants agree on plane waves up to quadrature error
-of order h^{2-t}.
+of order h^{2-t}. The nonlocal energy does not reuse these kernels: its
+pair weights are raw minimum-image distances (see energy.py). Every
+operator here is applied through grid.fourier_multiply.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField
+from .grid import (GridSpec, ScalarField, VectorField, fourier_multiply, frequency_norms,
+                   lag_spectrum)
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,31 +43,12 @@ class FracOpParams:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def _freq_norms(grid: GridSpec) -> np.ndarray:
-    """|k| on the rfft layout; physical frequencies 2 pi j / L."""
-    M = grid.points_per_axis
-    scale = TWO_PI / grid.box_length
-    if grid.dim == 1:
-        return scale * np.arange(M // 2 + 1, dtype=np.float64)
-    kx = np.abs(np.fft.fftfreq(M, d=1.0 / M))
-    ky = np.arange(M // 2 + 1, dtype=np.float64)
-    return scale * np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
-
-
-def _apply_multiplier(samples: np.ndarray, grid: GridSpec, mult: np.ndarray) -> np.ndarray:
-    M = grid.points_per_axis
-    if grid.dim == 1:
-        return np.fft.irfft(np.fft.rfft(samples) * mult, n=M)
-    out = np.fft.irfft2(np.fft.rfft2(samples.reshape(M, M)) * mult, s=(M, M))
-    return out.ravel()
-
-
-def _componentwise(field, grid, f):
+def _componentwise(field, f):
+    """f of the (S,) or (S, N) samples, as a field of the same kind."""
     if isinstance(field, ScalarField):
-        return ScalarField(grid=grid, samples=f(field.samples))
+        return ScalarField(grid=field.grid, samples=f(field.samples))
     if isinstance(field, VectorField):
-        cols = [f(field.samples[:, i]) for i in range(field.components)]
-        return VectorField(grid=grid, components=field.components, samples=np.stack(cols, axis=1))
+        return VectorField(grid=field.grid, components=field.components, samples=f(field.samples))
     raise TypeError(f"expected a field, got {type(field).__name__}")
 
 
@@ -114,17 +97,10 @@ def _forward_kernel_2d(M: int, L: float, t: float, images: int = 32) -> np.ndarr
 
 
 def _singular_frac(samples: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
-    M = grid.points_per_axis
-    hn = grid.h**grid.dim
-    ct = forward_constant(t, grid.dim)
-    if grid.dim == 1:
-        K = _forward_kernel_1d(M, grid.box_length, t)
-        conv = np.fft.irfft(np.fft.rfft(K) * np.fft.rfft(samples), n=M)
-        return ct * hn * (K.sum() * samples - conv)
-    K = _forward_kernel_2d(M, grid.box_length, t)
-    f2 = samples.reshape(M, M)
-    conv = np.fft.irfft2(np.fft.rfft2(K) * np.fft.rfft2(f2), s=(M, M))
-    return ct * hn * (K.sum() * f2 - conv).ravel()
+    M, L = grid.points_per_axis, grid.box_length
+    K = _forward_kernel_1d(M, L, t) if grid.dim == 1 else _forward_kernel_2d(M, L, t).ravel()
+    conv = fourier_multiply(grid, samples, lag_spectrum(grid, K))
+    return forward_constant(t, grid.dim) * grid.h**grid.dim * (K.sum() * samples - conv)
 
 
 def frac_laplacian(field, params: FracOpParams):
@@ -135,13 +111,10 @@ def frac_laplacian(field, params: FracOpParams):
         raise ValueError(f"Lambda^t needs t in (0,1), got {t}")
     grid = field.grid
     if params.variant == "spectral":
-        mult = _freq_norms(grid) ** t
-        if grid.dim == 1:
-            mult[0] = 0.0
-        else:
-            mult[0, 0] = 0.0
-        return _componentwise(field, grid, lambda s: _apply_multiplier(s, grid, mult))
-    return _componentwise(field, grid, lambda s: _singular_frac(s, grid, t))
+        mult = frequency_norms(grid) ** t
+        mult.flat[0] = 0.0
+        return _componentwise(field, lambda s: fourier_multiply(grid, s, mult))
+    return _componentwise(field, lambda s: _singular_frac(s, grid, t))
 
 
 def riesz_potential(field, params: FracOpParams):
@@ -157,11 +130,11 @@ def riesz_potential(field, params: FracOpParams):
     means = samples.mean(axis=0)
     if np.max(np.abs(np.atleast_1d(means))) > 1e-10 * scale:
         raise ValueError(f"riesz_potential needs mean-zero input, got mean {means}")
-    kn = _freq_norms(grid)
+    kn = frequency_norms(grid)
     mult = np.zeros_like(kn)
     nz = kn > 0
     mult[nz] = kn[nz] ** (-t)
-    return _componentwise(field, grid, lambda s: _apply_multiplier(s, grid, mult))
+    return _componentwise(field, lambda s: fourier_multiply(grid, s, mult))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +168,7 @@ def build_lp_bank(grid: GridSpec, level_min: int = 0, level_max=None) -> LPBank:
     the lowest band absorbs everything below it, and the bands sum to one
     on every nonzero grid frequency (the top level is chosen so the
     profile has already reached 1 at the largest |k|)."""
-    kn = _freq_norms(grid)
+    kn = frequency_norms(grid)
     kmax = float(kn.max())
     if level_max is None:
         level_max = int(np.ceil(np.log2(kmax)))
@@ -219,7 +192,7 @@ def lp_project(field, bank: LPBank, j: int):
     grid = bank.grid
     if field.grid != grid:
         raise ValueError("field grid does not match the bank grid")
-    return _componentwise(field, grid, lambda s: _apply_multiplier(s, grid, mult))
+    return _componentwise(field, lambda s: fourier_multiply(grid, s, mult))
 
 
 def commutator_H(a: ScalarField, b: ScalarField, alpha: float) -> ScalarField:

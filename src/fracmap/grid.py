@@ -7,6 +7,11 @@ the Euclidean norm. Sites are indexed flat, lexicographically in the grid
 axes, so a scalar field is a vector of length M^n and a vector field is an
 (M^n, N) array.
 
+Every circulant operator (a convolution with a lag kernel k(x - y)) acts
+through the rfftn half grid of the grid axes, and only this module knows
+that layout: fourier_multiply applies a half-grid symbol, lag_spectrum
+makes one from a length-S lag kernel, frequency_norms gives |k| on it.
+
 The ball hierarchy provides the dyadic localization used by the decay and
 hole-filling diagnostics: closed balls B(x0, 2^l R) together with smooth
 cutoffs that are 1 on B(x0, 2^l R) and vanish outside B(x0, 2^{l+1} R).
@@ -28,6 +33,9 @@ __all__ = [
     "site_coords",
     "pairwise_dist",
     "torus_dist",
+    "fourier_multiply",
+    "lag_spectrum",
+    "frequency_norms",
     "ball_mask",
     "cutoff_smooth",
     "cutoff_ring",
@@ -122,6 +130,34 @@ def pairwise_dist(grid: GridSpec) -> np.ndarray:
     """Full (n_sites, n_sites) torus distance matrix. Zero on the diagonal."""
     x = site_coords(grid)
     return torus_dist(x[:, None, :], x[None, :, :], grid.box_length)
+
+
+def fourier_multiply(grid: GridSpec, samples: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """rfftn of (S,) or (S, N) samples over the grid axes, times a symbol on
+    the rfftn half grid, then irfftn; each of the N columns is transformed
+    on its own. With symbol = lag_spectrum(grid, k) the result at z is the
+    circular convolution sum_x k(z - x) v(x)."""
+    shape = (grid.points_per_axis,) * grid.dim
+    axes = tuple(range(grid.dim))
+    spec = np.fft.rfftn(samples.reshape(shape + samples.shape[1:]), axes=axes)
+    # symbol first: numpy's complex product is not commutative to the last bit
+    np.multiply(symbol.reshape(symbol.shape + (1,) * (samples.ndim - 1)), spec, out=spec)
+    return np.fft.irfftn(spec, s=shape, axes=axes).reshape(samples.shape)
+
+
+def lag_spectrum(grid: GridSpec, kernel: np.ndarray) -> np.ndarray:
+    """rfftn of a length-S lag kernel k, indexed like the sites (entry j
+    holds k at the displacement of site j from site 0)."""
+    return np.fft.rfftn(kernel.reshape((grid.points_per_axis,) * grid.dim))
+
+
+def frequency_norms(grid: GridSpec) -> np.ndarray:
+    """|k| on the rfftn half grid, physical frequencies 2 pi j / L."""
+    M = grid.points_per_axis
+    full = np.abs(np.fft.fftfreq(M, d=1.0 / M))
+    half = np.arange(M // 2 + 1, dtype=np.float64)
+    ks = np.meshgrid(*([full] * (grid.dim - 1) + [half]), indexing="ij")
+    return (2.0 * np.pi / grid.box_length) * np.sqrt(sum(k * k for k in ks))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ Field files are a one-line JSON header followed by a raw little-endian
 float64 block in sample-major order. The header holds a sha256 digest of
 the block and a sha256 `header_digest` over the canonical JSON of dim,
 points_per_axis, box_length, components and unit_constrained; read_field
-checks the latter when present and also reads files without it. Cheap to write, bit-exact to read back, and self-describing enough
-to catch truncation, damaged headers and mismatched grids: any malformed
-file raises FieldFormatError or FieldDigestError.
+checks the latter when present and also reads files without it. Cheap to
+write, bit-exact to read back, and self-describing enough to catch
+truncation, damaged headers and mismatched grids: any malformed file
+raises FieldFormatError or FieldDigestError.
 """
 from __future__ import annotations
 

@@ -295,21 +295,23 @@ def test_t_operator_exact_matches_naive_loop():
 
 
 def test_t_operator_region_matches_naive_loop():
-    g = make_grid(1, 16, TWO_PI)
-    u = _unit_field(g, seed=25)
     params = EnergyParams(s=0.5, p=2.0)
     t = 0.45
-    L = g.box_length
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=1.2, level_min=0, level_max=0)
-    mask = ball_mask(hier, 0)
+    for g in (make_grid(1, 16, TWO_PI), make_grid(2, 8, TWO_PI)):
+        n = g.dim
+        u = _unit_field(g, seed=25)
+        L = g.box_length
+        hier = BallHierarchy(grid=g, center=(np.pi,) * n, base_radius=1.2, level_min=0,
+                             level_max=0)
+        mask = ball_mask(hier, 0)
 
-    def kap(xi, xz):
-        d = _dist(xi, xz, L)
-        return 0.0 if d == 0.0 else d ** (t - 1.0)
+        def kap(xi, xz):
+            d = _dist(xi, xz, L)
+            return 0.0 if d == 0.0 else d ** (t - n)
 
-    want = naive_t_operator(u.samples, site_coords(g), L, g.h, 1, 0.5, 2.0, kap, mask=mask)
-    got = t_operator(u, t, params, region=mask, mode="exact")
-    np.testing.assert_allclose(got.samples, want, rtol=1e-12, atol=1e-14)
+        want = naive_t_operator(u.samples, site_coords(g), L, g.h, n, 0.5, 2.0, kap, mask=mask)
+        got = t_operator(u, t, params, region=mask, mode="exact")
+        np.testing.assert_allclose(got.samples, want, rtol=1e-12, atol=1e-14)
 
 
 def test_t_operator_duality_mode_matches_naive_loop():
@@ -405,6 +407,36 @@ def test_holefill_difference_is_cross_term_sum():
             du2 = float(((u.samples[i] - u.samples[j]) ** 2).sum())
             cross += g.h ** 2 * du2 / d ** 2
     np.testing.assert_allclose(e_outer - e_inner, cross, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p, eps", [(2.0, 0.0), (1.5, 1e-3)])
+def test_holefill_sides_match_naive_loops(p, eps):
+    # lhs sums x in B_L, y in the ring B_L minus B_K; rhs = E(B_L) - E(B_K)
+    # is every ordered pair of B_L that is not a pair of B_K
+    g = make_grid(1, 32, TWO_PI)
+    u = _unit_field(g, seed=32)
+    params = EnergyParams(s=0.5, p=p, eps_reg=eps)
+    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.4, level_min=0, level_max=2)
+    inner = ball_mask(hier, 0)
+    outer = ball_mask(hier, 2)
+    coords = site_coords(g)
+    lhs_want = rhs_want = 0.0
+    for i in range(g.n_sites):
+        for j in range(g.n_sites):
+            if i == j or not (outer[i] and outer[j]):
+                continue
+            d = _dist(coords[i], coords[j], g.box_length)
+            du2 = float(((u.samples[i] - u.samples[j]) ** 2).sum())
+            val = (du2 + eps) ** (p / 2.0) - eps ** (p / 2.0) if eps > 0.0 else du2 ** (p / 2.0)
+            term = g.h ** 2 * val / d ** (1 + 0.5 * p)
+            if not inner[j]:
+                lhs_want += term
+            if not (inner[i] and inner[j]):
+                rhs_want += term
+    lhs, rhs, ok = holefill_check(u, hier, 0, 2, params)
+    assert ok and lhs < rhs
+    np.testing.assert_allclose(lhs, lhs_want, rtol=1e-12)
+    np.testing.assert_allclose(rhs, rhs_want, rtol=1e-12)
 
 
 def test_pair_kernel_matches_direct_distance_loop():

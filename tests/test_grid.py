@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from fracmap.grid import (
     ball_mean,
     cutoff_ring,
     cutoff_smooth,
+    fourier_multiply,
+    lag_spectrum,
     make_grid,
     pairwise_dist,
     site_coords,
@@ -56,6 +61,34 @@ def test_torus_dist_minimum_image():
     # 2d: independent min-image per axis, then Euclidean
     d = torus_dist(np.array([[0.0, 0.0]]), np.array([[3.9, 0.3]]), 4.0)
     np.testing.assert_allclose(d, [np.hypot(0.1, 0.3)], rtol=1e-14)
+
+
+@pytest.mark.parametrize("dim, M", [(1, 16), (2, 4)])
+def test_fourier_multiply_is_a_circular_convolution(dim, M):
+    # dense circulant loop: out(z) = sum_x k(z - x) v(x), lags taken per axis mod M
+    g = make_grid(dim, M, TWO_PI)
+    rng = np.random.default_rng(40 + dim)
+    k = rng.normal(size=g.n_sites)
+    idx = np.array(np.unravel_index(np.arange(g.n_sites), (M,) * dim)).T
+    symbol = lag_spectrum(g, k)
+    for v in (rng.normal(size=g.n_sites), rng.normal(size=(g.n_sites, 3))):
+        want = np.zeros_like(v)
+        for z in range(g.n_sites):
+            for x in range(g.n_sites):
+                lag = np.ravel_multi_index(tuple((idx[z] - idx[x]) % M), (M,) * dim)
+                want[z] += k[lag] * v[x]
+        got = fourier_multiply(g, v, symbol)
+        assert got.shape == v.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_fourier_layout_stays_in_the_grid_module():
+    # every circulant operator goes through grid.fourier_multiply and
+    # grid.lag_spectrum, so no other module may call numpy's FFT directly
+    src = Path(__file__).resolve().parent.parent / "src" / "fracmap"
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if path.name != "grid.py" and re.search(r"\b(np|numpy)\.fft\b", path.read_text())]
+    assert offenders == []
 
 
 def test_pairwise_dist_matches_direct_loop():
