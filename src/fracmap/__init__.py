@@ -34,10 +34,8 @@ from .grid import (
     VectorField,
     ball_mask,
     ball_mean,
-    cutoff_ring,
     cutoff_smooth,
     make_grid,
-    pairwise_dist,
     site_coords,
     torus_dist,
 )

@@ -8,34 +8,35 @@ The discrete energy of a map u on the periodic grid is
 with dist the torus metric and the sum running over ordered site pairs of
 the requested region (full torus when no region is given).
 
-Every pair sum reads one kernel, the S x S weight matrix
-w_xy = h^{2n} / dist(x, y)^{n + s p}. It is built once per process for
-each grid and kernel exponent n + s p and shared read-only by every caller
-(PairKernelCache is a handle on it). Besides the energy itself there is a
-single pair pass, the flux
+The grid is periodic, so a pair weight depends only on the lag z = y - x:
+every pair sum reads one length-S lag kernel
+w(z) = h^{2n} / dist(z, 0)^{n + s p}, exactly even in z, zero at z = 0 and
+indexed like the sites. It is built once per process for each grid and
+kernel exponent n + s p and shared read-only (PairKernelCache is a handle
+on it). Passes run lag-major: du_z(x) = u(x) - u(x + z) for a block of
+lags is one subtraction against a zero-copy sliding-window view of the
+periodically tiled samples, every row of the block carries the scalar
+w(z), and a region B multiplies each term by m(x) m(x + z). Besides the
+energy there is a single pair pass, the flux
 
-    G^B(x) = sum_{y in B} w_xy (|du|^2 + eps_reg)^{(p-2)/2} du,
-    du = u(x) - u(y), x in B (zero outside B),
+    G^B(x) = sum_z m(x) m(x + z) w(z) (|du_z|^2 + eps_reg)^{(p-2)/2} du_z(x),
 
-and everything linear in the pair field is read off it. The weight is
-symmetric and du antisymmetric in (x, y), so a double sum
+and everything linear in the pair field is read off it. As w is even and
+du antisymmetric in (x, y), a double sum
 sum_{x,y in B} w |du|^{p-2} du . (f(x) - f(y)) equals 2 sum_{x in B}
 f(x) . G^B(x): the gradient is 2p G, an EL residual is
 2 sum_x q(x) . G^B(x), the duality right side is 2 gamma sum_x phi(x) G^B(x),
 and the T operator 2 sum_x k(x - z) G^B(x) is one FFT correlation of G^B
 with the length-S Riesz lag kernel k = dist^{t-n}.
 
-All reductions follow a fixed order, and the energy and the gradient are
-pinned to the last bit by it: differences are formed per component as
-contiguous arrays and |du|^2 is summed in component order; an energy row
-is one numpy (pairwise) sum over y, then the rows are summed in index
-order; a flux entry G_i(x) is a plain running sum over y in index order,
-starting from zero. The solver's stopping rule works at the
-float64 floor of the energy, so a change of reduction order can change an
-iteration path; the tests compare both functions bit for bit against a
-reference copy of these formulas. Worker threads only split the energy's
-rows, never the reduction, so results are bit-identical for any worker
-count.
+All reductions follow a fixed order, which pins the energy and the
+gradient to the last bit: |du|^2 is summed in component order; the energy
+of a lag is one numpy (pairwise) sum over x times w(z), and one numpy sum
+adds the lag energies in lag order; a flux entry G_i(x) is a running sum
+over the lags in lag order, starting from zero. Tests compare both
+functions against a reference copy of these formulas. Worker threads
+only split the energy's blocks of lags, each writing its own slots, so
+results are bit-identical for any worker count.
 
 For p < 2 the pair weight |u(x)-u(y)|^{p-2} degenerates at coincident
 values; a regularizer eps_reg > 0 replaces |du|^2 by |du|^2 + eps_reg
@@ -52,16 +53,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask,
-                   fourier_multiply, lag_spectrum, site_coords, torus_dist)
+                   fourier_multiply, lag_spectrum, torus_dist)
 
-# largest pair kernel that is built: 2**26 weights take 512 MB
+# most pair terms S^2 that one pass may take: a config accepts 1d grids of
+# up to 8192 sites and 2d grids of up to 64 x 64
 MAX_KERNEL_PAIRS = 2**26
-# sites per pass block; a block's (64, S) float64 temporaries stay
-# cache-sized (512 kB on a 2d M = 32 grid), where 256-site blocks made the
-# energy pass 2-3x slower on a 2-core x86 VM
-ROW_BLOCK = 64
+# pair terms per block of lags; a block's (lags, S) float64 temporaries take
+# 256 kB, where 512 kB made the 1d M = 256 and 512 passes twice as slow on a
+# 2-core x86 VM
+BLOCK_TERMS = 2**15
 # up to this many sites a whole energy pass takes well under a millisecond
 # and starting worker threads costs more than they save
 SERIAL_MAX_SITES = 256
@@ -90,33 +93,34 @@ def critical_params(grid: GridSpec, s: float, eps_reg: float = 0.0) -> EnergyPar
     return EnergyParams(s=s, p=grid.dim / s, eps_reg=eps_reg)
 
 
-@lru_cache(maxsize=4)
+def _lag_kernel(grid: GridSpec, of_dist) -> np.ndarray:
+    """The read-only length-S lag kernel of_dist(dist(z, 0)), indexed like
+    the sites, zero at z = 0. Each axis offset j is folded to its minimum
+    image min(j, M - j) first, so the kernel is exactly even in z."""
+    M = grid.points_per_axis
+    j = np.stack(np.unravel_index(np.arange(grid.n_sites), (M,) * grid.dim), axis=-1)
+    d = torus_dist(np.minimum(j, M - j) * grid.h, 0.0, grid.box_length)
+    k = np.zeros_like(d)
+    k[d > 0] = of_dist(d[d > 0])
+    k.flags.writeable = False
+    return k
+
+
+@lru_cache(maxsize=32)
 def _pair_weights(grid: GridSpec, exponent: float) -> np.ndarray:
-    """The read-only S x S matrix h^{2n} / dist(x,y)^exponent, zero diagonal."""
-    S = grid.n_sites
-    if S * S > MAX_KERNEL_PAIRS:
-        raise ValueError(
-            f"a grid of {S} sites needs {S * S} pair weights; at most {MAX_KERNEL_PAIRS} are supported"
-        )
-    x = site_coords(grid)
-    w = np.zeros((S, S))
-    # one row block at a time, so the distance temporaries stay block-sized
-    for i0, i1 in _row_blocks(S, None):
-        d = torus_dist(x[i0:i1, None, :], x[None, :, :], grid.box_length)
-        nz = d > 0
-        w[i0:i1][nz] = grid.h ** (2 * grid.dim) / d[nz] ** exponent
-    w.flags.writeable = False
-    return w
+    """The pair lag kernel w(z) = h^{2n} / dist(z, 0)^exponent."""
+    return _lag_kernel(grid, lambda d: grid.h ** (2 * grid.dim) / d**exponent)
 
 
 class PairKernelCache:
-    """Pair weights w_xy = h^{2n} / dist(x,y)^{n+sp}, zero on the diagonal.
+    """Pair weights w(z) = h^{2n} / dist(z, 0)^{n+sp} as a lag kernel.
 
-    A handle on the process-wide kernel: the S x S matrix `weights` is
-    built once per process for each grid and exponent n + s p (at most
-    MAX_KERNEL_PAIRS entries) and shared, read-only, by every handle, so
-    constructing one after the first costs a cache lookup. The weights
-    depend on s and p only through n + s p.
+    A handle on the process-wide kernel: `weights` is the read-only
+    length-S array of w over the lags z, indexed like the sites and zero
+    at z = 0. It is built once per process for each grid and exponent
+    n + s p and shared by every handle, so constructing one after the
+    first costs a cache lookup. The weights depend on s and p only
+    through n + s p.
     """
 
     def __init__(self, grid: GridSpec, params: EnergyParams):
@@ -154,35 +158,40 @@ def _sq_norm(dus: list) -> np.ndarray:
     return du2
 
 
-def _row_blocks(S: int, mask):
-    """Row blocks of a pass; blocks with no row in the region are skipped."""
-    for i0 in range(0, S, ROW_BLOCK):
-        i1 = min(i0 + ROW_BLOCK, S)
-        if mask is None or mask[i0:i1].any():
-            yield i0, i1
+def _lag_pass(grid: GridSpec, samples: np.ndarray, mask):
+    """The blocks of one lag-major pass over (S, N) samples, and the map from
+    a block to its differences du_z(x) = u(x) - u(x + z), one (lags, S) array
+    per component, and its region factor m(x) m(x + z) (None without a
+    region). A block is a run of about BLOCK_TERMS / S lags whose length
+    divides M, so its lags differ only in the last grid coordinate."""
+    M, S, n = grid.points_per_axis, grid.n_sites, grid.dim
+    step = min(M, max(1, BLOCK_TERMS // S))
 
+    def windows(a):
+        # a on the grid axes, and the zero-copy view W[k, z, x] = a[k, x + z]
+        # of the periodically tiled array (n lag axes, then n site axes)
+        a = a.reshape((len(a),) + (M,) * n)
+        tiled = a
+        for ax in range(1, n + 1):
+            head = tiled[(slice(None),) * ax + (slice(0, M - 1),)]
+            tiled = np.concatenate([tiled, head], axis=ax)
+        return a, sliding_window_view(tiled, (M,) * n, axis=tuple(range(1, n + 1)))
 
-def _restrict(block: np.ndarray, mask, i0: int, i1: int) -> np.ndarray:
-    """Zero, in place, the pair terms of a (rows i0..i1, S) block whose
-    row or column site lies outside the region."""
+    U, W = windows(np.ascontiguousarray(samples.T))
     if mask is not None:
-        block *= mask
-        block[~mask[i0:i1]] = 0.0
-    return block
+        Um, Wm = windows(mask[None, :])
 
+    def terms(lags):
+        *lead, last = np.unravel_index(lags.start, (M,) * n)
+        at = (*lead, slice(last, last + step))
+        # C order: numpy would lay the result out like the windows, whose lag
+        # axis has the smallest stride, and the reshape would copy
+        dus = [np.subtract(u, w[at], order="C").reshape(step, S) for u, w in zip(U, W)]
+        if mask is None:
+            return dus, None
+        return dus, np.logical_and(Um[0], Wm[0][at], order="C").reshape(step, S)
 
-def _pair_energy_rows(w, Ut, i0, i1, p, eps, mask=None):
-    """Per-row energy contributions for rows i0..i1 (fixed reduction order).
-    Ut holds the samples component-major, shape (N, S)."""
-    vals = _sq_norm([c[i0:i1, None] - c[None, :] for c in Ut])
-    if eps > 0.0:
-        vals += eps
-        vals **= p / 2
-        vals -= eps ** (p / 2)
-    elif p != 2.0:
-        vals **= p / 2
-    vals *= w[i0:i1]
-    return _restrict(vals, mask, i0, i1).sum(axis=1)
+    return [slice(j, j + step) for j in range(0, S, step)], terms
 
 
 def _resolve_region(region, grid: GridSpec):
@@ -199,22 +208,30 @@ def _resolve_region(region, grid: GridSpec):
 
 
 def _energy_raw(samples, cache, p, eps, region=None, workers: int = 1) -> float:
-    mask = _resolve_region(region, cache.grid)
-    S = cache.grid.n_sites
-    Ut = np.ascontiguousarray(samples.T)
-    rows = np.zeros(S)
+    grid = cache.grid
+    blocks, terms = _lag_pass(grid, samples, _resolve_region(region, grid))
+    lag_energy = np.zeros(grid.n_sites)
 
-    def run(block):
-        i0, i1 = block
-        rows[i0:i1] = _pair_energy_rows(cache.weights, Ut, i0, i1, p, eps, mask)
+    def run(chunk):
+        for block in chunk:
+            dus, pair_mask = terms(block)
+            vals = _sq_norm(dus)
+            if eps > 0.0:
+                vals += eps
+                vals **= p / 2
+                vals -= eps ** (p / 2)
+            elif p != 2.0:
+                vals **= p / 2
+            if pair_mask is not None:
+                vals *= pair_mask
+            lag_energy[block] = cache.weights[block] * vals.sum(axis=1)
 
-    if workers > 1 and S > SERIAL_MAX_SITES:
+    if workers > 1 and grid.n_sites > SERIAL_MAX_SITES:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run, _row_blocks(S, mask)))
+            list(ex.map(run, [blocks[k::workers] for k in range(workers)]))
     else:
-        for block in _row_blocks(S, mask):
-            run(block)
-    return float(np.sum(rows))
+        run(blocks)
+    return float(np.sum(lag_energy))
 
 
 def energy(u: VectorField, params: EnergyParams, region=None, cache=None, workers: int = 1) -> float:
@@ -244,45 +261,42 @@ def seminorm(f, s: float, p: float, region=None) -> float:
     return _energy_raw(samples, cache, p, 0.0, region=region) ** (1.0 / p)
 
 
-def _du_weight(du2: np.ndarray, params: EnergyParams):
+def _du_weight(dus: list, params: EnergyParams):
     """(|du|^2 + eps)^{(p-2)/2}, with the 0^0 := 1 convention at p = 2."""
     p, eps = params.p, params.eps_reg
     if p == 2.0 and eps == 0.0:
         return 1.0
     if eps == 0.0 and p < 2.0:
         raise ValueError("pair weight degenerates: need p >= 2 or eps_reg > 0")
-    return (du2 + eps) ** ((p - 2.0) / 2.0)
+    return (_sq_norm(dus) + eps) ** ((p - 2.0) / 2.0)
 
 
 def pair_flux(u: VectorField, params: EnergyParams, region=None, cache=None) -> VectorField:
-    """The pair flux G^B(x) = sum_{y in B} w_xy (|du|^2 + eps)^{(p-2)/2} du
-    with du = u(x) - u(y), for x in the region B and zero outside it.
-
-    A block holds the pairs of a run of sites x as (S, rows) arrays, one
-    per component, so each G(x) is a sum over y in index order starting
-    from zero; that order fixes the floats energy_gradient returns.
-    """
+    """The pair flux G^B(x) = sum_{y in B} w(y - x) (|du|^2 + eps)^{(p-2)/2} du
+    with du = u(x) - u(y), for x in the region B and zero outside it. Each
+    G_i(x) is a running sum over the lags y - x in lag order."""
     if cache is None:
         cache = PairKernelCache(u.grid, params)
     _check_same_grid(cache, u)
-    mask = _resolve_region(region, u.grid)
-    Ut = np.ascontiguousarray(u.samples.T)
-    G = np.zeros_like(u.samples)
-    for i0, i1 in _row_blocks(u.grid.n_sites, mask):
-        dus = [c[None, i0:i1] - c[:, None] for c in Ut]
-        # the weights are symmetric, so column x holds w_xy for every y
-        wgt = cache.weights[:, i0:i1] * _du_weight(_sq_norm(dus), params)
-        _restrict(wgt.T, mask, i0, i1)
-        for i, d in enumerate(dus):
+    blocks, terms = _lag_pass(u.grid, u.samples, _resolve_region(region, u.grid))
+    G = np.zeros((u.components, u.grid.n_sites))
+    for block in blocks:
+        dus, pair_mask = terms(block)
+        wgt = cache.weights[block, None] * _du_weight(dus, params)
+        if pair_mask is not None:
+            wgt = wgt * pair_mask
+        for g, d in zip(G, dus):
             d *= wgt
-            G[i0:i1, i] = np.add.reduce(d, axis=0, initial=0.0)
-    return VectorField(grid=u.grid, components=u.components, samples=G)
+            # the running sum carries on from the previous block's lags
+            d[0] += g
+            np.add.reduce(d, axis=0, out=g)
+    return VectorField(grid=u.grid, components=u.components, samples=G.T)
 
 
 def energy_gradient(u: VectorField, params: EnergyParams, cache=None) -> VectorField:
     """Exact gradient of the (possibly regularized) discrete energy.
 
-    g(x) = 2 p sum_y w_xy (|u(x)-u(y)|^2 + eps)^{(p-2)/2} (u(x) - u(y)) = 2 p G(x)
+    g(x) = 2 p sum_y w(y-x) (|u(x)-u(y)|^2 + eps)^{(p-2)/2} (u(x) - u(y)) = 2 p G(x)
     """
     G = pair_flux(u, params, cache=cache)
     return VectorField(grid=u.grid, components=u.components, samples=2.0 * params.p * G.samples)
@@ -334,7 +348,7 @@ def el_residual(
 ) -> float:
     """Euler-Lagrange pairing of u against the test field omega u phi.
 
-    residual = sum_{x != y in region} w_xy |du|^{p-2}
+    residual = sum_{x != y in region} w(y-x) |du|^{p-2}
                sum_i (u^i(x) - u^i(y)) (q^i(x) - q^i(y)),
     with q^i = omega_ij u^j phi, evaluated as 2 sum_x q(x) . G^B(x).
     Vanishes at critical points when the region covers the whole pairing
@@ -358,13 +372,9 @@ def _validate_t(t: float, params: EnergyParams) -> None:
 
 @lru_cache(maxsize=32)
 def _kappa_exact(grid: GridSpec, t: float) -> np.ndarray:
-    """The minimum-image Riesz kernel dist(x, 0)^{t-n} as a length-S lag
+    """The minimum-image Riesz kernel dist(z, 0)^{t-n} as a length-S lag
     kernel, zero at zero displacement."""
-    d = torus_dist(site_coords(grid), 0.0, grid.box_length)
-    k = np.zeros_like(d)
-    nz = d > 0
-    k[nz] = d[nz] ** (t - grid.dim)
-    return k
+    return _lag_kernel(grid, lambda d: d ** (t - grid.dim))
 
 
 @lru_cache(maxsize=32)
@@ -414,9 +424,9 @@ def _kappa_duality_1d(M: int, L: float, t: float) -> np.ndarray:
 
 def _riesz_symbol(grid: GridSpec, t: float, mode: str) -> np.ndarray:
     """Half-grid symbol of the correlation G -> sum_x k(x - z) G(x) with the
-    lag kernel k of the t_operator mode. The exact kernel is even only up
-    to an ulp, so the symbol is the conjugate spectrum of k itself rather
-    than the spectrum of its mirror image."""
+    lag kernel k of the t_operator mode: the conjugate spectrum of k, which
+    for the even kernels here is its own spectrum up to the FFT's
+    rounding."""
     if mode == "exact":
         kap = _kappa_exact(grid, t)
     elif mode == "duality":
@@ -437,7 +447,7 @@ def t_operator(
     mode: str = "exact",
 ) -> VectorField:
     """Pairing field T u^i(z) = sum_{x!=y in B} P_i(x,y) [k(x-z) - k(y-z)],
-    with P(x,y) = w_xy |du|^{p-2} du, evaluated as 2 sum_x k(x-z) G^B(x).
+    with P(x,y) = w(y-x) |du|^{p-2} du, evaluated as 2 sum_x k(x-z) G^B(x).
 
     k is the Riesz-type kernel dist^{t-n}; its evaluation at zero
     displacement (z landing on x or y) is excluded, i.e. contributes

@@ -31,14 +31,12 @@ __all__ = [
     "BallHierarchy",
     "make_grid",
     "site_coords",
-    "pairwise_dist",
     "torus_dist",
     "fourier_multiply",
     "lag_spectrum",
     "frequency_norms",
     "ball_mask",
     "cutoff_smooth",
-    "cutoff_ring",
     "ball_mean",
 ]
 
@@ -124,12 +122,6 @@ def torus_dist(a: np.ndarray, b: np.ndarray, box_length: float) -> np.ndarray:
     d = np.abs(a - b)
     d = np.minimum(d, box_length - d)
     return np.sqrt((d**2).sum(axis=-1))
-
-
-def pairwise_dist(grid: GridSpec) -> np.ndarray:
-    """Full (n_sites, n_sites) torus distance matrix. Zero on the diagonal."""
-    x = site_coords(grid)
-    return torus_dist(x[:, None, :], x[None, :, :], grid.box_length)
 
 
 def fourier_multiply(grid: GridSpec, samples: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -223,15 +215,6 @@ def cutoff_smooth(hierarchy: BallHierarchy, level: int) -> ScalarField:
     d = hierarchy.center_dist()
     vals = _smoothstep((r2 - d) / (r2 - r1))
     return ScalarField(grid=hierarchy.grid, samples=vals)
-
-
-def cutoff_ring(hierarchy: BallHierarchy, level: int) -> ScalarField:
-    """Ring cutoff at level l: eta_l - eta_{l-1} (nonnegative by nesting)."""
-    outer = cutoff_smooth(hierarchy, level)
-    if level - 1 < hierarchy.level_min:
-        raise ValueError("ring needs level - 1 inside the hierarchy range")
-    inner = cutoff_smooth(hierarchy, level - 1)
-    return ScalarField(grid=hierarchy.grid, samples=outer.samples - inner.samples)
 
 
 def ball_mean(f, hierarchy: BallHierarchy, level: int):

@@ -31,8 +31,8 @@ from .grid import (
     VectorField,
     ball_mask,
     make_grid,
-    pairwise_dist,
     site_coords,
+    torus_dist,
 )
 
 PROBE_NAMES = ("sobolev", "commutator", "kernel_case", "lp_sup", "t1", "holefill")
@@ -178,10 +178,12 @@ def holder_fit(u, beta_grid):
     """Largest Holder exponent with a stable sup-quotient.
 
     For each beta the pairwise quotients |u(x)-u(y)| / dist^beta are
-    maximized inside dyadic distance bands; beta counts as stable when
-    the band maxima stay within an overall factor 2 of each other, i.e.
-    the quotient neither blows up at small scales (beta too big) nor
-    dies off (beta too small). Returns (best beta or None, table of
+    maximized inside dyadic distance bands, lag by lag: the pairs of a lag
+    z = y - x share the distance dist(z, 0), so each lag contributes
+    max_x |u(x + z) - u(x)| and the fit holds O(S) numbers. Beta counts
+    as stable when the band maxima stay within an overall factor 2 of
+    each other, i.e. the quotient neither blows up at small scales (beta
+    too big) nor dies off (beta too small). Returns (best beta or None, table of
     (beta, band sups, stable)).
     """
     if isinstance(u, ScalarField):
@@ -194,10 +196,13 @@ def holder_fit(u, beta_grid):
         raise ValueError("beta_grid must lie in (0, 1]")
     if grid.n_sites < 4:
         raise ValueError("grid too small for a quotient fit")
-    D = pairwise_dist(grid)
-    dU = np.linalg.norm(samples[:, None, :] - samples[None, :, :], axis=-1)
-    iu = np.triu_indices(grid.n_sites, k=1)
-    d, du = D[iu], dU[iu]
+    shape = (grid.points_per_axis,) * grid.dim
+    axes = tuple(range(grid.dim))
+    U = samples.reshape(shape + samples.shape[1:])
+    # every nonzero lag z, with max_x |u(x + z) - u(x)| and dist(z, 0)
+    du = np.array([np.linalg.norm(np.roll(U, tuple(-c for c in z), axis=axes) - U, axis=-1).max()
+                   for z in np.ndindex(shape)])[1:]
+    d = torus_dist(site_coords(grid), 0.0, grid.box_length)[1:]
     d_top = float(d.max())
     n_bands = int(np.floor(np.log2(d_top / float(d.min())))) + 1
     bands = []
@@ -430,15 +435,6 @@ def sobolev_probe(
     return _probe_report("sobolev", rows, seed, bound_const)
 
 
-def sobolev_growth(f_family, s: float, p: float):
-    """Worst embedding ratios for t close to s and t far from s. The
-    near-degenerate ratio should dominate; the growth is reported, no
-    rate is claimed."""
-    near = sobolev_probe(f_family, s, s - 0.01, p, bound_const=np.inf)
-    far = sobolev_probe(f_family, s, s - 0.2, p, bound_const=np.inf)
-    return near.worst_ratio, far.worst_ratio
-
-
 def commutator_probe(
     pairs,
     alpha: float,
@@ -508,7 +504,8 @@ def t1_bound_probe(f: ScalarField, g: ScalarField, s: float, t: float):
         raise ValueError("f and g must share a grid")
     p_s = grid.dim / s
     M = grid.n_sites
-    D = pairwise_dist(grid)
+    x = site_coords(grid)
+    D = torus_dist(x[:, None, :], x[None, :, :], grid.box_length)
     A = np.zeros_like(D)
     off = D > 0
     A[off] = D[off] ** (t - 1.0)

@@ -162,8 +162,8 @@ def parse_config(doc: dict) -> RunConfig:
     g = c["grid"]
     grid = as_config_error("grid", make_grid, g["dim"], g["points_per_axis"], g["box_length"])
     if grid.n_sites**2 > MAX_KERNEL_PAIRS:
-        raise ConfigError(f"grid: {grid.n_sites} sites need more than the "
-                          f"{MAX_KERNEL_PAIRS} pair weights the kernel supports")
+        raise ConfigError(f"grid: {grid.n_sites} sites make {grid.n_sites**2} pair terms "
+                          f"per pass; at most {MAX_KERNEL_PAIRS} are supported")
 
     e = c["energy"]
     critical_p = grid.dim / e["s"] if e["s"] > 0 else np.inf  # EnergyParams rejects s <= 0

@@ -4,7 +4,7 @@ The iteration is projected, preconditioned descent with a backtracking
 line search. The pair weights depend only on x - y, so the kernel is
 circulant and its discrete Fourier symbol
 
-    m(k) = 2p (w^(0) - w^(k)),   w^ = rfftn of one kernel row,
+    m(k) = 2p (w^(0) - w^(k)),   w^ = rfftn of the length-S lag kernel w,
 
 costs one FFT per minimize call; at p = 2 it is the exact Hessian symbol
 of the energy. With P = m + m_1 (m_1 the smallest positive m) and g_T the
@@ -17,7 +17,7 @@ projection onto the tangent space. A step is accepted when
 E(u_next) <= E(u) - c tau (g_T . d). Preconditioning by an H^s-type metric
 (as in Alouges' projection method and its fractional versions) makes the
 iteration count nearly independent of M: the criterion-5 winding at
-s = 1/2, p = 2 converges in 53, 47, 44 and 43 steps at M = 32 ... 256,
+s = 1/2, p = 2 converges in 54, 47, 44 and 43 steps at M = 32 ... 256,
 where plain steepest descent took 445 ... 2673. For p != 2 the same
 formula is used; it does not depend on u (a symbol rebuilt from the
 current |du|^{p-2} did worse in every case tried). The stop rule does not
@@ -113,9 +113,10 @@ def tangent_project(g: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def kernel_symbol(cache: PairKernelCache, p: float) -> np.ndarray:
     """The Fourier symbol m(k) = 2p (w^(0) - w^(k)) of the circulant pair
-    kernel, on the rfftn half grid. At p = 2, irfftn(m rfftn(u)) is the
-    energy gradient of an unconstrained u to round-off."""
-    w_hat = lag_spectrum(cache.grid, cache.weights[0]).real
+    kernel, read off the spectrum of its lag kernel w on the rfftn half
+    grid. At p = 2, irfftn(m rfftn(u)) is the energy gradient of an
+    unconstrained u to round-off."""
+    w_hat = lag_spectrum(cache.grid, cache.weights).real
     return 2.0 * p * (w_hat.flat[0] - w_hat)
 
 

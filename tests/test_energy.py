@@ -4,6 +4,9 @@ The naive_* helpers below re-implement everything with explicit Python
 loops over sites, straight from the definitions. They share no code with
 the vectorized module, so agreement is a real check.
 """
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from fracmap.energy import (
     energy_gradient,
     first_variation,
     holefill_check,
+    pair_flux,
     seminorm,
     t_operator,
 )
@@ -79,6 +83,23 @@ def naive_el_residual(samples, phi, omega, coords, L, h, n, s, p, mask=None):
                 continue
             total += h ** (2 * n) * mag ** (p - 2.0) * float(du @ q) / d ** (n + s * p)
     return total
+
+
+def naive_flux(samples, coords, L, h, n, s, p, mask=None):
+    """G(x) = sum_{y in B, y != x} w_xy |du|^{p-2} du for x in B, zero elsewhere."""
+    S = samples.shape[0]
+    out = np.zeros_like(samples)
+    for i in range(S):
+        if mask is not None and not mask[i]:
+            continue
+        for j in range(S):
+            if j == i or (mask is not None and not mask[j]):
+                continue
+            du = samples[i] - samples[j]
+            mag = np.sqrt((du ** 2).sum())
+            d = _dist(coords[i], coords[j], L)
+            out[i] += h ** (2 * n) * mag ** (p - 2.0) * du / d ** (n + s * p)
+    return out
 
 
 def naive_t_operator(samples, coords, L, h, n, s, p, kap, mask=None):
@@ -169,6 +190,23 @@ def test_energy_region_matches_naive_loop():
     want = naive_energy(u.samples, site_coords(g), g.box_length, g.h, 1, 0.5, 2.0, mask=mask)
     got = energy(u, params, region=mask)
     assert abs(got - want) <= 1e-12 * abs(want)
+    # a 2d ball centred at the origin crosses both seams, so its pairs come
+    # from lag windows that wrap around the torus
+    g = make_grid(2, 8, TWO_PI)
+    u = _unit_field(g, seed=33, components=3)
+    hier = BallHierarchy(grid=g, center=(0.0, 0.0), base_radius=1.0, level_min=0, level_max=1)
+    mask = ball_mask(hier, 1)
+    assert mask[0] and mask[g.n_sites - 1] and not mask.all()
+    coords = site_coords(g)
+    for p in (2.0, 3.0):
+        params = EnergyParams(s=0.5, p=p)
+        want = naive_energy(u.samples, coords, g.box_length, g.h, 2, 0.5, p, mask=mask)
+        got = energy(u, params, region=mask)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        want = naive_flux(u.samples, coords, g.box_length, g.h, 2, 0.5, p, mask=mask)
+        got = pair_flux(u, params, region=mask).samples
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert not got[~mask].any()
 
 
 def test_energy_scaling_homogeneity():
@@ -191,12 +229,38 @@ def test_energy_translation_invariance():
 
 
 def test_energy_workers_bitwise_identical():
-    g = make_grid(1, 64, TWO_PI)
-    u = _unit_field(g, seed=16)
-    params = EnergyParams(s=0.5, p=2.0)
-    e1 = energy(u, params, workers=1)
-    e4 = energy(u, params, workers=4)
-    assert e1 == e4  # 0 ULP
+    # both grids have more than SERIAL_MAX_SITES sites, so the workers run;
+    # a short switch interval interleaves their writes to the per-lag slots
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for dim, M in ((1, 512), (2, 32)):
+            g = make_grid(dim, M, TWO_PI)
+            u = _unit_field(g, seed=16, components=3)
+            params = EnergyParams(s=0.5, p=3.0)
+            e1 = energy(u, params, workers=1)
+            assert energy(u, params, workers=2) == e1  # 0 ULP
+            assert energy(u, params, workers=4) == e1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_energy_and_gradient_stay_below_one_dense_pair_array():
+    # the passes are lag-major over a length-S kernel: together they never
+    # hold as much as one S x S float64 array (8 MB on this grid); the
+    # exponent 2 + 0.55 * 4.1 is built by no other test, so the kernel
+    # build falls inside the measurement
+    g = make_grid(2, 32, TWO_PI)
+    u = _unit_field(g, seed=34, components=3)
+    params = EnergyParams(s=0.55, p=4.1)
+    tracemalloc.start()
+    try:
+        energy(u, params)
+        energy_gradient(u, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n_sites ** 2 * 8
 
 
 def test_seminorm_power_equals_scalar_energy():
@@ -445,13 +509,18 @@ def test_pair_kernel_matches_direct_distance_loop():
         w = PairKernelCache(g, params).weights
         coords = site_coords(g)
         exponent = g.dim + params.s * params.p
-        want = np.zeros((g.n_sites, g.n_sites))
-        for i in range(g.n_sites):
-            d = torus_dist(coords[i], coords, g.box_length)
-            others = np.arange(g.n_sites) != i
-            want[i, others] = g.h ** (2 * g.dim) / d[others] ** exponent
-        np.testing.assert_array_equal(w, want)
-        np.testing.assert_array_equal(w, w.T)  # pair_flux reads columns as rows
+        d = np.array([torus_dist(coords[j], coords[0], g.box_length) for j in range(g.n_sites)])
+        want = np.zeros(g.n_sites)
+        want[1:] = g.h ** (2 * g.dim) / d[1:] ** exponent
+        # lag -z sits at the mirrored index on every axis, and w(-z) = w(z)
+        # exactly; up to half the axis the lag is its own minimum image
+        M = g.points_per_axis
+        lag = np.unravel_index(np.arange(g.n_sites), (M,) * g.dim)
+        mirror = np.ravel_multi_index(tuple((-i) % M for i in lag), (M,) * g.dim)
+        np.testing.assert_array_equal(w[mirror], w)
+        half = np.all(np.stack(lag) <= M // 2, axis=0)
+        np.testing.assert_array_equal(w[half], want[half])
+        np.testing.assert_allclose(w, want, rtol=1e-14)
 
 
 def test_pair_kernel_built_once_per_process():
@@ -460,61 +529,68 @@ def test_pair_kernel_built_once_per_process():
     b = PairKernelCache.from_exponent(g, 0.5, 2.0)
     assert a.weights is b.weights and a.exponent == b.exponent
     assert not a.weights.flags.writeable
+    assert a.weights.shape == (g.n_sites,)
     # the weights depend on (s, p) only through n + s p
     assert PairKernelCache(g, EnergyParams(s=0.25, p=4.0)).weights is a.weights
     u = _unit_field(g, seed=29)
     assert energy(u, EnergyParams(s=0.5, p=2.0), cache=b) == energy(u, EnergyParams(s=0.5, p=2.0))
-    with pytest.raises(ValueError, match="pair weights"):
-        PairKernelCache(make_grid(2, 128, TWO_PI), EnergyParams(s=0.5, p=2.0))
+    # a lag kernel stays small where an S x S matrix would take 2 GB
+    big = make_grid(2, 128, TWO_PI)
+    assert PairKernelCache(big, EnergyParams(s=0.5, p=2.0)).weights.shape == (big.n_sites,)
 
 
-# Reference copy of the blocked pair passes that fix the floats of energy
-# and energy_gradient: interleaved (rows, S, N) differences, one pairwise
-# numpy sum per energy row, one einsum per gradient block. The solver's
-# stopping rule works at the float64 floor, so any other reduction order
-# can change an iteration path; the module must agree with these bit for
-# bit.
+# Reference copy of the lag-major pair passes that fix the floats of energy
+# and energy_gradient. Per lag z in flat lag order, du_z = u(x) - u(x + z)
+# comes from np.roll; the energy of a lag is one numpy sum over the sites
+# times w(z), the lag energies are summed by one numpy sum, and the flux is
+# a running sum over the lags. The module must agree with these bit for
+# bit, so a change of reduction order is always a deliberate one.
 
 
-def _reference_weights(grid, s, p):
-    x = site_coords(grid)
-    d = torus_dist(x[:, None, :], x[None, :, :], grid.box_length)
+def _reference_lags(grid, s, p, u, mask=None):
+    """(w(z), du_z, pair mask or None) for every lag z in flat lag order."""
+    M = grid.points_per_axis
+    shape = (M,) * grid.dim
+    axes = tuple(range(grid.dim))
+    idx = np.stack(np.unravel_index(np.arange(grid.n_sites), shape), axis=-1)
+    d = torus_dist(np.minimum(idx, M - idx) * grid.h, 0.0, grid.box_length)
     w = np.zeros_like(d)
-    nz = d > 0
-    w[nz] = grid.h ** (2 * grid.dim) / d[nz] ** (grid.dim + s * p)
-    return w
+    w[d > 0] = grid.h ** (2 * grid.dim) / d[d > 0] ** (grid.dim + s * p)
+    U = u.reshape(shape + (u.shape[1],))
+    for j, z in enumerate(np.ndindex(shape)):
+        shift = tuple(-c for c in z)
+        du = (U - np.roll(U, shift, axis=axes)).reshape(u.shape)
+        pair = None
+        if mask is not None:
+            pair = mask & np.roll(mask.reshape(shape), shift, axis=axes).ravel()
+        yield w[j], du, pair
 
 
-def _reference_energy(w, u, p, eps, mask=None):
-    S = u.shape[0]
-    rows = np.empty(S)
-    for i0 in range(0, S, 256):
-        i1 = min(i0 + 256, S)
-        du2 = ((u[i0:i1, None, :] - u[None, :, :]) ** 2).sum(-1)
+def _reference_energy(grid, s, p, eps, u, mask=None):
+    lag_energy = []
+    for w, du, pair in _reference_lags(grid, s, p, u, mask):
+        du2 = (du ** 2).sum(-1)
         if eps > 0.0:
             vals = (du2 + eps) ** (p / 2) - eps ** (p / 2)
         elif p == 2.0:
             vals = du2
         else:
             vals = du2 ** (p / 2)
-        contrib = w[i0:i1] * vals
-        if mask is not None:
-            contrib = contrib * mask[None, :]
-            contrib[~mask[i0:i1]] = 0.0
-        rows[i0:i1] = contrib.sum(axis=1)
-    return float(np.sum(rows))
+        if pair is not None:
+            vals = vals * pair
+        lag_energy.append(w * np.sum(vals))
+    return float(np.sum(lag_energy))
 
 
-def _reference_gradient(w, u, p, eps):
-    S = u.shape[0]
-    g = np.empty_like(u)
-    for i0 in range(0, S, 256):
-        i1 = min(i0 + 256, S)
-        du = u[i0:i1, None, :] - u[None, :, :]
-        du2 = (du**2).sum(-1)
-        weight = np.ones_like(du2) if p == 2.0 and eps == 0.0 else (du2 + eps) ** ((p - 2.0) / 2.0)
-        g[i0:i1] = 2.0 * p * np.einsum("xy,xyi->xi", w[i0:i1] * weight, du)
-    return g
+def _reference_gradient(grid, s, p, eps, u):
+    G = np.zeros_like(u)
+    for w, du, _ in _reference_lags(grid, s, p, u):
+        if p == 2.0 and eps == 0.0:
+            wgt = np.full(u.shape[0], w)
+        else:
+            wgt = w * ((du ** 2).sum(-1) + eps) ** ((p - 2.0) / 2.0)
+        G += du * wgt[:, None]
+    return 2.0 * p * G
 
 
 @pytest.mark.parametrize("dim, M, N, s, p, eps", [
@@ -530,10 +606,9 @@ def test_energy_and_gradient_bit_identical_to_reference(dim, M, N, s, p, eps):
     g = make_grid(dim, M, TWO_PI)
     u = _unit_field(g, seed=30 + M + N, components=N)
     params = EnergyParams(s=s, p=p, eps_reg=eps)
-    w = _reference_weights(g, s, p)
     mask = np.random.default_rng(31).random(g.n_sites) < 0.6
-    assert energy(u, params) == _reference_energy(w, u.samples, p, eps)
-    assert energy(u, params, workers=2) == _reference_energy(w, u.samples, p, eps)
-    assert energy(u, params, region=mask) == _reference_energy(w, u.samples, p, eps, mask)
+    assert energy(u, params) == _reference_energy(g, s, p, eps, u.samples)
+    assert energy(u, params, workers=2) == _reference_energy(g, s, p, eps, u.samples)
+    assert energy(u, params, region=mask) == _reference_energy(g, s, p, eps, u.samples, mask)
     np.testing.assert_array_equal(energy_gradient(u, params).samples,
-                                  _reference_gradient(w, u.samples, p, eps))
+                                  _reference_gradient(g, s, p, eps, u.samples))

@@ -10,12 +10,10 @@ from fracmap.grid import (
     VectorField,
     ball_mask,
     ball_mean,
-    cutoff_ring,
     cutoff_smooth,
     fourier_multiply,
     lag_spectrum,
     make_grid,
-    pairwise_dist,
     site_coords,
     torus_dist,
 )
@@ -89,17 +87,6 @@ def test_fourier_layout_stays_in_the_grid_module():
     offenders = [path.name for path in sorted(src.glob("*.py"))
                  if path.name != "grid.py" and re.search(r"\b(np|numpy)\.fft\b", path.read_text())]
     assert offenders == []
-
-
-def test_pairwise_dist_matches_direct_loop():
-    g = make_grid(2, 4, 1.0)
-    x = site_coords(g)
-    D = pairwise_dist(g)
-    for i in range(g.n_sites):
-        for j in range(g.n_sites):
-            diff = np.abs(x[i] - x[j])
-            diff = np.minimum(diff, 1.0 - diff)
-            assert abs(D[i, j] - np.hypot(*diff)) < 1e-14
 
 
 def test_field_shape_validation():
@@ -182,13 +169,3 @@ def test_cutoff_requires_support_inside_torus():
     hier = BallHierarchy(grid=g, center=(0.0,), base_radius=1.0, level_min=0, level_max=2)
     with pytest.raises(ValueError):
         cutoff_smooth(hier, 1)  # support radius 4 > L/2
-
-
-def test_cutoff_ring_is_difference_of_plateaus():
-    g = make_grid(1, 128, TWO_PI)
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.2, level_min=0, level_max=3)
-    ring = cutoff_ring(hier, 2)
-    expect = cutoff_smooth(hier, 2).samples - cutoff_smooth(hier, 1).samples
-    np.testing.assert_array_equal(ring.samples, expect)
-    with pytest.raises(ValueError):
-        cutoff_ring(hier, 0)  # needs a level below
