@@ -6,7 +6,6 @@ cross-check the computation."""
 from .energy import (
     EnergyParams,
     PairKernelCache,
-    critical_params,
     duality_check,
     el_residual,
     energy,
@@ -34,7 +33,6 @@ from .grid import (
     VectorField,
     ball_mask,
     ball_mean,
-    cutoff_smooth,
     make_grid,
     site_coords,
     torus_dist,

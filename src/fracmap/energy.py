@@ -12,9 +12,12 @@ The grid is periodic, so a pair weight depends only on the lag z = y - x:
 every pair sum reads one length-S lag kernel
 w(z) = h^{2n} / dist(z, 0)^{n + s p}, exactly even in z, zero at z = 0 and
 indexed like the sites. It is built once per process for each grid and
-kernel exponent n + s p and shared read-only (PairKernelCache is a handle
-on it). Passes run lag-major: du_z(x) = u(x) - u(x + z) for a block of
-lags is one subtraction against a zero-copy sliding-window view of the
+kernel exponent n + s p and shared read-only; every pass looks it up from
+the field's grid and its own (s, p) through PairKernelCache, so no caller
+hands a kernel in and none can hand in one that contradicts them.
+
+Passes run lag-major: du_z(x) = u(x) - u(x + z) for a block of lags is
+one subtraction against a zero-copy sliding-window view of the
 periodically tiled samples, every row of the block carries the scalar
 w(z), and a region B multiplies each term by m(x) m(x + z). Besides the
 energy there is a single pair pass, the flux
@@ -88,11 +91,6 @@ class EnergyParams:
             raise ValueError("eps_reg = 0 is only permitted for p >= 2")
 
 
-def critical_params(grid: GridSpec, s: float, eps_reg: float = 0.0) -> EnergyParams:
-    """Parameters at the critical exponent p = n / s."""
-    return EnergyParams(s=s, p=grid.dim / s, eps_reg=eps_reg)
-
-
 def _lag_kernel(grid: GridSpec, of_dist) -> np.ndarray:
     """The read-only length-S lag kernel of_dist(dist(z, 0)), indexed like
     the sites, zero at z = 0. Each axis offset j is folded to its minimum
@@ -120,7 +118,8 @@ class PairKernelCache:
     at z = 0. It is built once per process for each grid and exponent
     n + s p and shared by every handle, so constructing one after the
     first costs a cache lookup. The weights depend on s and p only
-    through n + s p.
+    through n + s p. Every pair pass makes its own handle from the field's
+    grid and its parameters.
     """
 
     def __init__(self, grid: GridSpec, params: EnergyParams):
@@ -142,12 +141,6 @@ class PairKernelCache:
 class ElResidualReport:
     entries: tuple  # of (label, omega_id, residual)
     max_abs: float
-    basis: str
-
-
-def _check_same_grid(cache: PairKernelCache, field) -> None:
-    if field.grid != cache.grid:
-        raise ValueError("kernel cache grid does not match the field grid")
 
 
 def _sq_norm(dus: list) -> np.ndarray:
@@ -194,22 +187,17 @@ def _lag_pass(grid: GridSpec, samples: np.ndarray, mask):
     return [slice(j, j + step) for j in range(0, S, step)], terms
 
 
-def _resolve_region(region, grid: GridSpec):
-    """region can be None (full torus), a boolean mask, or (hierarchy, level)."""
-    if region is None:
-        return None
-    if isinstance(region, np.ndarray):
-        if region.dtype != bool or region.shape != (grid.n_sites,):
-            raise ValueError("region mask must be a boolean array over all sites")
-        return region
-    if isinstance(region, tuple) and len(region) == 2 and isinstance(region[0], BallHierarchy):
-        return ball_mask(region[0], region[1])
-    raise TypeError("region must be None, a site mask, or (BallHierarchy, level)")
+def _check_region(region, grid: GridSpec):
+    """region is None (the full torus) or a boolean mask over all sites."""
+    if region is not None and (not isinstance(region, np.ndarray) or region.dtype != bool
+                               or region.shape != (grid.n_sites,)):
+        raise ValueError("region must be None or a boolean mask over all sites")
+    return region
 
 
-def _energy_raw(samples, cache, p, eps, region=None, workers: int = 1) -> float:
-    grid = cache.grid
-    blocks, terms = _lag_pass(grid, samples, _resolve_region(region, grid))
+def _energy_raw(samples, kernel: PairKernelCache, p, eps, region=None, workers: int = 1) -> float:
+    grid = kernel.grid
+    blocks, terms = _lag_pass(grid, samples, _check_region(region, grid))
     lag_energy = np.zeros(grid.n_sites)
 
     def run(chunk):
@@ -224,7 +212,7 @@ def _energy_raw(samples, cache, p, eps, region=None, workers: int = 1) -> float:
                 vals **= p / 2
             if pair_mask is not None:
                 vals *= pair_mask
-            lag_energy[block] = cache.weights[block] * vals.sum(axis=1)
+            lag_energy[block] = kernel.weights[block] * vals.sum(axis=1)
 
     if workers > 1 and grid.n_sites > SERIAL_MAX_SITES:
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -234,17 +222,14 @@ def _energy_raw(samples, cache, p, eps, region=None, workers: int = 1) -> float:
     return float(np.sum(lag_energy))
 
 
-def energy(u: VectorField, params: EnergyParams, region=None, cache=None, workers: int = 1) -> float:
+def energy(u: VectorField, params: EnergyParams, region=None, workers: int = 1) -> float:
     """The double-sum energy over ordered pairs of the region."""
-    if cache is not None:
-        _check_same_grid(cache, u)
-    else:
-        cache = PairKernelCache(u.grid, params)
-    return _energy_raw(u.samples, cache, params.p, params.eps_reg, region=region, workers=workers)
+    return _energy_raw(u.samples, PairKernelCache(u.grid, params), params.p, params.eps_reg,
+                       region=region, workers=workers)
 
 
-def seminorm(f, s: float, p: float, region=None) -> float:
-    """Gagliardo-type seminorm: energy(...)^{1/p} over the region.
+def seminorm(f, s: float, p: float) -> float:
+    """Gagliardo-type seminorm: energy(...)^{1/p} over the whole torus.
 
     Valid for any p > 1; the plain |du|^p integrand never degenerates, so
     no regularizer is involved here.
@@ -257,8 +242,7 @@ def seminorm(f, s: float, p: float, region=None) -> float:
         raise TypeError(f"expected a field, got {type(f).__name__}")
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got {p}")
-    cache = PairKernelCache.from_exponent(f.grid, s, p)
-    return _energy_raw(samples, cache, p, 0.0, region=region) ** (1.0 / p)
+    return _energy_raw(samples, PairKernelCache.from_exponent(f.grid, s, p), p, 0.0) ** (1.0 / p)
 
 
 def _du_weight(dus: list, params: EnergyParams):
@@ -271,18 +255,16 @@ def _du_weight(dus: list, params: EnergyParams):
     return (_sq_norm(dus) + eps) ** ((p - 2.0) / 2.0)
 
 
-def pair_flux(u: VectorField, params: EnergyParams, region=None, cache=None) -> VectorField:
+def pair_flux(u: VectorField, params: EnergyParams, region=None) -> VectorField:
     """The pair flux G^B(x) = sum_{y in B} w(y - x) (|du|^2 + eps)^{(p-2)/2} du
     with du = u(x) - u(y), for x in the region B and zero outside it. Each
     G_i(x) is a running sum over the lags y - x in lag order."""
-    if cache is None:
-        cache = PairKernelCache(u.grid, params)
-    _check_same_grid(cache, u)
-    blocks, terms = _lag_pass(u.grid, u.samples, _resolve_region(region, u.grid))
+    weights = PairKernelCache(u.grid, params).weights
+    blocks, terms = _lag_pass(u.grid, u.samples, _check_region(region, u.grid))
     G = np.zeros((u.components, u.grid.n_sites))
     for block in blocks:
         dus, pair_mask = terms(block)
-        wgt = cache.weights[block, None] * _du_weight(dus, params)
+        wgt = weights[block, None] * _du_weight(dus, params)
         if pair_mask is not None:
             wgt = wgt * pair_mask
         for g, d in zip(G, dus):
@@ -293,16 +275,16 @@ def pair_flux(u: VectorField, params: EnergyParams, region=None, cache=None) -> 
     return VectorField(grid=u.grid, components=u.components, samples=G.T)
 
 
-def energy_gradient(u: VectorField, params: EnergyParams, cache=None) -> VectorField:
+def energy_gradient(u: VectorField, params: EnergyParams) -> VectorField:
     """Exact gradient of the (possibly regularized) discrete energy.
 
     g(x) = 2 p sum_y w(y-x) (|u(x)-u(y)|^2 + eps)^{(p-2)/2} (u(x) - u(y)) = 2 p G(x)
     """
-    G = pair_flux(u, params, cache=cache)
+    G = pair_flux(u, params)
     return VectorField(grid=u.grid, components=u.components, samples=2.0 * params.p * G.samples)
 
 
-def first_variation(u: VectorField, psi: VectorField, params: EnergyParams, cache=None) -> float:
+def first_variation(u: VectorField, psi: VectorField, params: EnergyParams) -> float:
     """Directional derivative of E along psi through the sphere constraint.
 
     Differentiates t -> E((u + t psi)/|u + t psi|) at t = 0 by the chain
@@ -314,7 +296,7 @@ def first_variation(u: VectorField, psi: VectorField, params: EnergyParams, cach
         norms = np.linalg.norm(u.samples, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("first_variation requires a unit-constrained field")
-    g = energy_gradient(u, params, cache=cache).samples
+    g = energy_gradient(u, params).samples
     psi_t = psi.samples - (u.samples * psi.samples).sum(axis=1, keepdims=True) * u.samples
     return float(np.sum(np.sum(g * psi_t, axis=1)))
 
@@ -338,14 +320,8 @@ def el_pairing(u: VectorField, flux: VectorField, phi: ScalarField, omega: np.nd
     return 2.0 * float(np.sum(q * flux.samples))
 
 
-def el_residual(
-    u: VectorField,
-    phi: ScalarField,
-    omega: np.ndarray,
-    params: EnergyParams,
-    region=None,
-    cache=None,
-) -> float:
+def el_residual(u: VectorField, phi: ScalarField, omega: np.ndarray, params: EnergyParams,
+                region=None) -> float:
     """Euler-Lagrange pairing of u against the test field omega u phi.
 
     residual = sum_{x != y in region} w(y-x) |du|^{p-2}
@@ -354,7 +330,7 @@ def el_residual(
     Vanishes at critical points when the region covers the whole pairing
     (the default), and exactly for omega = 0 or constant u.
     """
-    return el_pairing(u, pair_flux(u, params, region=region, cache=cache), phi, omega)
+    return el_pairing(u, pair_flux(u, params, region=region), phi, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +414,8 @@ def _riesz_symbol(grid: GridSpec, t: float, mode: str) -> np.ndarray:
     return np.conj(lag_spectrum(grid, kap))
 
 
-def t_operator(
-    u: VectorField,
-    t: float,
-    params: EnergyParams,
-    region=None,
-    cache=None,
-    mode: str = "exact",
-) -> VectorField:
+def t_operator(u: VectorField, t: float, params: EnergyParams, region=None,
+               mode: str = "exact") -> VectorField:
     """Pairing field T u^i(z) = sum_{x!=y in B} P_i(x,y) [k(x-z) - k(y-z)],
     with P(x,y) = w(y-x) |du|^{p-2} du, evaluated as 2 sum_x k(x-z) G^B(x).
 
@@ -459,7 +429,7 @@ def t_operator(
     """
     _validate_t(t, params)
     symbol = _riesz_symbol(u.grid, t, mode)
-    G = pair_flux(u, params, region=region, cache=cache).samples
+    G = pair_flux(u, params, region=region).samples
     T = 2.0 * fourier_multiply(u.grid, G, symbol)
     return VectorField(grid=u.grid, components=u.components, samples=T)
 
@@ -473,28 +443,21 @@ def riesz_pairing_constant(t: float, n: int) -> float:
     return float(mp.pi ** (n / 2.0) * 2**tt * mp.gamma(tt / 2) / mp.gamma((n - tt) / 2))
 
 
-def duality_check(
-    u: VectorField,
-    phi: ScalarField,
-    t: float,
-    params: EnergyParams,
-    region=None,
-    cache=None,
-):
-    """Both sides of the pairing identity
+def duality_check(u: VectorField, phi: ScalarField, t: float, params: EnergyParams):
+    """Both sides of the pairing identity over the whole torus
 
-        <Lambda^t phi, T u^i> = gamma_n(t) sum_{x!=y in B} P_i(x,y)(phi(x)-phi(y))
+        <Lambda^t phi, T u^i> = gamma_n(t) sum_{x!=y} P_i(x,y)(phi(x)-phi(y))
 
-    evaluated from one pair flux G^B: left side through the duality-mode
+    evaluated from one pair flux G: left side through the duality-mode
     operator field (the FFT correlation of t_operator) against the spectral
-    Lambda^t phi, right side as 2 gamma_n(t) sum_{x in B} phi(x) G^B(x).
+    Lambda^t phi, right side as 2 gamma_n(t) sum_x phi(x) G(x).
     Returns (lhs vector, rhs vector, relative error).
     """
     from .fracops import FracOpParams, frac_laplacian
 
     _validate_t(t, params)
     symbol = _riesz_symbol(u.grid, t, "duality")
-    G = pair_flux(u, params, region=region, cache=cache).samples
+    G = pair_flux(u, params).samples
     lap_phi = frac_laplacian(phi, FracOpParams(order=t, variant="spectral")).samples
     lhs = u.grid.h**u.grid.dim * (lap_phi @ (2.0 * fourier_multiply(u.grid, G, symbol)))
     rhs = 2.0 * riesz_pairing_constant(t, u.grid.dim) * (phi.samples @ G)
@@ -502,7 +465,7 @@ def duality_check(
     return lhs, rhs, rel
 
 
-def holefill_check(u: VectorField, hierarchy: BallHierarchy, K: int, L: int, params: EnergyParams, cache=None):
+def holefill_check(u: VectorField, hierarchy: BallHierarchy, K: int, L: int, params: EnergyParams):
     """Hole-filling comparison on nested balls B_K inside B_L.
 
     lhs = sum over x in B_L, y in B_L minus B_K of the energy integrand;
@@ -514,15 +477,14 @@ def holefill_check(u: VectorField, hierarchy: BallHierarchy, K: int, L: int, par
     """
     if not (K < L):
         raise ValueError("need K < L")
-    if cache is None:
-        cache = PairKernelCache(u.grid, params)
     mk = ball_mask(hierarchy, K)
     ml = ball_mask(hierarchy, L)
     if np.any(mk & ~ml):
         raise ValueError("ball nesting violated")
 
     def region_energy(mask):
-        return _energy_raw(u.samples, cache, params.p, params.eps_reg, region=mask)
+        return _energy_raw(u.samples, PairKernelCache(u.grid, params), params.p, params.eps_reg,
+                           region=mask)
 
     rhs = region_energy(ml) - region_energy(mk)
     lhs = 0.5 * (rhs + region_energy(ml & ~mk))

@@ -75,7 +75,8 @@ def _forward_kernel_1d(M: int, L: float, t: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _forward_kernel_2d(M: int, L: float, t: float, images: int = 32) -> np.ndarray:
+def _forward_kernel_2d(M: int, L: float, t: float) -> np.ndarray:
+    images = 32  # periodic images summed on each side of the box, per axis
     d = np.arange(M) * (L / M)
     D0, D1 = np.meshgrid(d, d, indexing="ij")
     K = np.zeros((M, M))
@@ -163,28 +164,27 @@ class LPBank:
         return j - self.level_min
 
 
-def build_lp_bank(grid: GridSpec, level_min: int = 0, level_max=None) -> LPBank:
-    """Dyadic multiplier bank: band j covers |k| in [2^{j-1}, 2^{j+1}],
-    the lowest band absorbs everything below it, and the bands sum to one
-    on every nonzero grid frequency (the top level is chosen so the
-    profile has already reached 1 at the largest |k|)."""
+def build_lp_bank(grid: GridSpec) -> LPBank:
+    """Dyadic multiplier bank over the levels j = 0 ... ceil(log2 max |k|):
+    band j covers |k| in [2^{j-1}, 2^{j+1}], band 0 absorbs everything
+    below it, and the bands sum to one on every nonzero grid frequency (the
+    top level is chosen so the profile has already reached 1 at the largest
+    |k|)."""
     kn = frequency_norms(grid)
-    kmax = float(kn.max())
-    if level_max is None:
-        level_max = int(np.ceil(np.log2(kmax)))
-    if level_max < level_min:
-        raise ValueError("level_max below level_min")
+    level_max = int(np.ceil(np.log2(float(kn.max()))))
+    if level_max < 0:
+        raise ValueError("every grid frequency lies below the lowest band |k| = 1")
     profiles = []
     nonzero = kn > 0
-    for j in range(level_min, level_max + 1):
+    for j in range(level_max + 1):
         theta_j = _theta_profile(kn / 2.0**j)
-        if j == level_min:
+        if j == 0:
             band = theta_j.copy()
         else:
             band = theta_j - _theta_profile(kn / 2.0 ** (j - 1))
         band = np.where(nonzero, band, 0.0)
         profiles.append(band)
-    return LPBank(grid=grid, level_min=level_min, level_max=level_max, profiles=tuple(profiles))
+    return LPBank(grid=grid, level_min=0, level_max=level_max, profiles=tuple(profiles))
 
 
 def lp_project(field, bank: LPBank, j: int):

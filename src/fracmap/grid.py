@@ -1,4 +1,4 @@
-"""Periodic grids, dyadic ball hierarchies, and mollified cutoffs.
+"""Periodic grids, their Fourier layout, and dyadic ball hierarchies.
 
 Everything downstream (energies, fractional operators, probes) lives on a
 uniform periodic grid over the torus [0, L)^n with n in {1, 2}. Distances
@@ -13,10 +13,8 @@ that layout: fourier_multiply applies a half-grid symbol, lag_spectrum
 makes one from a length-S lag kernel, frequency_norms gives |k| on it.
 
 The ball hierarchy provides the dyadic localization used by the decay and
-hole-filling diagnostics: closed balls B(x0, 2^l R) together with smooth
-cutoffs that are 1 on B(x0, 2^l R) and vanish outside B(x0, 2^{l+1} R).
-The mollifier is a fixed cubic smoothstep, so the gradient bound constant
-is known in closed form (max |grad| = 1.5 / (2^l R)).
+hole-filling diagnostics: the closed balls B(x0, 2^l R), as sharp site
+masks (ball_mask) and ball means (ball_mean).
 """
 from __future__ import annotations
 
@@ -36,7 +34,6 @@ __all__ = [
     "lag_spectrum",
     "frequency_norms",
     "ball_mask",
-    "cutoff_smooth",
     "ball_mean",
 ]
 
@@ -189,32 +186,6 @@ def ball_mask(hierarchy: BallHierarchy, level: int) -> np.ndarray:
     r = hierarchy.radius(level)
     d = hierarchy.center_dist()
     return d <= r * (1 + 1e-12) + 1e-15
-
-
-def _smoothstep(u: np.ndarray) -> np.ndarray:
-    # cubic profile: 0 below 0, 1 above 1, 3u^2 - 2u^3 in between (C^1)
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * (3.0 - 2.0 * u)
-
-
-def cutoff_smooth(hierarchy: BallHierarchy, level: int) -> ScalarField:
-    """Mollified cutoff eta_l: 1 on B(2^l R), 0 outside B(2^{l+1} R).
-
-    Profile between the radii is the cubic smoothstep in the rescaled
-    distance (R2 - d) / (R2 - R1), so the discrete gradient obeys
-    max |grad eta_l| <= 1.5 / (2^l R) up to the sampling error of the
-    grid (the continuum profile has max slope exactly 1.5 / (R2 - R1)).
-    """
-    r1 = hierarchy.radius(level)
-    r2 = 2.0 * r1
-    if not (r2 < hierarchy.grid.box_length / 2):
-        raise ValueError(
-            f"cutoff at level {level} overflows the torus: outer radius {r2} "
-            f"vs half box {hierarchy.grid.box_length / 2}"
-        )
-    d = hierarchy.center_dist()
-    vals = _smoothstep((r2 - d) / (r2 - r1))
-    return ScalarField(grid=hierarchy.grid, samples=vals)
 
 
 def ball_mean(f, hierarchy: BallHierarchy, level: int):

@@ -43,6 +43,8 @@ DECAY_MIN_LEVELS = 4
 # worst-offender rows kept per case in the kernel_case CSV; the full
 # 1e5-per-case sweep would dominate the output directory otherwise
 KERNEL_CASE_CSV_ROWS = 200
+# triples classified at a time by the kernel_case sampler
+KERNEL_CASE_SLICE = 2**14
 
 
 @dataclass(frozen=True)
@@ -330,27 +332,28 @@ def kernel_case_check(x, y, z, beta: float, eps: float, bound_const: float | Non
 
 
 def _sample_case_triples(rng, n, count, target_case):
-    """Rejection-sample `count` random triples landing in target_case."""
-    got_x, got_y, got_z = [], [], []
+    """Rejection-sample `count` random triples landing in target_case and
+    return their distances (dxy, dxz, dyz), a (3, count) array. A round
+    draws x, y and z whole and classifies them KERNEL_CASE_SLICE rows at a
+    time, keeping the distances of the first triples that land."""
+    kept = []
     have = 0
     while have < count:
         m = max(4 * count, 1024)
         x = rng.standard_normal((m, n))
         y = rng.standard_normal((m, n))
         z = rng.standard_normal((m, n))
-        dxy = np.linalg.norm(x - y, axis=1)
-        dxz = np.linalg.norm(x - z, axis=1)
-        dyz = np.linalg.norm(y - z, axis=1)
-        ok = (dxy > 0) & (dxz > 0) & (dyz > 0)
-        case = _classify_case(dxy, dxz, dyz)
-        sel = ok & (case == target_case)
-        take = min(int(sel.sum()), count - have)
-        idx = np.flatnonzero(sel)[:take]
-        got_x.append(x[idx])
-        got_y.append(y[idx])
-        got_z.append(z[idx])
-        have += take
-    return np.concatenate(got_x), np.concatenate(got_y), np.concatenate(got_z)
+        for lo in range(0, m, KERNEL_CASE_SLICE):
+            rows = slice(lo, lo + KERNEL_CASE_SLICE)
+            d = np.stack([np.linalg.norm(a[rows] - b[rows], axis=1)
+                          for a, b in ((x, y), (x, z), (y, z))])
+            sel = np.all(d > 0, axis=0) & (_classify_case(*d) == target_case)
+            idx = np.flatnonzero(sel)[:count - have]
+            kept.append(d[:, idx])
+            have += len(idx)
+            if have == count:
+                break
+    return np.concatenate(kept, axis=1)
 
 
 def kernel_case_probe(
@@ -366,10 +369,7 @@ def kernel_case_probe(
     rng = np.random.default_rng(seed)
     rows = []
     for target in (1, 2, 3):
-        x, y, z = _sample_case_triples(rng, n, count_per_case, target)
-        dxy = np.linalg.norm(x - y, axis=1)
-        dxz = np.linalg.norm(x - z, axis=1)
-        dyz = np.linalg.norm(y - z, axis=1)
+        dxy, dxz, dyz = _sample_case_triples(rng, n, count_per_case, target)
         case = np.full(dxy.shape, target)
         lhs = np.abs(dxz ** (beta - n) - dyz ** (beta - n))
         rhs = _case_majorant(case, dxy, dxz, dyz, beta, eps, n)
@@ -644,8 +644,10 @@ def run_probe(
     """Run one probe with its canonical desk-scale setup.
 
     overrides replace individual probe parameters (exponents, sample
-    counts); anything that breaks a probe's preconditions raises the
-    probe's own ValueError, which the CLI maps to a config rejection.
+    counts), typed like their defaults: an integer parameter takes an
+    integral number, a float parameter any number, and neither takes a
+    bool. A wrong type raises ValueError, and so does anything that breaks
+    a probe's preconditions; the CLI maps both to a config rejection.
     """
 
     def opts(**defaults):
@@ -653,19 +655,26 @@ def run_probe(
         for k, v in (overrides or {}).items():
             if k not in defaults:
                 raise ValueError(f"probe {name!r} has no parameter {k!r}")
-            merged[k] = v
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if isinstance(defaults[k], int) and number and float(v).is_integer():
+                merged[k] = int(v)
+            elif isinstance(defaults[k], float) and number:
+                merged[k] = float(v)
+            else:
+                kind = "an integer" if isinstance(defaults[k], int) else "a number"
+                raise ValueError(f"parameter {k!r} expects {kind}, got {v!r}")
         return merged
 
     if name == "sobolev":
         o = opts(s=0.5, t=0.25, p=2.0, count=20)
         grid = make_grid(1, 64, 2.0 * np.pi)
-        family = band_limited_family(grid, int(o["count"]), seed + 101)
+        family = band_limited_family(grid, o["count"], seed + 101)
         return sobolev_probe(family, o["s"], o["t"], o["p"], bound_const=bound_const, seed=seed)
     if name == "commutator":
         o = opts(alpha=0.5, eps=0.0, p=2.0, p1=2.0, p2=2.0, count=50)
         grid = make_grid(1, 64, 2.0 * np.pi)
-        a_fields = band_limited_family(grid, int(o["count"]), seed + 202)
-        b_fields = band_limited_family(grid, int(o["count"]), seed + 203)
+        a_fields = band_limited_family(grid, o["count"], seed + 202)
+        b_fields = band_limited_family(grid, o["count"], seed + 203)
         pairs = list(zip(a_fields, b_fields))
         return commutator_probe(
             pairs, o["alpha"], o["eps"], o["p"], o["p1"], o["p2"],
@@ -674,19 +683,18 @@ def run_probe(
     if name == "kernel_case":
         o = opts(beta=0.5, eps=0.3, n=1, count_per_case=100_000)
         return kernel_case_probe(
-            beta=o["beta"], eps=o["eps"], n=int(o["n"]),
-            count_per_case=int(o["count_per_case"]),
+            beta=o["beta"], eps=o["eps"], n=o["n"], count_per_case=o["count_per_case"],
             seed=seed + 303, bound_const=bound_const,
         )
     if name == "lp_sup":
         o = opts(s=0.5, t=0.25, p=2.0, count=10)
         grid = make_grid(1, 64, 2.0 * np.pi)
-        family = band_limited_family(grid, int(o["count"]), seed + 404)
+        family = band_limited_family(grid, o["count"], seed + 404)
         return lp_sup_probe(family, o["s"], o["t"], o["p"], bound_const=bound_const, seed=seed)
     if name == "t1":
         o = opts(s=0.5, t=0.45, count=5, points=16)
-        grid = make_grid(1, int(o["points"]), 2.0 * np.pi)
-        return t1_probe(grid, o["s"], o["t"], int(o["count"]), seed + 505, bound_const=bound_const)
+        grid = make_grid(1, o["points"], 2.0 * np.pi)
+        return t1_probe(grid, o["s"], o["t"], o["count"], seed + 505, bound_const=bound_const)
     if name == "holefill":
         o = opts(s=0.5, p=2.0, count=8)
         grid = make_grid(1, 64, 2.0 * np.pi)
@@ -695,7 +703,7 @@ def run_probe(
             grid=grid, center=(np.pi,), base_radius=0.3, level_min=0, level_max=3
         )
         return holefill_probe(
-            grid, params, hierarchy, count=int(o["count"]), seed=seed + 606,
+            grid, params, hierarchy, count=o["count"], seed=seed + 606,
             bound_const=bound_const,
         )
     raise ValueError(f"unknown probe {name!r}; choose from {PROBE_NAMES}")

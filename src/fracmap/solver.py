@@ -13,16 +13,18 @@ tangential gradient at the current unit field u, the step is
     d = P_T(P^{-1} g_T),   u_next = normalize(u - tau d),
 
 where P^{-1} is grid.fourier_multiply with the symbol 1 / P and P_T the
-projection onto the tangent space. A step is accepted when
-E(u_next) <= E(u) - c tau (g_T . d). Preconditioning by an H^s-type metric
-(as in Alouges' projection method and its fractional versions) makes the
-iteration count nearly independent of M: the criterion-5 winding at
-s = 1/2, p = 2 converges in 54, 47, 44 and 43 steps at M = 32 ... 256,
-where plain steepest descent took 445 ... 2673. For p != 2 the same
+projection onto the tangent space. The first trial step is tau = STEP0,
+and a step is accepted when E(u_next) <= E(u) - ARMIJO_C tau (g_T . d); a
+rejected step is shortened by the factor ARMIJO_SHRINK. Preconditioning by
+an H^s-type metric (as in Alouges' projection method and its fractional
+versions) makes the iteration count nearly independent of M: the
+criterion-5 winding at s = 1/2, p = 2 converges in 54, 47, 44 and 43 steps
+at M = 32 ... 256, where plain steepest descent took 445 ... 2673. For p != 2 the same
 formula is used; it does not depend on u (a symbol rebuilt from the
 current |du|^{p-2} did worse in every case tried). The stop rule does not
-see the preconditioner: it tests the plain norm |g_T| against grad_tol.
-The step grows back by a fixed factor after every accepted step, so the
+see the preconditioner: it tests the plain norm |g_T| against grad_tol,
+and max_iters caps the iterations; these two are the only settings. The
+step grows back by the factor GROWBACK after every accepted step, so the
 search adapts in both directions.
 
 Renormalization is the radial retraction onto the sphere. The solver
@@ -53,9 +55,12 @@ from .energy import (
     pair_flux,
     seminorm,
 )
-from .grid import (GridSpec, ScalarField, VectorField, _smoothstep, fourier_multiply,
-                   lag_spectrum, site_coords, torus_dist)
+from .grid import (GridSpec, ScalarField, VectorField, fourier_multiply, lag_spectrum,
+                   site_coords, torus_dist)
 
+STEP0 = 1.0
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
 GROWBACK = 2.0
 MAX_BACKTRACKS = 60
 MAX_FAILED_SEARCHES = 60
@@ -64,23 +69,13 @@ MAX_FAILED_SEARCHES = 60
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 20000
-    step0: float = 1.0
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     grad_tol: float = 1e-7
-    energy_tol: float = 0.0
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not (self.step0 > 0):
-            raise ValueError("step0 must be positive")
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError(f"armijo_c must lie in (0,1), got {self.armijo_c}")
-        if not (0.0 < self.armijo_shrink < 1.0):
-            raise ValueError(f"armijo_shrink must lie in (0,1), got {self.armijo_shrink}")
-        if self.grad_tol < 0 or self.energy_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if self.grad_tol < 0:
+            raise ValueError("grad_tol must be nonnegative")
 
 
 @dataclass
@@ -95,7 +90,7 @@ class SolveReport:
     stop_reason: str
     energy_evals: int  # calls of energy made by the descent
     gradient_evals: int  # calls of energy_gradient made by the descent
-    el_suite: ElResidualReport | None = None  # the EL suite at the returned field
+    el_suite: ElResidualReport  # the EL suite at the returned field
 
 
 def project_sphere(samples: np.ndarray) -> np.ndarray:
@@ -111,21 +106,21 @@ def tangent_project(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return g - (u * g).sum(axis=1, keepdims=True) * u
 
 
-def kernel_symbol(cache: PairKernelCache, p: float) -> np.ndarray:
+def kernel_symbol(grid: GridSpec, params: EnergyParams) -> np.ndarray:
     """The Fourier symbol m(k) = 2p (w^(0) - w^(k)) of the circulant pair
     kernel, read off the spectrum of its lag kernel w on the rfftn half
     grid. At p = 2, irfftn(m rfftn(u)) is the energy gradient of an
     unconstrained u to round-off."""
-    w_hat = lag_spectrum(cache.grid, cache.weights).real
-    return 2.0 * p * (w_hat.flat[0] - w_hat)
+    w_hat = lag_spectrum(grid, PairKernelCache(grid, params).weights).real
+    return 2.0 * params.p * (w_hat.flat[0] - w_hat)
 
 
-def _preconditioner(cache: PairKernelCache, p: float):
+def _preconditioner(grid: GridSpec, params: EnergyParams):
     """v -> P^{-1} v with P = m + m_1, m the kernel symbol and m_1 its
     smallest positive value, applied per component over the grid axes."""
-    m = kernel_symbol(cache, p)
+    m = kernel_symbol(grid, params)
     inv = 1.0 / (m + m[m > 0].min())
-    return lambda v: fourier_multiply(cache.grid, v, inv)
+    return lambda v: fourier_multiply(grid, v, inv)
 
 
 def minimize(
@@ -137,27 +132,25 @@ def minimize(
     """Descend from u0; returns (critical field, SolveReport). The report
     carries the EL residual suite of the returned field.
 
-    Stops when the tangential gradient norm falls below grad_tol, when the
-    per-step energy decrease falls below energy_tol (if positive), at
+    Stops when the tangential gradient norm falls below grad_tol, at
     max_iters, or after 60 consecutive failed line searches. workers fans
     out the energy double sum; the result is identical to the serial one
     bit for bit (fixed-order reduction), so the iteration path does not
     depend on it.
     """
-    cache = PairKernelCache(u0.grid, params)
-    precondition = _preconditioner(cache, params.p)
+    precondition = _preconditioner(u0.grid, params)
     u = project_sphere(np.array(u0.samples))
-    E = energy(_wrap(u, u0), params, cache=cache, workers=workers)
+    E = energy(_wrap(u, u0), params, workers=workers)
     energy_evals, gradient_evals = 1, 0
 
     def tangential_gradient(u):
         nonlocal gradient_evals
         gradient_evals += 1
-        gt = tangent_project(energy_gradient(_wrap(u, u0), params, cache=cache).samples, u)
+        gt = tangent_project(energy_gradient(_wrap(u, u0), params).samples, u)
         return gt, float(np.linalg.norm(gt))
 
     gt, gn = tangential_gradient(u)
-    tau = config.step0
+    tau = STEP0
     energy_trace = [E]
     step_trace: list = []
     grad_trace = [gn]
@@ -179,16 +172,15 @@ def minimize(
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = project_sphere(u - tau * d)
-            Ec = energy(_wrap(cand, u0), params, cache=cache, workers=workers)
+            Ec = energy(_wrap(cand, u0), params, workers=workers)
             energy_evals += 1
-            if Ec <= E - config.armijo_c * tau * slope:
-                decrease = E - Ec
+            if Ec <= E - ARMIJO_C * tau * slope:
                 u, E = cand, Ec
                 step_trace.append(tau)
                 tau *= GROWBACK
                 accepted = True
                 break
-            tau *= config.armijo_shrink
+            tau *= ARMIJO_SHRINK
         it += 1
         energy_trace.append(E)
         if accepted:
@@ -198,15 +190,11 @@ def minimize(
             failed_streak += 1
             step_trace.append(0.0)
         grad_trace.append(gn)
-        if accepted and config.energy_tol > 0 and decrease <= config.energy_tol:
-            converged = True
-            stop_reason = "energy_tol"
-            break
         if failed_streak >= MAX_FAILED_SEARCHES:
             stop_reason = "line_search_stalled"
             break
     result = VectorField(grid=u0.grid, components=u0.components, samples=u, unit_constrained=True)
-    suite = el_residual_suite(result, params, cache=cache)
+    suite = el_residual_suite(result, params)
     report = SolveReport(
         iterations=it,
         energy_trace=energy_trace,
@@ -237,7 +225,9 @@ def test_function_basis(grid: GridSpec):
         center = np.full(grid.dim, frac * L)
         d = torus_dist(x, center[None, :], L)
         for r0 in (L / 16.0, L / 8.0):
-            vals = _smoothstep((2.0 * r0 - d) / r0)
+            # cubic smoothstep 3v^2 - 2v^3 of v = (2 r0 - d) / r0 clipped to [0, 1]
+            v = np.clip((2.0 * r0 - d) / r0, 0.0, 1.0)
+            vals = v * v * (3.0 - 2.0 * v)
             out.append((f"bump(c={frac:.2f}L, r={r0:.4g})", ScalarField(grid=grid, samples=vals)))
     return out
 
@@ -255,7 +245,7 @@ def elementary_omegas(N: int):
     return out
 
 
-def el_residual_suite(u: VectorField, params: EnergyParams, cache=None) -> ElResidualReport:
+def el_residual_suite(u: VectorField, params: EnergyParams) -> ElResidualReport:
     """Euler-Lagrange residuals over the bump basis and all elementary
     antisymmetric matrices, normalized by [phi]_{s,p} [u]_{s,p}^{p-1}.
 
@@ -264,7 +254,7 @@ def el_residual_suite(u: VectorField, params: EnergyParams, cache=None) -> ElRes
     quantity the convergence verdict reports. Every entry is read off one
     pair flux of u.
     """
-    flux = pair_flux(u, params, cache=cache)
+    flux = pair_flux(u, params)
     u_sem = seminorm(u, params.s, params.p)
     entries = []
     worst = 0.0
@@ -276,4 +266,4 @@ def el_residual_suite(u: VectorField, params: EnergyParams, cache=None) -> ElRes
             val = abs(raw) / denom if denom > 0 else abs(raw)
             entries.append((phi_label, om_label, val))
             worst = max(worst, val)
-    return ElResidualReport(entries=tuple(entries), max_abs=worst, basis="bump x elementary")
+    return ElResidualReport(entries=tuple(entries), max_abs=worst)

@@ -121,7 +121,7 @@ def test_verify_grid_mismatch_is_config_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_probe_subset_and_exponent_guard(tmp_path):
+def test_probe_subset_and_exponent_guard(tmp_path, capsys):
     doc = {"energy": {"s": 0.5, "p": 2.0}, "probes": ["sobolev", "lp_sup"],
            "seed": 0}
     cfg = _write(tmp_path, doc)
@@ -136,6 +136,13 @@ def test_probe_subset_and_exponent_guard(tmp_path):
     cfg_bad = _write(tmp_path, bad, "bad_probe.json")
     assert main(["probe", "--config", str(cfg_bad),
                  "--out", str(tmp_path / "o2")]) == 2
+    # a probe parameter of the wrong type is a config error too
+    capsys.readouterr()
+    typo = {"probes": ["sobolev"], "probe_params": {"sobolev": {"count": 2.7}}}
+    cfg_typo = _write(tmp_path, typo, "typo_probe.json")
+    assert main(["probe", "--config", str(cfg_typo), "--out", str(tmp_path / "o3")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: probe_params.sobolev:")
 
 
 def test_decay_requires_hierarchy(tmp_path):
@@ -184,6 +191,14 @@ def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"config error: {key}:")
+
+
+@pytest.mark.parametrize("key", ["step0", "armijo_c", "armijo_shrink", "energy_tol"])
+def test_fixed_step_rules_are_not_config_keys(tmp_path, capsys, key):
+    # the line-search constants and the energy stop are not settings
+    assert main(["solve", "--out", str(tmp_path / "o"), "--set", f"solver.{key}=1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown config key solver.{key}\n"
 
 
 def test_set_into_a_non_object_root_exits_2(tmp_path, capsys):

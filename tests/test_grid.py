@@ -10,7 +10,6 @@ from fracmap.grid import (
     VectorField,
     ball_mask,
     ball_mean,
-    cutoff_smooth,
     fourier_multiply,
     lag_spectrum,
     make_grid,
@@ -149,23 +148,3 @@ def test_hierarchy_validation():
     assert hier.radius(2) == 0.4
     with pytest.raises(ValueError):
         hier.radius(3)
-
-
-def test_cutoff_plateau_support_and_slope():
-    g = make_grid(1, 256, TWO_PI)
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.3, level_min=0, level_max=2)
-    eta = cutoff_smooth(hier, 1)  # plateau radius 0.6, support radius 1.2
-    d = hier.center_dist()
-    np.testing.assert_array_equal(eta.samples[d <= 0.6], 1.0)
-    np.testing.assert_array_equal(eta.samples[d >= 1.2], 0.0)
-    assert np.all((eta.samples >= 0.0) & (eta.samples <= 1.0))
-    # max slope of the cubic profile is 1.5 / (r2 - r1) = 1.5 / (2^l R)
-    slopes = np.abs(np.diff(eta.samples)) / g.h
-    assert slopes.max() <= 1.5 / 0.6 * (1.0 + 1e-6)
-
-
-def test_cutoff_requires_support_inside_torus():
-    g = make_grid(1, 64, TWO_PI)
-    hier = BallHierarchy(grid=g, center=(0.0,), base_radius=1.0, level_min=0, level_max=2)
-    with pytest.raises(ValueError):
-        cutoff_smooth(hier, 1)  # support radius 4 > L/2

@@ -5,6 +5,7 @@ setup and frozen; a change in any of them means the underlying numerics
 changed and needs to be understood, not re-frozen.
 """
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,63 @@ def test_kernel_case_probe_small_run():
     assert all("case" in row[0] for row in report.rows)
 
 
+def _kernel_case_rows_reference(beta, eps, n, count, seed):
+    # reference rows from a sampler that classifies all 4 count draws of a
+    # rejection round at once, keeps x, y and z, and takes the distances
+    # again from the kept triples
+    rng = np.random.default_rng(seed)
+    rows = []
+    for target in (1, 2, 3):
+        got, have = [], 0
+        while have < count:
+            m = max(4 * count, 1024)
+            x, y, z = (rng.standard_normal((m, n)) for _ in range(3))
+            dxy = np.linalg.norm(x - y, axis=1)
+            dxz = np.linalg.norm(x - z, axis=1)
+            dyz = np.linalg.norm(y - z, axis=1)
+            case = np.where((dxy <= 0.5 * dxz) | (dxy <= 0.5 * dyz), 1,
+                            np.where(dxz <= dyz, 2, 3))
+            sel = (dxy > 0) & (dxz > 0) & (dyz > 0) & (case == target)
+            idx = np.flatnonzero(sel)[:count - have]
+            got.append((x[idx], y[idx], z[idx]))
+            have += len(idx)
+        x, y, z = (np.concatenate(a) for a in zip(*got))
+        dxy = np.linalg.norm(x - y, axis=1)
+        dxz = np.linalg.norm(x - z, axis=1)
+        dyz = np.linalg.norm(y - z, axis=1)
+        near = np.minimum(dxz, dyz)
+        base = {1: near, 2: dxz, 3: dyz}[target]
+        lhs = np.abs(dxz ** (beta - n) - dyz ** (beta - n))
+        rhs = dxy**eps * base ** (beta - eps - n)
+        ratio = lhs / rhs
+        order = np.argsort(ratio)[::-1][:200]
+        rows.extend((f"case{target}/{i}", float(lhs[i]), float(rhs[i]), float(ratio[i]))
+                    for i in order)
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("count", [2000, 5000])
+def test_kernel_case_probe_rows_match_reference_sampler(n, count):
+    # 5000 per case makes 20000 draws a round, more than one classified slice
+    beta = 0.5 * n
+    report = kernel_case_probe(beta=beta, eps=0.3, n=n, count_per_case=count, seed=7,
+                               bound_const=float("inf"))
+    assert list(report.rows) == _kernel_case_rows_reference(beta, 0.3, n, count, 7)
+
+
+def test_kernel_case_probe_memory_peak():
+    # the default probe draws 400 000 triples a round; classifying them in
+    # slices keeps only the kept distances besides the draws themselves
+    tracemalloc.start()
+    try:
+        run_probe("kernel_case")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28e6, f"{peak / 1e6:.1f} MB"
+
+
 def test_sobolev_exponent_exact_arithmetic():
     from fractions import Fraction
 
@@ -231,6 +289,12 @@ def test_run_probe_rejects_unknown_inputs():
         run_probe("banana")
     with pytest.raises(ValueError):
         run_probe("sobolev", overrides={"stepsize": 3})
+    # overrides are typed like their defaults: count is an integer, s a number
+    for bad in (2.7, True, "3"):
+        with pytest.raises(ValueError, match="count"):
+            run_probe("sobolev", overrides={"count": bad})
+    with pytest.raises(ValueError, match="'s'"):
+        run_probe("sobolev", overrides={"s": False})
 
 
 def test_frozen_constants_roundtrip_and_tamper(tmp_path, monkeypatch):

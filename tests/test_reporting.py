@@ -212,13 +212,15 @@ def test_field_corruption_detected(tmp_path):
 
 
 def test_emit_solve_report_files(tmp_path):
+    from fracmap.energy import ElResidualReport
     from fracmap.solver import SolveReport
 
     report = SolveReport(iterations=2, energy_trace=(3.0, 2.5, 2.25),
                          step_trace=(1.0, 0.5), grad_trace=(0.9, 0.7, 0.3),
                          final_grad_norm=0.3, final_el_residual_max=1e-9,
                          converged=True, stop_reason="grad_tol",
-                         energy_evals=4, gradient_evals=3)
+                         energy_evals=4, gradient_evals=3,
+                         el_suite=ElResidualReport(entries=(), max_abs=1e-9))
     emit_solve_report(report, tmp_path, "abc")
     doc = json.loads((tmp_path / "solve_abc.json").read_text())
     assert doc["converged"] is True
@@ -267,7 +269,7 @@ JSON = st.recursive(
 )
 SECTIONS = {"grid": ["dim", "points_per_axis", "box_length"],
             "energy": ["s", "p", "eps_reg", "t", "critical_mode"],
-            "solver": ["max_iters", "step0", "armijo_c", "armijo_shrink", "grad_tol", "energy_tol"],
+            "solver": ["max_iters", "grad_tol"],
             "hierarchy": ["center", "base_radius", "levels"],
             "initial": ["kind", "degree", "phase_amp", "value", "path", "seed"]}
 TOP_KEYS = [*SECTIONS, "schema_version", "probes", "probe_params", "seed", "out_dir"]

@@ -1,8 +1,11 @@
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
-from fracmap import solver
-from fracmap.energy import EnergyParams, PairKernelCache, el_residual, energy, energy_gradient, seminorm
+from fracmap import reporting, solver
+from fracmap.energy import EnergyParams, el_residual, energy, energy_gradient, seminorm
 from fracmap.grid import VectorField, make_grid, site_coords
 from fracmap.solver import (
     SolverConfig,
@@ -50,13 +53,22 @@ def test_tangent_project_orthogonality():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(armijo_c=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_shrink=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(step0=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(grad_tol=-1.0)
+
+
+def test_pair_passes_take_no_kernel_handle_and_the_solver_two_settings():
+    # every pair pass looks its kernel up from the field's grid and its own
+    # parameters, so no public entry point accepts a kernel that could
+    # contradict them; the descent has exactly two settings
+    # the package attribute fracmap.energy is the function, so the module is
+    # fetched by its full name
+    for module in (importlib.import_module("fracmap.energy"), solver):
+        offenders = [name for name, fn in vars(module).items()
+                     if inspect.isfunction(fn) and not name.startswith("_")
+                     and fn.__module__ == module.__name__
+                     and "cache" in inspect.signature(fn).parameters]
+        assert offenders == [], module.__name__
+    assert list(reporting.SCHEMA["solver"][0]) == ["max_iters", "grad_tol"]
 
 
 @pytest.mark.parametrize("dim, M", [(1, 64), (2, 16)])
@@ -66,7 +78,7 @@ def test_kernel_symbol_is_the_p2_gradient(dim, M):
     g = make_grid(dim, M, TWO_PI)
     params = EnergyParams(s=0.5, p=2.0)
     v = np.random.default_rng(44).normal(size=(g.n_sites, 3))
-    m = kernel_symbol(PairKernelCache(g, params), params.p)
+    m = kernel_symbol(g, params)
     shape, axes = (M,) * dim, tuple(range(dim))
     via_symbol = np.fft.irfftn(m[..., None] * np.fft.rfftn(v.reshape(shape + (3,)), axes=axes),
                                s=shape, axes=axes).reshape(v.shape)
