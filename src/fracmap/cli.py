@@ -6,6 +6,8 @@ raised a numerical error, 2 config or usage error (a malformed config,
 --set, flag or input file), 3 non-convergence (reports are still written
 in that case). Everything a command does is deterministic given the
 config bytes and the seed; worker counts change wall time, never results.
+`probe` runs each selected probe on its calibrated setup, the one its
+frozen constant was measured on; only the seed varies it.
 """
 from __future__ import annotations
 
@@ -182,8 +184,7 @@ def cmd_probe(cfg: RunConfig) -> int:
     outputs = []
     all_pass = True
     for name in cfg.probes:
-        report = as_config_error(f"probe_params.{name}", lab.run_probe, name, seed=cfg.seed,
-                                 overrides=cfg.probe_params.get(name))
+        report = lab.run_probe(name, seed=cfg.seed)
         outputs += emit_probe_report(report, cfg.out_dir, cfg.tag)
         all_pass = all_pass and report.passed
         print(

@@ -481,11 +481,6 @@ def holefill_check(u: VectorField, hierarchy: BallHierarchy, K: int, L: int, par
     ml = ball_mask(hierarchy, L)
     if np.any(mk & ~ml):
         raise ValueError("ball nesting violated")
-
-    def region_energy(mask):
-        return _energy_raw(u.samples, PairKernelCache(u.grid, params), params.p, params.eps_reg,
-                           region=mask)
-
-    rhs = region_energy(ml) - region_energy(mk)
-    lhs = 0.5 * (rhs + region_energy(ml & ~mk))
+    rhs = energy(u, params, region=ml) - energy(u, params, region=mk)
+    lhs = 0.5 * (rhs + energy(u, params, region=ml & ~mk))
     return lhs, rhs, bool(lhs <= rhs + 1e-12)

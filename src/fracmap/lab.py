@@ -4,9 +4,11 @@ Each probe in this module takes an inequality that holds up to an
 unspecified constant and turns it into a regression test: a calibration
 sweep measures the worst ratio lhs/rhs over a seeded sample family, the
 constant is frozen (times a safety margin) into a versioned data file,
-and later runs check the same sweep against the frozen value. Nothing
-here estimates sharp constants; the point is that the ratios are bounded
-and stay bounded.
+and later runs check the same sweep against the frozen value. Each
+sweep's setup (exponents, sample counts, grid, family seeds) is written
+once, in run_probe, and is not configurable: a constant frozen on one
+setup says nothing about another. Nothing here estimates sharp
+constants; the point is that the ratios are bounded and stay bounded.
 
 Alongside the probes: localized-energy decay tables with a power-law
 fit, a Holder-quotient fit over dyadic distance bands, and the exact
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import EnergyParams, energy, seminorm
+from .energy import EnergyParams, energy, holefill_check, seminorm
 from .fracops import FracOpParams, build_lp_bank, commutator_H, frac_laplacian, lp_sup_bound_probe
 from .grid import (
     BallHierarchy,
@@ -357,11 +359,11 @@ def _sample_case_triples(rng, n, count, target_case):
 
 
 def kernel_case_probe(
-    beta: float = 0.5,
-    eps: float = 0.3,
-    n: int = 1,
-    count_per_case: int = 100_000,
-    seed: int = 0,
+    beta: float,
+    eps: float,
+    n: int,
+    count_per_case: int,
+    seed: int,
     bound_const: float | None = None,
 ) -> ProbeReport:
     """Monte-Carlo sweep of the three-case majorant, count_per_case
@@ -410,8 +412,8 @@ def sobolev_probe(
     s: float,
     t: float,
     p: float,
+    seed: int,
     bound_const: float | None = None,
-    seed: int = 0,
 ) -> ProbeReport:
     """||Lambda^t f||_{p*} against [f]_{s,p} over a field family."""
     if not (0.0 <= t < s < 1.0):
@@ -442,8 +444,8 @@ def commutator_probe(
     p: float,
     p1: float,
     p2: float,
+    seed: int,
     bound_const: float | None = None,
-    seed: int = 0,
 ) -> ProbeReport:
     """||Lambda^eps H_alpha(a,b)||_p against ||Lambda^alpha a||_{p1}
     ||Lambda^alpha b||_{p2} over seeded smooth pairs.
@@ -528,63 +530,22 @@ def t1_bound_probe(f: ScalarField, g: ScalarField, s: float, t: float):
     return lhs, rhs, ratio
 
 
-def t1_probe(
-    grid: GridSpec,
-    s: float = 0.5,
-    t: float = 0.45,
-    count: int = 5,
-    seed: int = 0,
-    bound_const: float | None = None,
-) -> ProbeReport:
-    fs = band_limited_family(grid, count, seed, max_mode=4)
-    gs = band_limited_family(grid, count, seed + 1, max_mode=4)
-    rows = []
-    for i, (f, g) in enumerate(zip(fs, gs)):
-        lhs, rhs, ratio = t1_bound_probe(f, g, s, t)
-        if rhs == 0.0:
-            continue
-        rows.append((i, lhs, rhs, ratio))
-    return _probe_report("t1", rows, seed, bound_const)
-
-
 # ---------------------------------------------------------------------------
-# probe wrappers around exact inequalities
+# hole-filling probe (an exact inequality)
 # ---------------------------------------------------------------------------
-
-
-def lp_sup_probe(
-    f_family,
-    s: float = 0.5,
-    t: float = 0.25,
-    p: float = 2.0,
-    bound_const: float | None = None,
-    seed: int = 0,
-) -> ProbeReport:
-    """Band-localized sup bound over a family: worst ratio of
-    sup |Lambda^t P_j f| to 2^{j(n/p + t - s)} [f]_{s,p}."""
-    bank = build_lp_bank(f_family[0].grid)
-    rows = []
-    for i, f in enumerate(f_family):
-        for j, lhs, rhs, ratio in lp_sup_bound_probe(f, bank, s, t, p):
-            if rhs == 0.0:
-                continue
-            rows.append((f"{i}/band{j}", lhs, rhs, ratio))
-    return _probe_report("lp_sup", rows, seed, bound_const)
 
 
 def holefill_probe(
     grid: GridSpec,
     params: EnergyParams,
     hierarchy: BallHierarchy,
-    count: int = 8,
-    seed: int = 0,
+    count: int,
+    seed: int,
     bound_const: float | None = None,
 ) -> ProbeReport:
     """Nested-ball energy comparison over random unit fields: the ring
     sum never exceeds the energy difference (termwise nonnegativity), so
     every ratio is at most 1 up to rounding."""
-    from .energy import holefill_check
-
     fields = unit_circle_family(grid, count, seed)
     levels = range(hierarchy.level_min, hierarchy.level_max + 1)
     combos = [(a, b) for a in levels for b in levels if a < b]
@@ -635,75 +596,50 @@ def load_frozen_constants() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_probe(
-    name: str,
-    seed: int = 0,
-    bound_const: float | None = None,
-    overrides: dict | None = None,
-) -> ProbeReport:
-    """Run one probe with its canonical desk-scale setup.
+def run_probe(name: str, seed: int = 0, bound_const: float | None = None) -> ProbeReport:
+    """Run one probe with its calibrated desk-scale setup.
 
-    overrides replace individual probe parameters (exponents, sample
-    counts), typed like their defaults: an integer parameter takes an
-    integral number, a float parameter any number, and neither takes a
-    bool. A wrong type raises ValueError, and so does anything that breaks
-    a probe's preconditions; the CLI maps both to a config rejection.
+    Each branch below is the only place that probe's setup is written:
+    exponents, sample counts, grid, family seed offsets and mode cutoffs.
+    The frozen constants were measured on exactly these sweeps, so none of
+    it is a parameter.
     """
-
-    def opts(**defaults):
-        merged = dict(defaults)
-        for k, v in (overrides or {}).items():
-            if k not in defaults:
-                raise ValueError(f"probe {name!r} has no parameter {k!r}")
-            number = isinstance(v, (int, float)) and not isinstance(v, bool)
-            if isinstance(defaults[k], int) and number and float(v).is_integer():
-                merged[k] = int(v)
-            elif isinstance(defaults[k], float) and number:
-                merged[k] = float(v)
-            else:
-                kind = "an integer" if isinstance(defaults[k], int) else "a number"
-                raise ValueError(f"parameter {k!r} expects {kind}, got {v!r}")
-        return merged
-
+    grid = make_grid(1, 64, 2.0 * np.pi)
     if name == "sobolev":
-        o = opts(s=0.5, t=0.25, p=2.0, count=20)
-        grid = make_grid(1, 64, 2.0 * np.pi)
-        family = band_limited_family(grid, o["count"], seed + 101)
-        return sobolev_probe(family, o["s"], o["t"], o["p"], bound_const=bound_const, seed=seed)
+        family = band_limited_family(grid, 20, seed + 101)
+        return sobolev_probe(family, s=0.5, t=0.25, p=2.0, seed=seed, bound_const=bound_const)
     if name == "commutator":
-        o = opts(alpha=0.5, eps=0.0, p=2.0, p1=2.0, p2=2.0, count=50)
-        grid = make_grid(1, 64, 2.0 * np.pi)
-        a_fields = band_limited_family(grid, o["count"], seed + 202)
-        b_fields = band_limited_family(grid, o["count"], seed + 203)
-        pairs = list(zip(a_fields, b_fields))
-        return commutator_probe(
-            pairs, o["alpha"], o["eps"], o["p"], o["p1"], o["p2"],
-            bound_const=bound_const, seed=seed,
-        )
+        pairs = list(zip(band_limited_family(grid, 50, seed + 202),
+                         band_limited_family(grid, 50, seed + 203)))
+        return commutator_probe(pairs, alpha=0.5, eps=0.0, p=2.0, p1=2.0, p2=2.0, seed=seed,
+                                bound_const=bound_const)
     if name == "kernel_case":
-        o = opts(beta=0.5, eps=0.3, n=1, count_per_case=100_000)
-        return kernel_case_probe(
-            beta=o["beta"], eps=o["eps"], n=o["n"], count_per_case=o["count_per_case"],
-            seed=seed + 303, bound_const=bound_const,
-        )
+        return kernel_case_probe(beta=0.5, eps=0.3, n=1, count_per_case=100_000, seed=seed + 303,
+                                 bound_const=bound_const)
     if name == "lp_sup":
-        o = opts(s=0.5, t=0.25, p=2.0, count=10)
-        grid = make_grid(1, 64, 2.0 * np.pi)
-        family = band_limited_family(grid, o["count"], seed + 404)
-        return lp_sup_probe(family, o["s"], o["t"], o["p"], bound_const=bound_const, seed=seed)
+        # band-localized sup bound: sup |Lambda^t P_j f| against 2^{j(n/p + t - s)} [f]_{s,p}
+        bank = build_lp_bank(grid)
+        rows = []
+        for i, f in enumerate(band_limited_family(grid, 10, seed + 404)):
+            for j, lhs, rhs, ratio in lp_sup_bound_probe(f, bank, s=0.5, t=0.25, p=2.0):
+                if rhs != 0.0:
+                    rows.append((f"{i}/band{j}", lhs, rhs, ratio))
+        return _probe_report("lp_sup", rows, seed, bound_const)
     if name == "t1":
-        o = opts(s=0.5, t=0.45, count=5, points=16)
-        grid = make_grid(1, o["points"], 2.0 * np.pi)
-        return t1_probe(grid, o["s"], o["t"], o["count"], seed + 505, bound_const=bound_const)
+        # the triple sum is O(M^3), so this probe runs on M = 16
+        small = make_grid(1, 16, 2.0 * np.pi)
+        fs = band_limited_family(small, 5, seed + 505, max_mode=4)
+        gs = band_limited_family(small, 5, seed + 506, max_mode=4)
+        rows = []
+        for i, (f, g) in enumerate(zip(fs, gs)):
+            lhs, rhs, ratio = t1_bound_probe(f, g, s=0.5, t=0.45)
+            if rhs != 0.0:
+                rows.append((i, lhs, rhs, ratio))
+        return _probe_report("t1", rows, seed + 505, bound_const)
     if name == "holefill":
-        o = opts(s=0.5, p=2.0, count=8)
-        grid = make_grid(1, 64, 2.0 * np.pi)
-        params = EnergyParams(s=o["s"], p=o["p"])
         hierarchy = BallHierarchy(
             grid=grid, center=(np.pi,), base_radius=0.3, level_min=0, level_max=3
         )
-        return holefill_probe(
-            grid, params, hierarchy, count=o["count"], seed=seed + 606,
-            bound_const=bound_const,
-        )
+        return holefill_probe(grid, EnergyParams(s=0.5, p=2.0), hierarchy, count=8,
+                              seed=seed + 606, bound_const=bound_const)
     raise ValueError(f"unknown probe {name!r}; choose from {PROBE_NAMES}")

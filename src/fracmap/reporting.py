@@ -9,7 +9,9 @@ by the constructors the values feed (make_grid, EnergyParams,
 SolverConfig, BallHierarchy), and the few rules that tie keys together
 (critical p = n/s, winding data needs dim 1, the admissible t window,
 probe names) by parse_config. Every violation raises ConfigError naming
-the offending key. The canonical input document, without defaults, is
+the offending key. `probes` picks which probes run; no key reaches a
+probe's setup, which is fixed by its frozen constant (lab.run_probe).
+The canonical input document, without defaults, is
 kept as RunConfig.raw: its hash tags the artifact file names.
 Scientific outputs are byte-reproducible; wall-clock timestamps are
 quarantined in the run manifest.
@@ -20,8 +22,9 @@ the block and a sha256 `header_digest` over the canonical JSON of dim,
 points_per_axis, box_length, components and unit_constrained; read_field
 checks the latter when present and also reads files without it. Cheap to
 write, bit-exact to read back, and self-describing enough to catch
-truncation, damaged headers and mismatched grids: any malformed file
-raises FieldFormatError or FieldDigestError.
+truncation, damaged headers, mismatched grids and samples off the sphere
+under a unit_constrained header: any malformed file raises
+FieldFormatError or FieldDigestError.
 """
 from __future__ import annotations
 
@@ -53,7 +56,6 @@ class RunConfig:
     hierarchy: BallHierarchy | None
     initial: dict
     probes: tuple
-    probe_params: dict
     t: float | None
     seed: int
     out_dir: str
@@ -96,13 +98,12 @@ SCHEMA = {
         "seed": (int, None),  # None: the run seed
     }, {}),
     "probes": (list[str], list(PROBE_NAMES)),
-    "probe_params": (dict, {}),
     "seed": (int, 0),
     "out_dir": (str, "runs"),
 }
 
 _EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-             dict: "an object", list[float]: "a list of numbers", list[str]: "a list of strings"}
+             list[float]: "a list of numbers", list[str]: "a list of strings"}
 
 
 def _typed(value, typ, where: str, nullable: bool = False):
@@ -122,7 +123,7 @@ def _typed(value, typ, where: str, nullable: bool = False):
             return float(value)
         except OverflowError:
             raise ConfigError(f"{where}: {value} is out of range") from None
-    if typ in (bool, str, dict) and isinstance(value, typ):
+    if typ in (bool, str) and isinstance(value, typ):
         return value
     raise ConfigError(f"{where}: expected {_EXPECTED[typ]}, got {json.dumps(value, default=repr)}")
 
@@ -143,12 +144,11 @@ def _section(doc, schema: dict, where: str) -> dict:
 
 
 def as_config_error(where: str, fn, *args, **kwargs):
-    """Call fn; a ValueError (or, from probe parameters, a TypeError or
-    ArithmeticError) it raises on the config's values becomes a
+    """Call fn; a ValueError it raises on the config's values becomes a
     ConfigError naming `where`."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, TypeError, ArithmeticError) as e:
+    except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
 
 
@@ -200,11 +200,6 @@ def parse_config(doc: dict) -> RunConfig:
     for name in c["probes"]:
         if name not in PROBE_NAMES:
             raise ConfigError(f"probes: unknown probe {name!r}; choose from {PROBE_NAMES}")
-    for name, kwargs in c["probe_params"].items():
-        if name not in PROBE_NAMES:
-            raise ConfigError(f"probe_params: unknown probe {name!r}")
-        if not isinstance(kwargs, dict):
-            raise ConfigError(f"probe_params.{name}: must be an object")
 
     return RunConfig(
         grid=grid,
@@ -213,7 +208,6 @@ def parse_config(doc: dict) -> RunConfig:
         hierarchy=hierarchy,
         initial=initial,
         probes=tuple(c["probes"]),
-        probe_params={k: dict(v) for k, v in c["probe_params"].items()},
         t=e["t"],
         seed=c["seed"],
         out_dir=c["out_dir"],
@@ -342,7 +336,8 @@ def write_field(path, f, meta: dict | None = None) -> None:
 
 def read_field(path):
     """Inverse of write_field; the block digest, the header digest (when
-    the file has one) and the shape are all verified."""
+    the file has one), the shape and the unit norm a `unit_constrained`
+    header claims are all verified."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         block = fh.read()
@@ -368,12 +363,15 @@ def read_field(path):
     samples = np.frombuffer(block, dtype="<f8").astype(np.float64)
     if components == 0:
         return ScalarField(grid=grid, samples=samples)
-    return VectorField(
-        grid=grid,
-        components=components,
-        samples=samples.reshape(grid.n_sites, components),
-        unit_constrained=bool(header.get("unit_constrained", False)),
-    )
+    try:
+        return VectorField(
+            grid=grid,
+            components=components,
+            samples=samples.reshape(grid.n_sites, components),
+            unit_constrained=bool(header.get("unit_constrained", False)),
+        )
+    except ValueError as e:  # the samples break what the header claims
+        raise FieldFormatError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

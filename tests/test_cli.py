@@ -13,7 +13,7 @@ import pytest
 from fracmap import lab
 from fracmap.cli import main
 from fracmap.grid import VectorField, make_grid
-from fracmap.reporting import write_field
+from fracmap.reporting import _header_digest, write_field
 
 SOLVE_DOC = {
     "grid": {"dim": 1, "points_per_axis": 32, "box_length": 6.283185307179586},
@@ -121,6 +121,26 @@ def test_verify_grid_mismatch_is_config_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_verify_off_sphere_unit_field_is_config_error(tmp_path, capsys):
+    # the header claims unit norm and both digests hold, but every sample
+    # is 1e-10 off the sphere: a bad field file, not a failed check
+    g = make_grid(1, 32, 2 * np.pi)
+    u = VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (32, 1)) * (1 + 1e-10))
+    field_path = tmp_path / "off.field"
+    write_field(field_path, u)
+    header, _, block = field_path.read_bytes().partition(b"\n")
+    doc = json.loads(header)
+    doc["unit_constrained"] = True
+    doc["header_digest"] = _header_digest(doc)
+    field_path.write_bytes(json.dumps(doc).encode() + b"\n" + block)
+    cfg = _write(tmp_path, SOLVE_DOC)
+    assert main(["verify", "--config", str(cfg), "--field", str(field_path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: {field_path}: unit-constrained field has norm defect")
+
+
 def test_probe_subset_and_exponent_guard(tmp_path, capsys):
     doc = {"energy": {"s": 0.5, "p": 2.0}, "probes": ["sobolev", "lp_sup"],
            "seed": 0}
@@ -129,20 +149,12 @@ def test_probe_subset_and_exponent_guard(tmp_path, capsys):
     assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 0
     names = {p.name.split("_")[1] for p in out.glob("probe_*.json")}
     assert names == {"sobolev", "lp"}
-    # a deliberately inconsistent commutator exponent relation is a config
-    # error, not a probe failure
-    bad = {"energy": {"s": 0.5, "p": 2.0}, "probes": ["commutator"],
-           "probe_params": {"commutator": {"p1": 2.0, "p2": 3.0}}}
-    cfg_bad = _write(tmp_path, bad, "bad_probe.json")
-    assert main(["probe", "--config", str(cfg_bad),
-                 "--out", str(tmp_path / "o2")]) == 2
-    # a probe parameter of the wrong type is a config error too
+    # each probe runs on the setup its constant was frozen on: no config
+    # key reaches a probe's exponents or sample counts
     capsys.readouterr()
-    typo = {"probes": ["sobolev"], "probe_params": {"sobolev": {"count": 2.7}}}
-    cfg_typo = _write(tmp_path, typo, "typo_probe.json")
-    assert main(["probe", "--config", str(cfg_typo), "--out", str(tmp_path / "o3")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("config error: probe_params.sobolev:")
+    assert main(["probe", "--out", str(tmp_path / "o2"), "--set", 'probes=["sobolev"]',
+                 "--set", "probe_params.sobolev.count=0"]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key probe_params\n"
 
 
 def test_decay_requires_hierarchy(tmp_path):

@@ -12,6 +12,7 @@ from fracmap.reporting import (
     FieldDigestError,
     FieldFormatError,
     RunManifest,
+    _header_digest,
     apply_overrides,
     canonical_config,
     config_hash,
@@ -42,6 +43,8 @@ def test_parse_config_rejects_unknown_keys():
                       "solver": {"stepsize": 0.1}})
     with pytest.raises(ConfigError, match="grdi"):
         parse_config({"energy": {"s": 0.5, "p": 2.0}, "grdi": {}})
+    with pytest.raises(ConfigError, match="probe_params"):
+        parse_config({"probes": ["t1"], "probe_params": {"t1": {"count": 2}}})
 
 
 def test_parse_config_critical_mode():
@@ -68,13 +71,8 @@ def test_parse_config_t_admissibility():
 def test_parse_config_validates_probe_names():
     with pytest.raises(ConfigError):
         parse_config({"energy": {"s": 0.5, "p": 2.0}, "probes": ["banana"]})
-    with pytest.raises(ConfigError):
-        parse_config({"energy": {"s": 0.5, "p": 2.0}, "probes": ["sobolev"],
-                      "probe_params": {"t1": {}, "banana": {}}})
-    cfg = parse_config({"energy": {"s": 0.5, "p": 2.0}, "probes": ["sobolev", "t1"],
-                        "probe_params": {"t1": {"count": 2}}})
+    cfg = parse_config({"energy": {"s": 0.5, "p": 2.0}, "probes": ["sobolev", "t1"]})
     assert cfg.probes == ("sobolev", "t1")
-    assert cfg.probe_params["t1"] == {"count": 2}
 
 
 def test_parse_config_initial_kinds():
@@ -204,6 +202,17 @@ def test_field_corruption_detected(tmp_path):
     (tmp_path / "bad.field").write_bytes(bytes(flipped) + b"\n" + block)
     with pytest.raises(FieldDigestError):
         read_field(tmp_path / "bad.field")
+    # a unit_constrained header, both digests intact, over samples 1e-10 off
+    # the sphere: the header claims what the samples do not meet
+    write_field(tmp_path / "off.field",
+                VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (16, 1)) * (1 + 1e-10)))
+    off_header, _, off_block = (tmp_path / "off.field").read_bytes().partition(b"\n")
+    doc = json.loads(off_header)
+    doc["unit_constrained"] = True
+    doc["header_digest"] = _header_digest(doc)
+    (tmp_path / "off.field").write_bytes(json.dumps(doc).encode() + b"\n" + off_block)
+    with pytest.raises(FieldFormatError, match="off.field: unit-constrained field has norm defect"):
+        read_field(tmp_path / "off.field")
     # files without a header digest, as other writers produce them, are still read
     doc = json.loads(header)
     del doc["header_digest"]
@@ -272,7 +281,7 @@ SECTIONS = {"grid": ["dim", "points_per_axis", "box_length"],
             "solver": ["max_iters", "grad_tol"],
             "hierarchy": ["center", "base_radius", "levels"],
             "initial": ["kind", "degree", "phase_amp", "value", "path", "seed"]}
-TOP_KEYS = [*SECTIONS, "schema_version", "probes", "probe_params", "seed", "out_dir"]
+TOP_KEYS = [*SECTIONS, "schema_version", "probes", "seed", "out_dir"]
 NEAR_SCHEMA = st.dictionaries(
     st.sampled_from(TOP_KEYS),
     st.one_of(JSON, *(st.dictionaries(st.sampled_from(keys), JSON, max_size=3)
