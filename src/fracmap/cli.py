@@ -5,7 +5,8 @@ stable contract: 0 pass, 1 a scientific check failed or a computation
 raised a numerical error, 2 config or usage error (a malformed config,
 --set, flag or input file), 3 non-convergence (reports are still written
 in that case). Everything a command does is deterministic given the
-config bytes and the seed; worker counts change wall time, never results.
+config bytes and the seed. `--workers` is accepted and ignored: every
+pair pass runs serially.
 `probe` runs each selected probe on its calibrated setup, the one its
 frozen constant was measured on; only the seed varies it.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -110,11 +110,11 @@ def _default_hierarchy(cfg: RunConfig) -> BallHierarchy:
     )
 
 
-def cmd_solve(cfg: RunConfig, workers: int) -> int:
+def cmd_solve(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     started = _now()
     u0 = initial_field(cfg)
-    u, report = minimize(u0, cfg.params, cfg.solver, workers=workers)
+    u, report = minimize(u0, cfg.params, cfg.solver)
     outputs = emit_solve_report(report, out, cfg.tag)
     suite = report.el_suite
     outputs += emit_el_table(suite, out, cfg.tag)
@@ -314,9 +314,9 @@ def _add_common(sub):
     sub.add_argument("--out", help="output directory (overrides config)")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config entry, dotted keys (repeatable)")
-    sub.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                     help="worker threads for the energy passes of solve; "
-                          "the other commands ignore it")
+    sub.add_argument("--workers", type=int, metavar="N",
+                     help="accepted and ignored: every pair pass runs serially "
+                          "(kept for callers that still pass it)")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set, args.seed, args.out)
         if args.command == "solve":
-            return cmd_solve(cfg, args.workers)
+            return cmd_solve(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, args.field)
         if args.command == "probe":

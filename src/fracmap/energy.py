@@ -37,9 +37,7 @@ gradient to the last bit: |du|^2 is summed in component order; the energy
 of a lag is one numpy (pairwise) sum over x times w(z), and one numpy sum
 adds the lag energies in lag order; a flux entry G_i(x) is a running sum
 over the lags in lag order, starting from zero. Tests compare both
-functions against a reference copy of these formulas. Worker threads
-only split the energy's blocks of lags, each writing its own slots, so
-results are bit-identical for any worker count.
+functions against a reference copy of these formulas.
 
 For p < 2 the pair weight |u(x)-u(y)|^{p-2} degenerates at coincident
 values; a regularizer eps_reg > 0 replaces |du|^2 by |du|^2 + eps_reg
@@ -51,7 +49,6 @@ plain |du|^p form is used.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,9 +65,6 @@ MAX_KERNEL_PAIRS = 2**26
 # 256 kB, where 512 kB made the 1d M = 256 and 512 passes twice as slow on a
 # 2-core x86 VM
 BLOCK_TERMS = 2**15
-# up to this many sites a whole energy pass takes well under a millisecond
-# and starting worker threads costs more than they save
-SERIAL_MAX_SITES = 256
 
 
 @dataclass(frozen=True)
@@ -151,12 +145,13 @@ def _sq_norm(dus: list) -> np.ndarray:
     return du2
 
 
-def _lag_pass(grid: GridSpec, samples: np.ndarray, mask):
-    """The blocks of one lag-major pass over (S, N) samples, and the map from
-    a block to its differences du_z(x) = u(x) - u(x + z), one (lags, S) array
-    per component, and its region factor m(x) m(x + z) (None without a
-    region). A block is a run of about BLOCK_TERMS / S lags whose length
-    divides M, so its lags differ only in the last grid coordinate."""
+def _lag_blocks(grid: GridSpec, samples: np.ndarray, mask):
+    """One lag-major pass over (S, N) samples, block by block: yields the
+    slice of a block's lags, the differences du_z(x) = u(x) - u(x + z), one
+    (lags, S) array per component, and the region factor m(x) m(x + z)
+    (None without a region). A block is a run of about BLOCK_TERMS / S lags
+    whose length divides M, so its lags differ only in the last grid
+    coordinate."""
     M, S, n = grid.points_per_axis, grid.n_sites, grid.dim
     step = min(M, max(1, BLOCK_TERMS // S))
 
@@ -173,18 +168,15 @@ def _lag_pass(grid: GridSpec, samples: np.ndarray, mask):
     U, W = windows(np.ascontiguousarray(samples.T))
     if mask is not None:
         Um, Wm = windows(mask[None, :])
-
-    def terms(lags):
-        *lead, last = np.unravel_index(lags.start, (M,) * n)
+    for j in range(0, S, step):
+        *lead, last = np.unravel_index(j, (M,) * n)
         at = (*lead, slice(last, last + step))
         # C order: numpy would lay the result out like the windows, whose lag
         # axis has the smallest stride, and the reshape would copy
         dus = [np.subtract(u, w[at], order="C").reshape(step, S) for u, w in zip(U, W)]
-        if mask is None:
-            return dus, None
-        return dus, np.logical_and(Um[0], Wm[0][at], order="C").reshape(step, S)
-
-    return [slice(j, j + step) for j in range(0, S, step)], terms
+        pair_mask = (None if mask is None
+                     else np.logical_and(Um[0], Wm[0][at], order="C").reshape(step, S))
+        yield slice(j, j + step), dus, pair_mask
 
 
 def _check_region(region, grid: GridSpec):
@@ -195,37 +187,27 @@ def _check_region(region, grid: GridSpec):
     return region
 
 
-def _energy_raw(samples, kernel: PairKernelCache, p, eps, region=None, workers: int = 1) -> float:
+def _energy_raw(samples, kernel: PairKernelCache, p, eps, region=None) -> float:
     grid = kernel.grid
-    blocks, terms = _lag_pass(grid, samples, _check_region(region, grid))
     lag_energy = np.zeros(grid.n_sites)
-
-    def run(chunk):
-        for block in chunk:
-            dus, pair_mask = terms(block)
-            vals = _sq_norm(dus)
-            if eps > 0.0:
-                vals += eps
-                vals **= p / 2
-                vals -= eps ** (p / 2)
-            elif p != 2.0:
-                vals **= p / 2
-            if pair_mask is not None:
-                vals *= pair_mask
-            lag_energy[block] = kernel.weights[block] * vals.sum(axis=1)
-
-    if workers > 1 and grid.n_sites > SERIAL_MAX_SITES:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run, [blocks[k::workers] for k in range(workers)]))
-    else:
-        run(blocks)
+    for lags, dus, pair_mask in _lag_blocks(grid, samples, _check_region(region, grid)):
+        vals = _sq_norm(dus)
+        if eps > 0.0:
+            vals += eps
+            vals **= p / 2
+            vals -= eps ** (p / 2)
+        elif p != 2.0:
+            vals **= p / 2
+        if pair_mask is not None:
+            vals *= pair_mask
+        lag_energy[lags] = kernel.weights[lags] * vals.sum(axis=1)
     return float(np.sum(lag_energy))
 
 
-def energy(u: VectorField, params: EnergyParams, region=None, workers: int = 1) -> float:
+def energy(u: VectorField, params: EnergyParams, region=None) -> float:
     """The double-sum energy over ordered pairs of the region."""
     return _energy_raw(u.samples, PairKernelCache(u.grid, params), params.p, params.eps_reg,
-                       region=region, workers=workers)
+                       region=region)
 
 
 def seminorm(f, s: float, p: float) -> float:
@@ -260,11 +242,9 @@ def pair_flux(u: VectorField, params: EnergyParams, region=None) -> VectorField:
     with du = u(x) - u(y), for x in the region B and zero outside it. Each
     G_i(x) is a running sum over the lags y - x in lag order."""
     weights = PairKernelCache(u.grid, params).weights
-    blocks, terms = _lag_pass(u.grid, u.samples, _check_region(region, u.grid))
     G = np.zeros((u.components, u.grid.n_sites))
-    for block in blocks:
-        dus, pair_mask = terms(block)
-        wgt = weights[block, None] * _du_weight(dus, params)
+    for lags, dus, pair_mask in _lag_blocks(u.grid, u.samples, _check_region(region, u.grid)):
+        wgt = weights[lags, None] * _du_weight(dus, params)
         if pair_mask is not None:
             wgt = wgt * pair_mask
         for g, d in zip(G, dus):

@@ -18,6 +18,7 @@ masks (ball_mask) and ball means (ball_mean).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,8 @@ class GridSpec:
 
 
 def make_grid(dim: int, points_per_axis: int, box_length: float) -> GridSpec:
-    """Validated grid constructor. M must be a power of two, at least 4."""
+    """Validated grid constructor. M must be a power of two, at least 4,
+    and the pair weights' factor h^{2n} a normal float64."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     M = int(points_per_axis)
@@ -62,6 +64,13 @@ def make_grid(dim: int, points_per_axis: int, box_length: float) -> GridSpec:
         raise ValueError(f"points_per_axis must be a power of two >= 4, got {points_per_axis}")
     if not (float(box_length) > 0):
         raise ValueError(f"box_length must be positive, got {box_length}")
+    try:
+        cell = (float(box_length) / M) ** (2 * dim)  # the h^{2n} of every pair weight
+    except OverflowError:
+        cell = math.inf
+    if not (np.finfo(np.float64).tiny <= cell < math.inf):
+        raise ValueError(f"box_length {box_length} puts h^{2 * dim} outside the normal "
+                         f"float64 range")
     return GridSpec(dim=dim, points_per_axis=M, box_length=float(box_length))
 
 
@@ -165,6 +174,10 @@ class BallHierarchy:
             raise ValueError("base_radius must be positive")
         if self.level_min > self.level_max:
             raise ValueError("empty level range")
+        # radius() multiplies base_radius by 2**level, which must stay finite
+        if not (math.log2(self.base_radius) + self.level_max < 1024):
+            raise ValueError(f"the radius base_radius * 2**{self.level_max} of the top level "
+                             f"exceeds the float64 range")
 
     def radius(self, level: int) -> float:
         if not (self.level_min <= level <= self.level_max):

@@ -3,12 +3,13 @@
 A config is a strict JSON object described by one table, SCHEMA, of
 (type, default) per key, with one nested table per section. Unknown keys
 are errors; a float key takes any JSON number, an int key an integral
-number, a bool key only true or false, a string key only a string, and
-null is accepted only where the default is None. Value ranges are checked
-by the constructors the values feed (make_grid, EnergyParams,
-SolverConfig, BallHierarchy), and the few rules that tie keys together
-(critical p = n/s, winding data needs dim 1, the admissible t window,
-probe names) by parse_config. Every violation raises ConfigError naming
+number, either only within the float64 range, a bool key only true or
+false, a string key only a string, and null is accepted only where the
+default is None. Value ranges are checked by the constructors the values
+feed (make_grid, EnergyParams, SolverConfig, BallHierarchy), and the
+seeds' sign and the few rules that tie keys together (critical p = n/s,
+winding data needs dim 1, the admissible t window, probe names) by
+parse_config. Every violation raises ConfigError naming
 the offending key. `probes` picks which probes run; no key reaches a
 probe's setup, which is fixed by its frozen constant (lab.run_probe).
 The canonical input document, without defaults, is
@@ -116,13 +117,15 @@ def _typed(value, typ, where: str, nullable: bool = False):
     if item is not None and isinstance(value, list):
         return [_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value)]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if typ is int and number and (isinstance(value, int) or value.is_integer()):
-        return int(value)
-    if typ is float and number:
+    if typ in (int, float) and number:
         try:
-            return float(value)
+            as_float = float(value)  # an int key's value must fit a float too
         except OverflowError:
             raise ConfigError(f"{where}: {value} is out of range") from None
+        if typ is float:
+            return as_float
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
     if typ in (bool, str) and isinstance(value, typ):
         return value
     raise ConfigError(f"{where}: expected {_EXPECTED[typ]}, got {json.dumps(value, default=repr)}")
@@ -190,6 +193,10 @@ def parse_config(doc: dict) -> RunConfig:
             level_min=0,
             level_max=h["levels"] - 1,
         )
+
+    for key, seed in (("seed", c["seed"]), ("initial.seed", c["initial"]["seed"])):
+        if seed is not None and seed < 0:
+            raise ConfigError(f"{key}: expected a non-negative integer, got {seed}")
 
     initial = c["initial"]
     if initial["kind"] not in ("winding", "constant", "file", "random"):

@@ -123,24 +123,18 @@ def _preconditioner(grid: GridSpec, params: EnergyParams):
     return lambda v: fourier_multiply(grid, v, inv)
 
 
-def minimize(
-    u0: VectorField,
-    params: EnergyParams,
-    config: SolverConfig = SolverConfig(),
-    workers: int = 1,
-):
+def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig = SolverConfig()):
     """Descend from u0; returns (critical field, SolveReport). The report
     carries the EL residual suite of the returned field.
 
     Stops when the tangential gradient norm falls below grad_tol, at
-    max_iters, or after 60 consecutive failed line searches. workers fans
-    out the energy double sum; the result is identical to the serial one
-    bit for bit (fixed-order reduction), so the iteration path does not
-    depend on it.
+    max_iters, or after 60 consecutive failed line searches. The energy and
+    the gradient are fixed-order sums, so the iteration path is the same
+    on every rerun.
     """
     precondition = _preconditioner(u0.grid, params)
     u = project_sphere(np.array(u0.samples))
-    E = energy(_wrap(u, u0), params, workers=workers)
+    E = energy(_wrap(u, u0), params)
     energy_evals, gradient_evals = 1, 0
 
     def tangential_gradient(u):
@@ -172,7 +166,7 @@ def minimize(
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = project_sphere(u - tau * d)
-            Ec = energy(_wrap(cand, u0), params, workers=workers)
+            Ec = energy(_wrap(cand, u0), params)
             energy_evals += 1
             if Ec <= E - ARMIJO_C * tau * slope:
                 u, E = cand, Ec

@@ -196,6 +196,15 @@ def test_runs_are_byte_identical(tmp_path):
     ({"seed": 2.7}, "seed"),
     ({"solver": {"max_iters": 1.5}}, "solver.max_iters"),
     ({"energy": {"critical_mode": "false"}}, "energy.critical_mode"),
+    # values whose arithmetic overflows or underflows float64 further on
+    ({"hierarchy": {"levels": 1100}}, "hierarchy"),
+    ({"grid": {"box_length": 1e200}}, "grid"),
+    ({"grid": {"dim": 2, "points_per_axis": 8, "box_length": 1e100}}, "grid"),
+    ({"grid": {"box_length": 1e-200}}, "grid"),
+    ({"initial": {"degree": 10**400}}, "initial.degree"),
+    # numpy's generators take only non-negative seeds
+    ({"initial": {"kind": "random"}, "seed": -1}, "seed"),
+    ({"initial": {"kind": "random", "seed": -3}}, "initial.seed"),
 ])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
     cfg = _write(tmp_path, doc)

@@ -59,15 +59,19 @@ def test_solver_config_validation():
 def test_pair_passes_take_no_kernel_handle_and_the_solver_two_settings():
     # every pair pass looks its kernel up from the field's grid and its own
     # parameters, so no public entry point accepts a kernel that could
-    # contradict them; the descent has exactly two settings
+    # contradict them; every pass is serial, so none takes a worker count;
+    # the descent has exactly two settings
     # the package attribute fracmap.energy is the function, so the module is
     # fetched by its full name
-    for module in (importlib.import_module("fracmap.energy"), solver):
-        offenders = [name for name, fn in vars(module).items()
-                     if inspect.isfunction(fn) and not name.startswith("_")
-                     and fn.__module__ == module.__name__
-                     and "cache" in inspect.signature(fn).parameters]
-        assert offenders == [], module.__name__
+    energy_module = importlib.import_module("fracmap.energy")
+    for module in (energy_module, solver):
+        for knob in ("cache", "workers"):
+            offenders = [name for name, fn in vars(module).items()
+                         if inspect.isfunction(fn) and not name.startswith("_")
+                         and fn.__module__ == module.__name__
+                         and knob in inspect.signature(fn).parameters]
+            assert offenders == [], (module.__name__, knob)
+    assert not hasattr(energy_module, "ThreadPoolExecutor")
     assert list(reporting.SCHEMA["solver"][0]) == ["max_iters", "grad_tol"]
 
 
