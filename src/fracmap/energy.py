@@ -16,28 +16,47 @@ kernel exponent n + s p and shared read-only; every pass looks it up from
 the field's grid and its own (s, p) through PairKernelCache, so no caller
 hands a kernel in and none can hand in one that contradicts them.
 
-Passes run lag-major: du_z(x) = u(x) - u(x + z) for a block of lags is
-one subtraction against a zero-copy sliding-window view of the
-periodically tiled samples, every row of the block carries the scalar
-w(z), and a region B multiplies each term by m(x) m(x + z). Besides the
-energy there is a single pair pass, the flux
+Passes run over half the lags. The pair {x, y} appears at lag z = y - x
+and at -z with the same |du| and the same weight, so a pass visits one
+lag of each pair {z, -z}, z != 0: the lags with 0 < F(z) <= F(-z), where
+F(z) = z_0 + M flat(z_1, ...) lets the first lag coordinate run fastest.
+They come as runs along the first axis, whole on the tails (z_1, ...)
+that precede their mirror and up to M/2 on self-inverse tails. A
+self-inverse lag (2z = 0: each axis offset 0 or M/2) is its own partner.
+du_z(x) = u(x) - u(x + z) for a block of a run's lags is one subtraction
+against a zero-copy strided view of the periodically tiled samples, each
+window a flat slice; a region B multiplies each term by m(x) m(x + z).
 
-    G^B(x) = sum_z m(x) m(x + z) w(z) (|du_z|^2 + eps_reg)^{(p-2)/2} du_z(x),
+The energy weights each lag energy by c(z) w(z), with c = 2 on paired lags
+and 1 on self-inverse ones. Besides the energy there is a single pair
+pass, the flux
 
-and everything linear in the pair field is read off it. As w is even and
-du antisymmetric in (x, y), a double sum
+    G^B(x) = sum_z m(x) m(x + z) w(z) (|du_z|^2 + eps_reg)^{(p-2)/2} du_z(x)
+
+over all lags, and everything linear in the pair field is read off it.
+With F_z the summand at lag z, the term of -z at x is -F_z(x - z), so the
+folded flux is G = sum_z c'(z) [F_z(x) - F_z(x - z)] over the half lags,
+c' = 1 on paired lags and 1/2 on self-inverse ones: F_z is formed once, and
+its reverse term is read off a skewed view of the block's F rows.
+As w is even and du antisymmetric in (x, y), a double sum
 sum_{x,y in B} w |du|^{p-2} du . (f(x) - f(y)) equals 2 sum_{x in B}
 f(x) . G^B(x): the gradient is 2p G, an EL residual is
 2 sum_x q(x) . G^B(x), the duality right side is 2 gamma sum_x phi(x) G^B(x),
 and the T operator 2 sum_x k(x - z) G^B(x) is one FFT correlation of G^B
-with the length-S Riesz lag kernel k = dist^{t-n}.
+with the length-S Riesz lag kernel k = dist^{t-n}. energy_change forms
+E(v) - E(u) in one such pass, pair by pair, for the solver's line search.
 
 All reductions follow a fixed order, which pins the energy and the
 gradient to the last bit: |du|^2 is summed in component order; the energy
-of a lag is one numpy (pairwise) sum over x times w(z), and one numpy sum
-adds the lag energies in lag order; a flux entry G_i(x) is a running sum
-over the lags in lag order, starting from zero. Tests compare both
-functions against a reference copy of these formulas.
+of a lag is one numpy (pairwise) sum over x times c'(z) w(z), and the
+energy is twice one numpy sum of the lag energies in pass order. In the
+flux, the forward entry sum_z F_z(x) is a running sum over the half lags
+in pass order, starting from zero; each reverse entry F_z(y) is added, in
+the same order, at y + z of an accumulator 2M wide per axis, where the
+sum does not wrap around; that accumulator is folded onto the torus axis
+by axis, first along axis 0, and G is the forward sum minus the folded
+one. Tests compare both functions against a reference copy of these
+formulas.
 
 For p < 2 the pair weight |u(x)-u(y)|^{p-2} degenerates at coincident
 values; a regularizer eps_reg > 0 replaces |du|^2 by |du|^2 + eps_reg
@@ -53,7 +72,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .grid import (BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask,
                    fourier_multiply, lag_spectrum, torus_dist)
@@ -104,31 +123,85 @@ def _pair_weights(grid: GridSpec, exponent: float) -> np.ndarray:
     return _lag_kernel(grid, lambda d: grid.h ** (2 * grid.dim) / d**exponent)
 
 
+def check_pair_weights(grid: GridSpec, exponent: float) -> None:
+    """Raise ValueError unless every pair weight h^{2n} / d^exponent of the
+    grid and its denominator d^exponent are normal float64 numbers. Both are
+    monotone in d, so the nearest lag (d = h) and the farthest minimum image
+    (d = sqrt(n) L / 2) decide."""
+    d = grid.h * np.array([1.0, np.sqrt(grid.dim) * grid.points_per_axis / 2])
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        denom = d**exponent
+        w = grid.h ** (2 * grid.dim) / denom
+    tiny = np.finfo(np.float64).tiny
+    if not np.all((tiny <= denom) & (denom < np.inf) & (tiny <= w) & (w < np.inf)):
+        raise ValueError(f"box_length {grid.box_length:g} puts the pair weights "
+                         f"h^{2 * grid.dim} / d^{exponent:g} outside the normal float64 range")
+
+
+@lru_cache(maxsize=32)
+def _half_lag_runs(M: int, n: int) -> tuple:
+    """One lag of each pair {z, -z} with z != 0, as runs (tail, first, stop)
+    of the first lag coordinate under the tail of the others, tails in flat
+    order: whole runs on the tails that precede their mirror -tail, and
+    [first, M/2] on self-inverse tails (first = 1 on the zero tail). These
+    are the lags 0 < F(z) <= F(-z) in the order of F(z) = z_0 + M flat(tail)."""
+    shape = (M,) * (n - 1)
+    runs = []
+    for f in range(M ** (n - 1)):
+        tail = tuple(int(i) for i in np.unravel_index(f, shape))
+        mirror = int(np.ravel_multi_index(tuple(-i % M for i in tail), shape))
+        if f < mirror:
+            runs.append((tail, 0, M))
+        elif f == mirror:
+            runs.append((tail, int(f == 0), M // 2 + 1))
+    return tuple(runs)
+
+
+@lru_cache(maxsize=32)
+def _half_weights(grid: GridSpec, exponent: float) -> np.ndarray:
+    """c'(z) w(z) over the half lags in pass order, with c' = 1 on paired
+    lags and 1/2 on self-inverse lags (2z = 0)."""
+    M, n = grid.points_per_axis, grid.dim
+    w = _pair_weights(grid, exponent).reshape((M,) * n)
+    runs = []
+    for tail, first, stop in _half_lag_runs(M, n):
+        run = w[(slice(first, stop),) + tail].copy()
+        if stop < M:  # a self-inverse tail: its lags at z_0 = 0 and M/2 are too
+            run[2 * np.arange(first, stop) % M == 0] *= 0.5
+        runs.append(run)
+    out = np.concatenate(runs)
+    out.flags.writeable = False
+    return out
+
+
 class PairKernelCache:
     """Pair weights w(z) = h^{2n} / dist(z, 0)^{n+sp} as a lag kernel.
 
     A handle on the process-wide kernel: `weights` is the read-only
     length-S array of w over the lags z, indexed like the sites and zero
-    at z = 0. It is built once per process for each grid and exponent
-    n + s p and shared by every handle, so constructing one after the
-    first costs a cache lookup. The weights depend on s and p only
-    through n + s p. Every pair pass makes its own handle from the field's
-    grid and its parameters.
+    at z = 0, and `half_weights` holds c'(z) w(z) over the half lags of the
+    pair passes (see the module docstring). Both are built once per process
+    for each grid and exponent n + s p and shared by every handle, so
+    constructing one after the first costs a cache lookup. The weights
+    depend on s and p only through n + s p. Every pair pass makes its own
+    handle from the field's grid and its parameters.
     """
 
     def __init__(self, grid: GridSpec, params: EnergyParams):
-        self.grid = grid
-        self.exponent = grid.dim + params.s * params.p
-        self.weights = _pair_weights(grid, self.exponent)
+        self._bind(grid, grid.dim + params.s * params.p)
 
     @classmethod
     def from_exponent(cls, grid: GridSpec, s: float, p: float) -> "PairKernelCache":
         """Handle for a bare (s, p), which need not form valid EnergyParams."""
         obj = cls.__new__(cls)
-        obj.grid = grid
-        obj.exponent = grid.dim + s * p
-        obj.weights = _pair_weights(grid, obj.exponent)
+        obj._bind(grid, grid.dim + s * p)
         return obj
+
+    def _bind(self, grid: GridSpec, exponent: float):
+        self.grid = grid
+        self.exponent = exponent
+        self.weights = _pair_weights(grid, exponent)
+        self.half_weights = _half_weights(grid, exponent)
 
 
 @dataclass(frozen=True)
@@ -145,38 +218,52 @@ def _sq_norm(dus: list) -> np.ndarray:
     return du2
 
 
+def _block_lags(grid: GridSpec) -> int:
+    """Most lags in one block: about BLOCK_TERMS / S, at most M."""
+    return min(grid.points_per_axis, max(1, BLOCK_TERMS // grid.n_sites))
+
+
 def _lag_blocks(grid: GridSpec, samples: np.ndarray, mask):
-    """One lag-major pass over (S, N) samples, block by block: yields the
-    slice of a block's lags, the differences du_z(x) = u(x) - u(x + z), one
-    (lags, S) array per component, and the region factor m(x) m(x + z)
-    (None without a region). A block is a run of about BLOCK_TERMS / S lags
-    whose length divides M, so its lags differ only in the last grid
-    coordinate."""
+    """One half-lag pass over (S, N) samples, block by block. Yields the
+    block's slots in the half-lag order, the first coordinate of its first
+    lag and the tail coordinates its lags share, the differences
+    du_z(x) = u(x) - u(x + z), one (lags, S) array per component, and the
+    region factor m(x) m(x + z) (None without a region). A block is a run
+    of at most _block_lags consecutive lags along the first axis, and its
+    windows are a basic slice of one strided view per component."""
     M, S, n = grid.points_per_axis, grid.n_sites, grid.dim
-    step = min(M, max(1, BLOCK_TERMS // S))
+    T = S // M  # flat distance of one step along the first axis
+    step = _block_lags(grid)
 
-    def windows(a):
-        # a on the grid axes, and the zero-copy view W[k, z, x] = a[k, x + z]
-        # of the periodically tiled array (n lag axes, then n site axes)
-        a = a.reshape((len(a),) + (M,) * n)
-        tiled = a
-        for ax in range(1, n + 1):
-            head = tiled[(slice(None),) * ax + (slice(0, M - 1),)]
-            tiled = np.concatenate([tiled, head], axis=ax)
-        return a, sliding_window_view(tiled, (M,) * n, axis=tuple(range(1, n + 1)))
+    def tiled(a):
+        # a on the grid axes, tiled periodically to 2M - 1 along each axis
+        a = a.reshape((M,) * n)
+        for ax in range(n):
+            a = np.concatenate([a, a[(slice(None),) * ax + (slice(0, M - 1),)]], axis=ax)
+        return a
 
-    U, W = windows(np.ascontiguousarray(samples.T))
+    def windows(t, tail):
+        # W[z_0, x] = a[x + (z_0, tail)] over the lags of one run: the tiled
+        # rows under the tail's columns are flat and contiguous, so each
+        # window is the flat slice that starts at z_0 T
+        flat = np.ascontiguousarray(t[(slice(None),) + tuple(slice(c, c + M) for c in tail)])
+        return as_strided(flat, shape=(M, S), strides=(T * flat.itemsize, flat.itemsize))
+
+    U = np.ascontiguousarray(samples.T)
+    tiles = [tiled(u) for u in U]
     if mask is not None:
-        Um, Wm = windows(mask[None, :])
-    for j in range(0, S, step):
-        *lead, last = np.unravel_index(j, (M,) * n)
-        at = (*lead, slice(last, last + step))
-        # C order: numpy would lay the result out like the windows, whose lag
-        # axis has the smallest stride, and the reshape would copy
-        dus = [np.subtract(u, w[at], order="C").reshape(step, S) for u, w in zip(U, W)]
-        pair_mask = (None if mask is None
-                     else np.logical_and(Um[0], Wm[0][at], order="C").reshape(step, S))
-        yield slice(j, j + step), dus, pair_mask
+        mask_tile = tiled(mask)
+    slot = 0
+    for tail, first, stop in _half_lag_runs(M, n):
+        W = [windows(t, tail) for t in tiles]
+        if mask is not None:
+            Wm = windows(mask_tile, tail)
+        for a in range(first, stop, step):
+            k = min(step, stop - a)
+            dus = [np.subtract(u, w[a:a + k]) for u, w in zip(U, W)]
+            pair_mask = None if mask is None else np.logical_and(mask, Wm[a:a + k])
+            yield slice(slot, slot + k), a, tail, dus, pair_mask
+            slot += k
 
 
 def _check_region(region, grid: GridSpec):
@@ -189,8 +276,8 @@ def _check_region(region, grid: GridSpec):
 
 def _energy_raw(samples, kernel: PairKernelCache, p, eps, region=None) -> float:
     grid = kernel.grid
-    lag_energy = np.zeros(grid.n_sites)
-    for lags, dus, pair_mask in _lag_blocks(grid, samples, _check_region(region, grid)):
+    lag_energy = np.zeros(len(kernel.half_weights))
+    for slots, _, _, dus, pair_mask in _lag_blocks(grid, samples, _check_region(region, grid)):
         vals = _sq_norm(dus)
         if eps > 0.0:
             vals += eps
@@ -200,8 +287,8 @@ def _energy_raw(samples, kernel: PairKernelCache, p, eps, region=None) -> float:
             vals **= p / 2
         if pair_mask is not None:
             vals *= pair_mask
-        lag_energy[lags] = kernel.weights[lags] * vals.sum(axis=1)
-    return float(np.sum(lag_energy))
+        lag_energy[slots] = kernel.half_weights[slots] * vals.sum(axis=1)
+    return 2.0 * float(np.sum(lag_energy))
 
 
 def energy(u: VectorField, params: EnergyParams, region=None) -> float:
@@ -234,25 +321,115 @@ def _du_weight(dus: list, params: EnergyParams):
         return 1.0
     if eps == 0.0 and p < 2.0:
         raise ValueError("pair weight degenerates: need p >= 2 or eps_reg > 0")
-    return (_sq_norm(dus) + eps) ** ((p - 2.0) / 2.0)
+    wgt = _sq_norm(dus)
+    wgt += eps
+    wgt **= (p - 2.0) / 2.0
+    return wgt
 
 
 def pair_flux(u: VectorField, params: EnergyParams, region=None) -> VectorField:
     """The pair flux G^B(x) = sum_{y in B} w(y - x) (|du|^2 + eps)^{(p-2)/2} du
-    with du = u(x) - u(y), for x in the region B and zero outside it. Each
-    G_i(x) is a running sum over the lags y - x in lag order."""
-    weights = PairKernelCache(u.grid, params).weights
-    G = np.zeros((u.components, u.grid.n_sites))
-    for lags, dus, pair_mask in _lag_blocks(u.grid, u.samples, _check_region(region, u.grid)):
-        wgt = weights[lags, None] * _du_weight(dus, params)
+    with du = u(x) - u(y), for x in the region B and zero outside it.
+
+    Each half lag z forms F_z = c'(z) w(z) (|du_z|^2 + eps)^{(p-2)/2} du_z
+    once. The forward term F_z(x) is a running sum over the half lags in
+    pass order; the reverse term F_z(x - z), which is minus the lag -z's
+    term, is a running sum at each entry of an accumulator tiled 2M wide
+    per axis and folded onto the torus at the end, axis by axis; G is the
+    forward sum minus the folded one."""
+    grid = u.grid
+    M, S, n, N = grid.points_per_axis, grid.n_sites, grid.dim, u.components
+    T = S // M  # flat distance of one step along the first axis
+    half = PairKernelCache(grid, params).half_weights
+    step = _block_lags(grid)
+    P = S + step * T
+    # slot 1 + i of buf holds F of the block's i-th lag and then a zero tail
+    # that is never written; slot 0 carries the accumulator window. Row j of
+    # the skewed view is slot j shifted by j - 1 steps along the first axis,
+    # so its sum over rows adds the block's reverse terms into the window,
+    # in lag order
+    buf = np.zeros((step + 1) * P)
+    summed = np.empty(S + (step - 1) * T)
+    G = np.zeros((N, S))
+    rev = np.zeros((N,) + (2 * M,) * n)
+    for slots, first, tail, dus, pair_mask in _lag_blocks(grid, u.samples,
+                                                           _check_region(region, grid)):
+        k = len(dus[0])
+        wgt = half[slots, None] * _du_weight(dus, params)
         if pair_mask is not None:
             wgt = wgt * pair_mask
-        for g, d in zip(G, dus):
-            d *= wgt
+        F = buf.reshape(step + 1, P)[1:k + 1, :S]
+        width = S + (k - 1) * T
+        skew = as_strided(buf[T:], shape=(k + 1, width),
+                          strides=(buf.itemsize * (P - T), buf.itemsize))
+        shape = (M + k - 1,) + (M,) * (n - 1)
+        at = (slice(first, first + M + k - 1),) + tuple(slice(c, c + M) for c in tail)
+        for g, r, d in zip(G, rev, dus):
+            np.multiply(d, wgt, out=F)
+            buf[T:T + width].reshape(shape)[...] = r[at]
+            np.add.reduce(skew, axis=0, out=summed[:width])
+            r[at] = summed[:width].reshape(shape)
             # the running sum carries on from the previous block's lags
-            d[0] += g
-            np.add.reduce(d, axis=0, out=g)
-    return VectorField(grid=u.grid, components=u.components, samples=G.T)
+            F[0] += g
+            np.add.reduce(F, axis=0, out=g)
+    for ax in range(1, n + 1):
+        lo, hi = np.split(rev, 2, axis=ax)
+        rev = lo + hi
+    G -= rev.reshape(N, S)
+    return VectorField(grid=grid, components=N, samples=G.T)
+
+
+def energy_change(u: VectorField, v: VectorField, params: EnergyParams) -> float:
+    """E(v) - E(u) over the whole torus as one half-lag pair sum of
+    w (|D_v|^p - |D_u|^p), free of the cancellation between two rounded
+    totals.
+
+    The pass runs on the stacked samples [v - u, v + u], whose differences
+    are e = D_v - D_u and f = D_v + D_u, so |D_v|^2 - |D_u|^2 = e . f comes
+    without cancellation. At p = 2 that is the pair term. Otherwise, with
+    b = |D_u|^2 + eps, a = |D_v|^2 + eps and q = p / 2, the term is
+    a^q - b^q = b^q expm1(q log1p((a - b) / b)) where |a - b| <= b, and
+    the direct form where b = 0 or a > 2 b, which cancels little.
+    """
+    if v.grid != u.grid or v.components != u.components:
+        raise ValueError("energy_change needs two fields on one grid with one component count")
+    N, p = u.components, params.p
+    kernel = PairKernelCache(u.grid, params)
+    stacked = np.concatenate([v.samples - u.samples, v.samples + u.samples], axis=1)
+    lag_change = np.zeros(len(kernel.half_weights))
+    for slots, _, _, dus, _ in _lag_blocks(u.grid, stacked, None):
+        e, f = dus[:N], dus[N:]
+        vals = e[0] * f[0]
+        for ei, fi in zip(e[1:], f[1:]):
+            vals += ei * fi
+        if p != 2.0:
+            for ei, fi in zip(e, f):
+                fi -= ei
+                fi *= 0.5  # D_u
+            b = _sq_norm(f)
+            b += params.eps_reg
+            vals = _power_change(b, vals, p / 2)
+        lag_change[slots] = kernel.half_weights[slots] * vals.sum(axis=1)
+    return 2.0 * float(np.sum(lag_change))
+
+
+def _power_change(b: np.ndarray, diff: np.ndarray, q: float) -> np.ndarray:
+    """(b + diff)^q - b^q for b >= 0, with b + diff >= 0 up to rounding.
+    Overwrites diff."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bq = b**q
+        r = np.maximum(diff / b, -1.0)  # NaN or inf where b = 0
+        far = ~(r <= 1.0)
+        near = np.log1p(r, out=r)
+        near *= q
+        np.expm1(near, out=near)
+        near *= bq
+        diff += b
+        np.maximum(diff, 0.0, out=diff)
+        diff **= q
+        diff -= bq
+    np.copyto(near, diff, where=far)
+    return near
 
 
 def energy_gradient(u: VectorField, params: EnergyParams) -> VectorField:

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import MAX_KERNEL_PAIRS, EnergyParams, _validate_t
+from .energy import MAX_KERNEL_PAIRS, EnergyParams, _validate_t, check_pair_weights
 from .grid import BallHierarchy, GridSpec, ScalarField, VectorField, make_grid
 from .lab import DECAY_MIN_LEVELS, DecayTable, ProbeReport, PROBE_NAMES
 from .solver import SolverConfig
@@ -176,6 +176,8 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"energy.p: critical_mode pins p = n/s = {p}, got {e['p']}")
     if e["t"] is not None:
         as_config_error("energy.t", _validate_t, e["t"], params)
+    # the kernel exponent n + s p ties the grid to the energy
+    as_config_error("grid", check_pair_weights, grid, grid.dim + params.s * params.p)
 
     solver = as_config_error("solver", SolverConfig, **c["solver"])
 
@@ -407,6 +409,9 @@ def emit_solve_report(report, out_dir, tag: str) -> list:
         "stop_reason": report.stop_reason,
         "energy_evals": report.energy_evals,
         "gradient_evals": report.gradient_evals,
+        # a search that ends without an accepted step records step 0
+        "failed_line_searches": sum(step == 0.0 for step in report.step_trace),
+        "exact_energy_changes": report.exact_energy_changes,
     }
     jpath = out_dir / f"solve_{tag}.json"
     jpath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

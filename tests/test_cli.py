@@ -205,6 +205,9 @@ def test_runs_are_byte_identical(tmp_path):
     # numpy's generators take only non-negative seeds
     ({"initial": {"kind": "random"}, "seed": -1}, "seed"),
     ({"initial": {"kind": "random", "seed": -3}}, "initial.seed"),
+    # h^2 is in range, but d^{n + s p} = d^10 is not
+    ({"grid": {"box_length": 1e100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
+    ({"grid": {"box_length": 1e-100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
 ])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
     cfg = _write(tmp_path, doc)

@@ -15,6 +15,7 @@ from fracmap.energy import (
     duality_check,
     el_residual,
     energy,
+    energy_change,
     energy_gradient,
     first_variation,
     holefill_check,
@@ -477,6 +478,67 @@ def test_holefill_sides_match_naive_loops(p, eps):
     np.testing.assert_allclose(rhs, rhs_want, rtol=1e-12)
 
 
+def test_folded_passes_match_naive_loops_2d_random_region():
+    # at M = 8 the half-lag set holds the self-inverse lags (4, 0), (0, 4)
+    # and (4, 4), which the passes count once; a random region breaks every
+    # symmetry a ball would have
+    g = make_grid(2, 8, TWO_PI)
+    u = _unit_field(g, seed=35, components=3)
+    coords = site_coords(g)
+    mask = np.random.default_rng(36).random(g.n_sites) < 0.5
+    for p, eps in [(2.0, 0.0), (3.0, 0.0), (4.0, 0.0), (1.5, 1e-3)]:
+        params = EnergyParams(s=0.5, p=p, eps_reg=eps)
+        for region in (None, mask):
+            want = naive_energy(u.samples, coords, g.box_length, g.h, 2, 0.5, p, eps, mask=region)
+            assert abs(energy(u, params, region=region) - want) <= 1e-12 * abs(want)
+            if eps == 0.0:
+                want = naive_flux(u.samples, coords, g.box_length, g.h, 2, 0.5, p, mask=region)
+                got = pair_flux(u, params, region=region).samples
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _naive_change_longdouble(u, v, g, s, p, eps):
+    """E(v) - E(u) as one double loop over ordered pairs in long double.
+    Per pair, a - b = |D_v|^2 - |D_u|^2 is (D_v - D_u) . (D_v + D_u) with
+    D_v - D_u formed from v - u, and a^q - b^q = b^q expm1(q log1p((a - b) / b))."""
+    coords = site_coords(g)
+    U, V = u.astype(np.longdouble), v.astype(np.longdouble)
+    q, e = np.longdouble(p / 2.0), np.longdouble(eps)
+    total = np.longdouble(0.0)
+    for i in range(g.n_sites):
+        for j in range(g.n_sites):
+            if i == j:
+                continue
+            d = np.longdouble(_dist(coords[i], coords[j], g.box_length))
+            w = np.longdouble(g.h) ** (2 * g.dim) / d ** np.longdouble(g.dim + s * p)
+            delta = ((V[i] - U[i]) - (V[j] - U[j])) @ ((V[i] + U[i]) - (V[j] + U[j]))
+            b = ((U[i] - U[j]) ** 2).sum() + e
+            total += w * b**q * np.expm1(q * np.log1p(delta / b))
+    return total
+
+
+@pytest.mark.parametrize("p, eps", [(2.0, 0.0), (3.0, 0.0), (4.0, 0.0), (1.5, 1e-3)])
+@pytest.mark.parametrize("dim, M", [(1, 16), (2, 8)])
+def test_energy_change_is_the_exact_difference(dim, M, p, eps):
+    g = make_grid(dim, M, TWO_PI)
+    u = _unit_field(g, seed=37)
+    params = EnergyParams(s=0.5, p=p, eps_reg=eps)
+    assert energy_change(u, u, params) == 0.0
+    # well separated: the plain difference of the totals is accurate
+    far = _unit_field(g, seed=38)
+    plain = energy(far, params) - energy(u, params)
+    assert abs(energy_change(u, far, params) - plain) <= 1e-12 * abs(plain)
+    # 1e-9 apart: the totals share all but their last digits, the change
+    # keeps its own
+    rng = np.random.default_rng(39)
+    near = VectorField(grid=g, components=2,
+                       samples=project_sphere(u.samples + 1e-9 * rng.normal(size=u.samples.shape)))
+    want = float(_naive_change_longdouble(u.samples, near.samples, g, 0.5, p, eps))
+    plain = energy(near, params) - energy(u, params)
+    assert abs(plain - want) > 1e-9 * abs(want)
+    assert abs(energy_change(u, near, params) - want) <= 1e-12 * abs(want)
+
+
 def test_pair_kernel_matches_direct_distance_loop():
     for g in (make_grid(1, 32, TWO_PI), make_grid(2, 8, TWO_PI)):
         params = EnergyParams(s=0.5, p=3.0)
@@ -511,16 +573,23 @@ def test_pair_kernel_built_once_per_process():
     assert PairKernelCache(big, EnergyParams(s=0.5, p=2.0)).weights.shape == (big.n_sites,)
 
 
-# Reference copy of the lag-major pair passes that fix the floats of energy
-# and energy_gradient. Per lag z in flat lag order, du_z = u(x) - u(x + z)
-# comes from np.roll; the energy of a lag is one numpy sum over the sites
-# times w(z), the lag energies are summed by one numpy sum, and the flux is
-# a running sum over the lags. The module must agree with these bit for
-# bit, so a change of reduction order is always a deliberate one.
+# Reference copy of the half-lag pair passes that fix the floats of energy
+# and energy_gradient. The passes visit one lag z of each pair {z, -z},
+# z != 0: the lags with 0 < F(z) <= F(-z), in the order of
+# F(z) = z_0 + M z_1 (the first lag coordinate runs fastest). A lag carries
+# c'(z) w(z), with c' = 1/2 on self-inverse lags (F(z) = F(-z)) and 1
+# elsewhere, and du_z = u(x) - u(x + z) comes from np.roll. The energy of a
+# lag is one numpy sum over the sites times c' w, and the energy is twice
+# one numpy sum of the lag energies. The flux forms F_z = c' w phi du_z once
+# per lag; its forward term F_z(x) is a running sum over the lags, its
+# reverse term F_z(x - z) a running sum at each entry of an accumulator
+# tiled 2M wide per axis, folded first along axis 0, then along axis 1. The
+# module must agree with these bit for bit, so a change of reduction order
+# is always a deliberate one.
 
 
 def _reference_lags(grid, s, p, u, mask=None):
-    """(w(z), du_z, pair mask or None) for every lag z in flat lag order."""
+    """(z, c'(z) w(z), du_z, pair mask or None) for each half lag in pass order."""
     M = grid.points_per_axis
     shape = (M,) * grid.dim
     axes = tuple(range(grid.dim))
@@ -528,19 +597,26 @@ def _reference_lags(grid, s, p, u, mask=None):
     d = torus_dist(np.minimum(idx, M - idx) * grid.h, 0.0, grid.box_length)
     w = np.zeros_like(d)
     w[d > 0] = grid.h ** (2 * grid.dim) / d[d > 0] ** (grid.dim + s * p)
+    w = w.reshape(shape)
     U = u.reshape(shape + (u.shape[1],))
-    for j, z in enumerate(np.ndindex(shape)):
+
+    def order(z):
+        return int(np.ravel_multi_index(z[::-1], shape))
+
+    lags = [z for z in np.ndindex(shape) if 0 < order(z) <= order(tuple(-c % M for c in z))]
+    for z in sorted(lags, key=order):
+        c = 0.5 if order(z) == order(tuple(-c % M for c in z)) else 1.0
         shift = tuple(-c for c in z)
         du = (U - np.roll(U, shift, axis=axes)).reshape(u.shape)
         pair = None
         if mask is not None:
             pair = mask & np.roll(mask.reshape(shape), shift, axis=axes).ravel()
-        yield w[j], du, pair
+        yield z, c * w[z], du, pair
 
 
 def _reference_energy(grid, s, p, eps, u, mask=None):
     lag_energy = []
-    for w, du, pair in _reference_lags(grid, s, p, u, mask):
+    for _, w, du, pair in _reference_lags(grid, s, p, u, mask):
         du2 = (du ** 2).sum(-1)
         if eps > 0.0:
             vals = (du2 + eps) ** (p / 2) - eps ** (p / 2)
@@ -551,18 +627,24 @@ def _reference_energy(grid, s, p, eps, u, mask=None):
         if pair is not None:
             vals = vals * pair
         lag_energy.append(w * np.sum(vals))
-    return float(np.sum(lag_energy))
+    return 2.0 * float(np.sum(lag_energy))
 
 
 def _reference_gradient(grid, s, p, eps, u):
-    G = np.zeros_like(u)
-    for w, du, _ in _reference_lags(grid, s, p, u):
+    M, N = grid.points_per_axis, u.shape[1]
+    forward = np.zeros_like(u)
+    tiled = np.zeros((2 * M,) * grid.dim + (N,))
+    for z, w, du, _ in _reference_lags(grid, s, p, u):
         if p == 2.0 and eps == 0.0:
             wgt = np.full(u.shape[0], w)
         else:
             wgt = w * ((du ** 2).sum(-1) + eps) ** ((p - 2.0) / 2.0)
-        G += du * wgt[:, None]
-    return 2.0 * p * G
+        flux = du * wgt[:, None]
+        forward += flux
+        tiled[tuple(slice(c, c + M) for c in z)] += flux.reshape((M,) * grid.dim + (N,))
+    for ax in range(grid.dim):
+        tiled = tiled[(slice(None),) * ax + (slice(0, M),)] + tiled[(slice(None),) * ax + (slice(M, None),)]
+    return 2.0 * p * (forward - tiled.reshape(u.shape))
 
 
 @pytest.mark.parametrize("dim, M, N, s, p, eps", [
@@ -571,6 +653,7 @@ def _reference_gradient(grid, s, p, eps, u):
     (1, 512, 2, 0.5, 4.0, 0.0),
     (2, 16, 2, 0.5, 3.0, 0.0),
     (2, 16, 3, 0.5, 4.0, 0.0),
+    (2, 64, 2, 0.5, 4.0, 0.0),
     (1, 64, 2, 0.6, 1.5, 1e-3),
     (2, 8, 3, 0.6, 1.5, 1e-2),
 ])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fracmap import reporting, solver
-from fracmap.energy import EnergyParams, el_residual, energy, energy_gradient, seminorm
+from fracmap.energy import (EnergyParams, el_residual, energy, energy_change, energy_gradient,
+                            seminorm)
 from fracmap.grid import VectorField, make_grid, site_coords
 from fracmap.solver import (
     SolverConfig,
@@ -99,6 +100,39 @@ def test_minimize_iterations_do_not_grow_with_M(p, M, max_iters):
     assert report.iterations <= max_iters
     assert np.all(np.diff(report.energy_trace) <= 0.0)
     assert report.final_el_residual_max <= 1e-6
+
+
+@pytest.mark.parametrize("M", [32, 64, 128])
+def test_minimize_reaches_grad_tol_below_the_energy_rounding(M):
+    # near |g_T| = 3e-8 the Armijo decrease of a step lies below the rounding
+    # of E, so only the exact energy change can tell a descent step from a
+    # round-off one
+    g = make_grid(1, M, TWO_PI)
+    _, report = minimize(_winding(g), EnergyParams(s=0.5, p=2.0), SolverConfig(grad_tol=3e-8))
+    assert report.converged and report.stop_reason == "grad_tol"
+    assert report.iterations <= 80
+    assert report.exact_energy_changes > 0
+    assert np.all(np.diff(report.energy_trace) <= 0.0)
+
+
+def test_minimize_stalls_at_the_gradient_noise_floor(monkeypatch):
+    # 1e-9 lies below what the gradient resolves at M = 32: the run must end
+    # in a stalled line search, not wander on until max_iters, and the
+    # report counts the exact energy changes
+    calls = {"energy_change": 0}
+
+    def counted(*args, **kwargs):
+        calls["energy_change"] += 1
+        return energy_change(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "energy_change", counted)
+    g = make_grid(1, 32, TWO_PI)
+    _, report = minimize(_winding(g), EnergyParams(s=0.5, p=2.0), SolverConfig(grad_tol=1e-9))
+    assert report.stop_reason == "line_search_stalled" and not report.converged
+    assert report.final_grad_norm <= 1e-8
+    assert sum(step == 0.0 for step in report.step_trace) >= 60
+    assert report.exact_energy_changes == calls["energy_change"] > 0
+    assert np.all(np.diff(report.energy_trace) <= 0.0)
 
 
 def test_minimize_counts_its_evaluations(monkeypatch):
