@@ -1,14 +1,13 @@
 """Discrete critical points of a Gagliardo-type double-sum energy for
-sphere-valued lattice fields, with the spectral and singular-integral
-fractional operators, pairing identities, and inequality probes used to
-cross-check the computation."""
+sphere-valued lattice fields, with the spectral fractional operators,
+pairing identities, and inequality probes used to cross-check the
+computation."""
 
 from .energy import (
     EnergyParams,
     PairKernelCache,
     duality_check,
     el_residual,
-    energy,
     energy_gradient,
     first_variation,
     holefill_check,
@@ -17,7 +16,6 @@ from .energy import (
     t_operator,
 )
 from .fracops import (
-    FracOpParams,
     LPBank,
     build_lp_bank,
     commutator_H,

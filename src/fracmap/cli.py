@@ -244,16 +244,16 @@ def cmd_selftest() -> int:
                            np.array([[0.0, 1.0], [-1.0, 0.0]]), params) == 0.0
 
     def fracops_examples():
-        from .fracops import FracOpParams, build_lp_bank, commutator_H, frac_laplacian, lp_project
+        from .fracops import build_lp_bank, commutator_H, frac_laplacian, lp_project
 
         g = make_grid(1, 32, 2.0 * np.pi)
         x = site_coords(g)[:, 0]
         const = ScalarField(grid=g, samples=np.ones(g.n_sites))
-        assert np.max(np.abs(frac_laplacian(const, FracOpParams(order=0.5)).samples)) < 1e-14
+        assert np.max(np.abs(frac_laplacian(const, 0.5).samples)) < 1e-14
         a = ScalarField(grid=g, samples=np.cos(x))
         assert np.max(np.abs(commutator_H(a, const, 0.5).samples)) < 1e-12
         bank = build_lp_bank(g)
-        total = sum(lp_project(a, bank, j).samples for j in range(bank.level_min, bank.level_max + 1))
+        total = sum(lp_project(a, bank, j).samples for j in range(bank.level_max + 1))
         assert np.max(np.abs(total - (a.samples - a.samples.mean()))) < 1e-10
 
     def solver_examples():
@@ -268,7 +268,7 @@ def cmd_selftest() -> int:
         )
         _, rep = minimize(const, EnergyParams(s=0.5, p=2.0), SolverConfig(max_iters=5))
         assert rep.converged and rep.iterations == 0
-        # the default winding data at M = 32 converges in 53 preconditioned steps
+        # the default winding data at M = 32 converges in 56 preconditioned steps
         cfg = parse_config({"grid": {"dim": 1, "points_per_axis": 32}, "energy": {"s": 0.5, "p": 2.0}})
         _, rep = minimize(initial_field(cfg), cfg.params, SolverConfig(max_iters=80))
         assert rep.converged, f"winding at M=32: {rep.stop_reason} after {rep.iterations} iterations"

@@ -610,12 +610,12 @@ def duality_check(u: VectorField, phi: ScalarField, t: float, params: EnergyPara
     Lambda^t phi, right side as 2 gamma_n(t) sum_x phi(x) G(x).
     Returns (lhs vector, rhs vector, relative error).
     """
-    from .fracops import FracOpParams, frac_laplacian
+    from .fracops import frac_laplacian
 
     _validate_t(t, params)
     symbol = _riesz_symbol(u.grid, t, "duality")
     G = pair_flux(u, params).samples
-    lap_phi = frac_laplacian(phi, FracOpParams(order=t, variant="spectral")).samples
+    lap_phi = frac_laplacian(phi, t).samples
     lhs = u.grid.h**u.grid.dim * (lap_phi @ (2.0 * fourier_multiply(u.grid, G, symbol)))
     rhs = 2.0 * riesz_pairing_constant(t, u.grid.dim) * (phi.samples @ G)
     rel = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import EnergyParams, energy, holefill_check, seminorm
-from .fracops import FracOpParams, build_lp_bank, commutator_H, frac_laplacian, lp_sup_bound_probe
+from .fracops import build_lp_bank, commutator_H, frac_laplacian, lp_sup_bound_probe
 from .grid import (
     BallHierarchy,
     GridSpec,
@@ -427,7 +427,7 @@ def sobolev_probe(
         if t == 0.0:
             lf = f.samples
         else:
-            lf = frac_laplacian(f, FracOpParams(order=t)).samples
+            lf = frac_laplacian(f, t).samples
         lhs = _grid_norm(lf, f.grid, p_star)
         rhs = seminorm(f, s, p)
         if rhs == 0.0:
@@ -469,10 +469,10 @@ def commutator_probe(
         if eps == 0.0:
             lf = h_ab.samples
         else:
-            lf = frac_laplacian(h_ab, FracOpParams(order=eps)).samples
+            lf = frac_laplacian(h_ab, eps).samples
         lhs = _grid_norm(lf, a.grid, p)
-        la = frac_laplacian(a, FracOpParams(order=alpha)).samples
-        lb = frac_laplacian(b, FracOpParams(order=alpha)).samples
+        la = frac_laplacian(a, alpha).samples
+        lb = frac_laplacian(b, alpha).samples
         rhs = _grid_norm(la, a.grid, p1) * _grid_norm(lb, b.grid, p2)
         if rhs == 0.0:
             continue

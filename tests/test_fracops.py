@@ -12,13 +12,14 @@ mode from Lambda gives
     H(cos, cos) = (2^{a-1} - 1) cos(2x) - 1.
 """
 import importlib
+import inspect
+import pkgutil
 
 import mpmath
 import numpy as np
 import pytest
 
 from fracmap.fracops import (
-    FracOpParams,
     build_lp_bank,
     commutator_H,
     forward_constant,
@@ -40,23 +41,21 @@ def test_params_validation():
     g = make_grid(1, 8, TWO_PI)
     f = _scalar(g, np.cos(site_coords(g)[:, 0]))
     with pytest.raises(ValueError):
-        frac_laplacian(f, FracOpParams(order=0.0))
+        frac_laplacian(f, 0.0)
     with pytest.raises(ValueError):
-        frac_laplacian(f, FracOpParams(order=2.0))
+        frac_laplacian(f, 2.0)
     with pytest.raises(ValueError):
-        FracOpParams(order=0.5, variant="banana")
-    with pytest.raises(ValueError):
-        riesz_potential(f, FracOpParams(order=0.5, variant="singular_integral"))
+        riesz_potential(f, 1.5)  # needs t < n = 1
 
 
 def test_frac_laplacian_single_mode():
     g = make_grid(1, 64, TWO_PI)
     x = site_coords(g)[:, 0]
     for t in (0.25, 0.5, 0.75):
-        out = frac_laplacian(_scalar(g, np.cos(2 * x)), FracOpParams(order=t))
+        out = frac_laplacian(_scalar(g, np.cos(2 * x)), t)
         np.testing.assert_allclose(out.samples, 2.0 ** t * np.cos(2 * x),
                                    rtol=1e-12, atol=1e-12)
-    const = frac_laplacian(_scalar(g, np.full(64, 3.7)), FracOpParams(order=0.5))
+    const = frac_laplacian(_scalar(g, np.full(64, 3.7)), 0.5)
     assert np.abs(const.samples).max() < 1e-14
 
 
@@ -64,7 +63,7 @@ def test_frac_laplacian_2d_mode():
     g = make_grid(2, 16, TWO_PI)
     xy = site_coords(g)
     f = np.cos(xy[:, 0] + 2 * xy[:, 1])  # |k|^2 = 5
-    out = frac_laplacian(_scalar(g, f), FracOpParams(order=0.6))
+    out = frac_laplacian(_scalar(g, f), 0.6)
     np.testing.assert_allclose(out.samples, 5.0 ** 0.3 * f, rtol=1e-12, atol=1e-12)
 
 
@@ -77,15 +76,15 @@ def test_riesz_potential_inverts_laplacian():
             amps = rng.normal(size=6)
             f = sum(a * np.cos((m + 1) * x + 0.3 * m) for m, a in enumerate(amps))
             f = f - f.mean()
-            fwd = frac_laplacian(_scalar(g, f), FracOpParams(order=t))
-            back = riesz_potential(fwd, FracOpParams(order=t))
+            fwd = frac_laplacian(_scalar(g, f), t)
+            back = riesz_potential(fwd, t)
             np.testing.assert_allclose(back.samples, f, rtol=0, atol=1e-10)
 
 
 def test_riesz_potential_rejects_nonzero_mean():
     g = make_grid(1, 32, TWO_PI)
     with pytest.raises(ValueError):
-        riesz_potential(_scalar(g, np.ones(32)), FracOpParams(order=0.5))
+        riesz_potential(_scalar(g, np.ones(32)), 0.5)
 
 
 def test_commutator_closed_form():
@@ -115,32 +114,6 @@ def test_forward_constant_identity():
         np.testing.assert_allclose(forward_constant(t, 1) * J, 1.0, rtol=1e-12)
 
 
-def test_singular_variant_converges_to_spectral():
-    # the quadrature kernel approaches the multiplier as the grid refines
-    devs = []
-    for M in (64, 128, 256):
-        g = make_grid(1, M, TWO_PI)
-        x = site_coords(g)[:, 0]
-        f = _scalar(g, np.cos(x))
-        spec = frac_laplacian(f, FracOpParams(order=0.45, variant="spectral"))
-        sing = frac_laplacian(f, FracOpParams(order=0.45, variant="singular_integral"))
-        devs.append(np.abs(spec.samples - sing.samples).max())
-    assert devs[0] > devs[1] > devs[2]
-    assert devs[2] < 1e-3
-
-
-def test_singular_variant_2d_converges():
-    devs = []
-    for M in (16, 32):
-        g = make_grid(2, M, TWO_PI)
-        xy = site_coords(g)
-        f = _scalar(g, np.cos(xy[:, 0]) * np.cos(xy[:, 1]))
-        spec = frac_laplacian(f, FracOpParams(order=0.45, variant="spectral"))
-        sing = frac_laplacian(f, FracOpParams(order=0.45, variant="singular_integral"))
-        devs.append(np.abs(spec.samples - sing.samples).max())
-    assert devs[1] < devs[0]
-
-
 def test_lp_bank_partition_of_unity():
     g = make_grid(1, 128, TWO_PI)
     bank = build_lp_bank(g)
@@ -150,7 +123,7 @@ def test_lp_bank_partition_of_unity():
         f = f - f.mean()
         field = _scalar(g, f)
         total = sum(lp_project(field, bank, j).samples
-                    for j in range(bank.level_min, bank.level_max + 1))
+                    for j in range(bank.level_max + 1))
         np.testing.assert_allclose(total, f, rtol=0, atol=1e-10)
 
 
@@ -165,10 +138,10 @@ def test_lp_bank_disjoint_bands_annihilate():
     rng = np.random.default_rng(33)
     f = rng.normal(size=128)
     F = np.fft.rfft(f)
-    for j in range(bank.level_min, bank.level_max + 1):
+    for j in range(bank.level_max + 1):
         pj = lp_project(_scalar(g, f), bank, j)
         for k in range(j + 2, bank.level_max + 1):
-            prod = bank.profiles[j - bank.level_min] * bank.profiles[k - bank.level_min]
+            prod = bank.profiles[j] * bank.profiles[k]
             assert np.all(prod == 0.0)
             composed = np.fft.irfft(F * prod, n=128)
             assert np.all(composed == 0.0)
@@ -191,7 +164,7 @@ def test_lp_single_mode_lands_in_one_band():
     f = _scalar(g, np.cos(8 * x))
     bank = build_lp_bank(g)
     energies = [np.abs(lp_project(f, bank, j).samples).max()
-                for j in range(bank.level_min, bank.level_max + 1)]
+                for j in range(bank.level_max + 1)]
     hit = [j for j, e in enumerate(energies) if e > 1e-12]
     assert 1 <= len(hit) <= 2  # mode 8 sits on a dyadic edge at most
 
@@ -211,7 +184,27 @@ def test_lp_sup_probe_shape_and_preconditions():
         lp_sup_bound_probe(f, bank, s=0.25, t=0.5, p=2.0)  # needs t < s
 
 
+def test_one_spectral_fractional_laplacian():
+    # Lambda^t has one (spectral) form and takes its order as a bare float,
+    # so the band bank is the only class
+    fracops = importlib.import_module("fracmap.fracops")
+    classes = [name for name, obj in vars(fracops).items()
+               if inspect.isclass(obj) and obj.__module__ == fracops.__name__]
+    assert classes == ["LPBank"]
+    for name in ("_singular_frac", "_forward_kernel_1d", "_forward_kernel_2d"):
+        assert not hasattr(fracops, name), name
+    for fn in (frac_laplacian, riesz_potential):
+        assert list(inspect.signature(fn).parameters) == ["field", "t"], fn.__name__
+
+
 def test_importable_via_package_root():
     pkg = importlib.import_module("fracmap")
     assert hasattr(pkg, "frac_laplacian")
     assert hasattr(pkg, "commutator_H")
+    import fracmap.energy as en
+
+    assert inspect.ismodule(en)
+    submodules = {info.name for info in pkgutil.iter_modules(pkg.__path__)}
+    shadowed = [name for name in vars(pkg)
+                if name in submodules and not inspect.ismodule(getattr(pkg, name))]
+    assert shadowed == []

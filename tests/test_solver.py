@@ -62,8 +62,8 @@ def test_pair_passes_take_no_kernel_handle_and_the_solver_two_settings():
     # parameters, so no public entry point accepts a kernel that could
     # contradict them; every pass is serial, so none takes a worker count;
     # the descent has exactly two settings
-    # the package attribute fracmap.energy is the function, so the module is
-    # fetched by its full name
+    # the module is fetched by its full name because `energy` in this test
+    # module is the function imported from it
     energy_module = importlib.import_module("fracmap.energy")
     for module in (energy_module, solver):
         for knob in ("cache", "workers"):
