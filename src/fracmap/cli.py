@@ -87,8 +87,7 @@ def initial_field(cfg: RunConfig) -> VectorField:
         samples = np.tile(unit, (grid.n_sites, 1))
         return VectorField(grid=grid, components=len(value), samples=samples, unit_constrained=True)
     if init["kind"] == "random":
-        seed = cfg.seed if init["seed"] is None else init["seed"]
-        return lab.unit_circle_family(grid, 1, seed)[0]
+        return lab.unit_circle_family(grid, 1, cfg.seed)[0]
     path = init["path"]
     if not path:
         raise ConfigError("initial.path: required for kind = file")
@@ -105,9 +104,7 @@ def _default_hierarchy(cfg: RunConfig) -> BallHierarchy:
         return cfg.hierarchy
     grid = cfg.grid
     center = np.full(grid.dim, grid.box_length / 2.0)
-    return BallHierarchy(
-        grid=grid, center=center, base_radius=grid.box_length / 16.0, level_min=0, level_max=3
-    )
+    return BallHierarchy(grid=grid, center=center, base_radius=grid.box_length / 16.0, level_max=3)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -152,7 +149,7 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
     outputs = emit_el_table(suite, out, cfg.tag)
 
     hierarchy = _default_hierarchy(cfg)
-    lhs, rhs, hf_ok = holefill_check(u, hierarchy, hierarchy.level_min, hierarchy.level_max, params)
+    lhs, rhs, hf_ok = holefill_check(u, hierarchy, 0, hierarchy.level_max, params)
     checks["holefill"] = {"lhs": lhs, "rhs": rhs, "pass": bool(hf_ok)}
 
     if cfg.grid.dim == 1:
@@ -196,10 +193,10 @@ def cmd_probe(cfg: RunConfig) -> int:
 
 
 def cmd_decay(cfg: RunConfig) -> int:
-    started = _now()
-    u = initial_field(cfg)
     if cfg.hierarchy is None:
         raise ConfigError("hierarchy: required for the decay command")
+    started = _now()
+    u = initial_field(cfg)
     table = lab.decay_profile(u, cfg.hierarchy, cfg.params)
     outputs = emit_decay_table(table, cfg.out_dir, cfg.tag)
     _finish(cfg, started, outputs)
@@ -228,7 +225,7 @@ def cmd_selftest() -> int:
             except ValueError:
                 pass
         g = make_grid(1, 16, 2.0 * np.pi)
-        h = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.5, level_min=0, level_max=2)
+        h = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.5, level_max=2)
         f = ScalarField(grid=g, samples=np.full(g.n_sites, 3.25))
         assert abs(ball_mean(f, h, 1) - 3.25) < 1e-15
 
@@ -276,8 +273,7 @@ def cmd_selftest() -> int:
     def lab_examples():
         lhs, rhs, equal = lab.lagrange_check([1.0, 0.0], [1.0, 0.0])
         assert (lhs, rhs, equal) == (1.0, 1.0, True)
-        case, lhs, _, _ = lab.kernel_case_check([0.0], [0.1], [10.0], beta=0.5, eps=0.3,
-                                                bound_const=10.0)
+        case, _, _, _ = lab.kernel_case_check([0.0], [0.1], [10.0], beta=0.5, eps=0.3)
         assert case == 1
         assert lab.sobolev_exponent(1, "0.5", "0.25", 2) == 4
         lab.load_frozen_constants()

@@ -555,39 +555,26 @@ def _kappa_duality_1d(M: int, L: float, t: float) -> np.ndarray:
     return k
 
 
-def _riesz_symbol(grid: GridSpec, t: float, mode: str) -> np.ndarray:
-    """Half-grid symbol of the correlation G -> sum_x k(x - z) G(x) with the
-    lag kernel k of the t_operator mode: the conjugate spectrum of k, which
-    for the even kernels here is its own spectrum up to the FFT's
-    rounding."""
-    if mode == "exact":
-        kap = _kappa_exact(grid, t)
-    elif mode == "duality":
-        if grid.dim != 1:
-            raise ValueError("duality quadrature is implemented for dim 1 only")
-        kap = _kappa_duality_1d(grid.points_per_axis, grid.box_length, t)
-    else:
-        raise ValueError(f"unknown t_operator mode {mode!r}")
-    return np.conj(lag_spectrum(grid, kap))
+def _riesz_correlation(grid: GridSpec, G: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """2 sum_x k(x - z) G(x) for a length-S lag kernel k: an FFT correlation,
+    through the conjugate spectrum of k, which for the even kernels here is
+    its own spectrum up to the FFT's rounding."""
+    return 2.0 * fourier_multiply(grid, G, np.conj(lag_spectrum(grid, kernel)))
 
 
-def t_operator(u: VectorField, t: float, params: EnergyParams, region=None,
-               mode: str = "exact") -> VectorField:
+def t_operator(u: VectorField, t: float, params: EnergyParams, region=None) -> VectorField:
     """Pairing field T u^i(z) = sum_{x!=y in B} P_i(x,y) [k(x-z) - k(y-z)],
     with P(x,y) = w(y-x) |du|^{p-2} du, evaluated as 2 sum_x k(x-z) G^B(x).
 
-    k is the Riesz-type kernel dist^{t-n}; its evaluation at zero
+    k is the raw minimum-image Riesz kernel dist^{t-n}, the one the
+    brute-force cross-checks compare against; its evaluation at zero
     displacement (z landing on x or y) is excluded, i.e. contributes
-    nothing. mode "exact" uses the raw minimum-image kernel and is what
-    the brute-force cross-checks compare against; mode "duality" (n = 1)
-    uses the cell-averaged periodized kernel built for the pairing
-    identity against the spectral fractional Laplacian. The sum over x is
-    an FFT correlation of G^B with the length-S lag kernel.
+    nothing. The sum over x is an FFT correlation of G^B with the
+    length-S lag kernel.
     """
     _validate_t(t, params)
-    symbol = _riesz_symbol(u.grid, t, mode)
     G = pair_flux(u, params, region=region).samples
-    T = 2.0 * fourier_multiply(u.grid, G, symbol)
+    T = _riesz_correlation(u.grid, G, _kappa_exact(u.grid, t))
     return VectorField(grid=u.grid, components=u.components, samples=T)
 
 
@@ -605,19 +592,23 @@ def duality_check(u: VectorField, phi: ScalarField, t: float, params: EnergyPara
 
         <Lambda^t phi, T u^i> = gamma_n(t) sum_{x!=y} P_i(x,y)(phi(x)-phi(y))
 
-    evaluated from one pair flux G: left side through the duality-mode
-    operator field (the FFT correlation of t_operator) against the spectral
-    Lambda^t phi, right side as 2 gamma_n(t) sum_x phi(x) G(x).
+    evaluated from one pair flux G: left side as t_operator's correlation,
+    with the cell-averaged periodized kernel built for the identity in
+    place of the raw one (dim 1 only), against the spectral Lambda^t phi,
+    right side as 2 gamma_n(t) sum_x phi(x) G(x).
     Returns (lhs vector, rhs vector, relative error).
     """
     from .fracops import frac_laplacian
 
     _validate_t(t, params)
-    symbol = _riesz_symbol(u.grid, t, "duality")
+    grid = u.grid
+    if grid.dim != 1:
+        raise ValueError("duality quadrature is implemented for dim 1 only")
+    kernel = _kappa_duality_1d(grid.points_per_axis, grid.box_length, t)
     G = pair_flux(u, params).samples
     lap_phi = frac_laplacian(phi, t).samples
-    lhs = u.grid.h**u.grid.dim * (lap_phi @ (2.0 * fourier_multiply(u.grid, G, symbol)))
-    rhs = 2.0 * riesz_pairing_constant(t, u.grid.dim) * (phi.samples @ G)
+    lhs = grid.h**grid.dim * (lap_phi @ _riesz_correlation(grid, G, kernel))
+    rhs = 2.0 * riesz_pairing_constant(t, grid.dim) * (phi.samples @ G)
     rel = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
     return lhs, rhs, rel
 

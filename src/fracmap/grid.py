@@ -13,8 +13,10 @@ that layout: fourier_multiply applies a half-grid symbol, lag_spectrum
 makes one from a length-S lag kernel, frequency_norms gives |k| on it.
 
 The ball hierarchy provides the dyadic localization used by the decay and
-hole-filling diagnostics: the closed balls B(x0, 2^l R), as sharp site
-masks (ball_mask) and ball means (ball_mean).
+hole-filling diagnostics: the closed balls B(x0, 2^l R), levels
+l = 0 .. level_max, as sharp site masks (ball_mask). Both diagnostics
+read only the masks; ball_mean, the mean over a ball, serves the
+selftest.
 """
 from __future__ import annotations
 
@@ -163,8 +165,7 @@ class BallHierarchy:
     grid: GridSpec
     center: np.ndarray  # coordinate vector, shape (dim,)
     base_radius: float
-    level_min: int
-    level_max: int
+    level_max: int  # levels run 0 .. level_max
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_readonly(np.atleast_1d(self.center)))
@@ -172,7 +173,7 @@ class BallHierarchy:
             raise ValueError(f"center must have shape ({self.grid.dim},)")
         if not (self.base_radius > 0):
             raise ValueError("base_radius must be positive")
-        if self.level_min > self.level_max:
+        if self.level_max < 0:
             raise ValueError("empty level range")
         # radius() multiplies base_radius by 2**level, which must stay finite
         if not (math.log2(self.base_radius) + self.level_max < 1024):
@@ -180,8 +181,8 @@ class BallHierarchy:
                              f"exceeds the float64 range")
 
     def radius(self, level: int) -> float:
-        if not (self.level_min <= level <= self.level_max):
-            raise ValueError(f"level {level} outside [{self.level_min}, {self.level_max}]")
+        if not (0 <= level <= self.level_max):
+            raise ValueError(f"level {level} outside [0, {self.level_max}]")
         return float(self.base_radius * 2**level)
 
     def center_dist(self) -> np.ndarray:

@@ -4,11 +4,14 @@ Each probe in this module takes an inequality that holds up to an
 unspecified constant and turns it into a regression test: a calibration
 sweep measures the worst ratio lhs/rhs over a seeded sample family, the
 constant is frozen (times a safety margin) into a versioned data file,
-and later runs check the same sweep against the frozen value. Each
-sweep's setup (exponents, sample counts, grid, family seeds) is written
-once, in run_probe, and is not configurable: a constant frozen on one
-setup says nothing about another. Nothing here estimates sharp
-constants; the point is that the ratios are bounded and stay bounded.
+and later runs check the same sweep against the frozen value. The probe
+functions only measure: each returns its rows (sample id, lhs, rhs,
+ratio). run_probe writes each sweep's setup (exponents, sample counts,
+grid, family seeds) once, and it alone loads the frozen constant and
+closes the ProbeReport; nothing is configurable, because a constant
+frozen on one setup says nothing about another. Nothing here estimates
+sharp constants; the point is that the ratios are bounded and stay
+bounded.
 
 Alongside the probes: localized-energy decay tables with a power-law
 fit, a Holder-quotient fit over dyadic distance bands, and the exact
@@ -71,24 +74,6 @@ class ProbeReport:
     rows: tuple  # of (sample id, lhs, rhs, ratio)
 
 
-def _probe_report(name, rows, seed, bound_const=None, sample_count=None, passed=None):
-    """Close a probe: the worst ratio over rows (0 when there are none)
-    against the frozen constant, loaded when bound_const is None. The
-    sample count defaults to the row count and the verdict to worst <= C."""
-    if bound_const is None:
-        bound_const = load_frozen_constants()[name]
-    worst = max([0.0] + [row[3] for row in rows])
-    return ProbeReport(
-        name=name,
-        sample_count=len(rows) if sample_count is None else sample_count,
-        worst_ratio=worst,
-        frozen_c=bound_const,
-        passed=bool(worst <= bound_const) if passed is None else passed,
-        seed=seed,
-        rows=tuple(rows),
-    )
-
-
 # ---------------------------------------------------------------------------
 # seeded sample families (shared by probes, calibration, and tests)
 # ---------------------------------------------------------------------------
@@ -126,10 +111,11 @@ def band_limited_family(grid: GridSpec, count: int, seed: int, max_mode: int = 8
     return out
 
 
-def unit_circle_family(grid: GridSpec, count: int, seed: int, max_mode: int = 6):
+def unit_circle_family(grid: GridSpec, count: int, seed: int):
     """Random smooth maps into the unit circle, u = (cos th, sin th) with a
-    band-limited angle field. Unit-constrained by construction."""
-    angles = band_limited_family(grid, count, seed, max_mode=max_mode)
+    band-limited angle field (modes up to 6). Unit-constrained by
+    construction."""
+    angles = band_limited_family(grid, count, seed, max_mode=6)
     out = []
     for th in angles:
         samples = np.stack([np.cos(th.samples), np.sin(th.samples)], axis=1)
@@ -157,7 +143,7 @@ def decay_profile(u: VectorField, hierarchy: BallHierarchy, params: EnergyParams
     terms over nested index sets); a violation means the caller handed in
     inconsistent pieces and raises.
     """
-    levels = range(hierarchy.level_min, hierarchy.level_max + 1)
+    levels = range(hierarchy.level_max + 1)
     if len(levels) < DECAY_MIN_LEVELS:
         raise ValueError(f"hierarchy must span at least {DECAY_MIN_LEVELS} levels")
     rows = []
@@ -304,12 +290,12 @@ def _case_majorant(case, dxy, dxz, dyz, beta, eps, n):
     return dxy**eps * base**expo
 
 
-def kernel_case_check(x, y, z, beta: float, eps: float, bound_const: float | None = None):
+def kernel_case_check(x, y, z, beta: float, eps: float):
     """Classify one triple and test the difference-of-kernels majorant.
 
     lhs = | |x-z|^{beta-n} - |y-z|^{beta-n} |, rhs the per-case majorant
     |x-y|^eps (relevant distance)^{beta-eps-n}. Passes iff
-    lhs <= C rhs with the calibrated constant. x = y is allowed (both
+    lhs <= C rhs with the frozen kernel_case constant. x = y is allowed (both
     sides vanish); z may not coincide with x or y.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -328,9 +314,7 @@ def kernel_case_check(x, y, z, beta: float, eps: float, bound_const: float | Non
     case = int(_classify_case(np.array(dxy), np.array(dxz), np.array(dyz)))
     lhs = abs(dxz ** (beta - n) - dyz ** (beta - n))
     rhs = float(_case_majorant(np.array(case), dxy, dxz, dyz, beta, eps, n))
-    if bound_const is None:
-        bound_const = load_frozen_constants()["kernel_case"]
-    return case, lhs, rhs, bool(lhs <= bound_const * rhs)
+    return case, lhs, rhs, bool(lhs <= load_frozen_constants()["kernel_case"] * rhs)
 
 
 def _sample_case_triples(rng, n, count, target_case):
@@ -358,16 +342,9 @@ def _sample_case_triples(rng, n, count, target_case):
     return np.concatenate(kept, axis=1)
 
 
-def kernel_case_probe(
-    beta: float,
-    eps: float,
-    n: int,
-    count_per_case: int,
-    seed: int,
-    bound_const: float | None = None,
-) -> ProbeReport:
+def kernel_case_probe(beta: float, eps: float, n: int, count_per_case: int, seed: int) -> list:
     """Monte-Carlo sweep of the three-case majorant, count_per_case
-    triples per case; the CSV keeps the worst offenders per case."""
+    triples per case; the rows keep the worst offenders per case."""
     rng = np.random.default_rng(seed)
     rows = []
     for target in (1, 2, 3):
@@ -381,7 +358,7 @@ def kernel_case_probe(
         rows.extend(
             (f"case{target}/{i}", float(lhs[i]), float(rhs[i]), float(ratio[i])) for i in order
         )
-    return _probe_report("kernel_case", rows, seed, bound_const, sample_count=3 * count_per_case)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +384,7 @@ def sobolev_exponent(n, s, t, p):
     return n * p / (n - (s - t) * p)
 
 
-def sobolev_probe(
-    f_family,
-    s: float,
-    t: float,
-    p: float,
-    seed: int,
-    bound_const: float | None = None,
-) -> ProbeReport:
+def sobolev_probe(f_family, s: float, t: float, p: float) -> list:
     """||Lambda^t f||_{p*} against [f]_{s,p} over a field family."""
     if not (0.0 <= t < s < 1.0):
         raise ValueError(f"need 0 <= t < s < 1, got t={t}, s={s}")
@@ -434,19 +404,10 @@ def sobolev_probe(
             continue  # constants carry no information here
         ratio = lhs / rhs
         rows.append((i, lhs, rhs, ratio))
-    return _probe_report("sobolev", rows, seed, bound_const)
+    return rows
 
 
-def commutator_probe(
-    pairs,
-    alpha: float,
-    eps: float,
-    p: float,
-    p1: float,
-    p2: float,
-    seed: int,
-    bound_const: float | None = None,
-) -> ProbeReport:
+def commutator_probe(pairs, alpha: float, eps: float, p: float, p1: float, p2: float) -> list:
     """||Lambda^eps H_alpha(a,b)||_p against ||Lambda^alpha a||_{p1}
     ||Lambda^alpha b||_{p2} over seeded smooth pairs.
 
@@ -478,7 +439,7 @@ def commutator_probe(
             continue
         ratio = lhs / rhs
         rows.append((i, lhs, rhs, ratio))
-    return _probe_report("commutator", rows, seed, bound_const)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +496,14 @@ def t1_bound_probe(f: ScalarField, g: ScalarField, s: float, t: float):
 # ---------------------------------------------------------------------------
 
 
-def holefill_probe(
-    grid: GridSpec,
-    params: EnergyParams,
-    hierarchy: BallHierarchy,
-    count: int,
-    seed: int,
-    bound_const: float | None = None,
-) -> ProbeReport:
+def holefill_probe(grid: GridSpec, params: EnergyParams, hierarchy: BallHierarchy, count: int,
+                   seed: int):
     """Nested-ball energy comparison over random unit fields: the ring
     sum never exceeds the energy difference (termwise nonnegativity), so
-    every ratio is at most 1 up to rounding."""
+    every ratio is at most 1 up to rounding. Returns (rows, ok), ok being
+    holefill_check's termwise verdict over every nesting."""
     fields = unit_circle_family(grid, count, seed)
-    levels = range(hierarchy.level_min, hierarchy.level_max + 1)
+    levels = range(hierarchy.level_max + 1)
     combos = [(a, b) for a in levels for b in levels if a < b]
     rows = []
     ok = True
@@ -557,7 +513,7 @@ def holefill_probe(
             ratio = lhs / rhs if rhs > 0 else 0.0
             ok = ok and passed
             rows.append((f"{i}/B{K}in{L}", lhs, rhs, ratio))
-    return _probe_report("holefill", rows, seed, bound_const, passed=ok)
+    return rows, ok
 
 
 # ---------------------------------------------------------------------------
@@ -597,26 +553,29 @@ def load_frozen_constants() -> dict:
 
 
 def run_probe(name: str, seed: int = 0, bound_const: float | None = None) -> ProbeReport:
-    """Run one probe with its calibrated desk-scale setup.
+    """Run one probe with its calibrated desk-scale setup and judge it.
 
     Each branch below is the only place that probe's setup is written:
     exponents, sample counts, grid, family seed offsets and mode cutoffs.
     The frozen constants were measured on exactly these sweeps, so none of
-    it is a parameter.
+    it is a parameter. The report's worst ratio (0 without rows) is held
+    against the frozen constant, or against bound_const when given; the
+    hole-filling verdict is holefill_check's termwise one.
     """
     grid = make_grid(1, 64, 2.0 * np.pi)
+    report_seed, sample_count, passed = seed, None, None
     if name == "sobolev":
         family = band_limited_family(grid, 20, seed + 101)
-        return sobolev_probe(family, s=0.5, t=0.25, p=2.0, seed=seed, bound_const=bound_const)
-    if name == "commutator":
+        rows = sobolev_probe(family, s=0.5, t=0.25, p=2.0)
+    elif name == "commutator":
         pairs = list(zip(band_limited_family(grid, 50, seed + 202),
                          band_limited_family(grid, 50, seed + 203)))
-        return commutator_probe(pairs, alpha=0.5, eps=0.0, p=2.0, p1=2.0, p2=2.0, seed=seed,
-                                bound_const=bound_const)
-    if name == "kernel_case":
-        return kernel_case_probe(beta=0.5, eps=0.3, n=1, count_per_case=100_000, seed=seed + 303,
-                                 bound_const=bound_const)
-    if name == "lp_sup":
+        rows = commutator_probe(pairs, alpha=0.5, eps=0.0, p=2.0, p1=2.0, p2=2.0)
+    elif name == "kernel_case":
+        report_seed, per_case = seed + 303, 100_000
+        rows = kernel_case_probe(beta=0.5, eps=0.3, n=1, count_per_case=per_case, seed=report_seed)
+        sample_count = 3 * per_case  # the rows keep only the worst offenders
+    elif name == "lp_sup":
         # band-localized sup bound: sup |Lambda^t P_j f| against 2^{j(n/p + t - s)} [f]_{s,p}
         bank = build_lp_bank(grid)
         rows = []
@@ -624,9 +583,9 @@ def run_probe(name: str, seed: int = 0, bound_const: float | None = None) -> Pro
             for j, lhs, rhs, ratio in lp_sup_bound_probe(f, bank, s=0.5, t=0.25, p=2.0):
                 if rhs != 0.0:
                     rows.append((f"{i}/band{j}", lhs, rhs, ratio))
-        return _probe_report("lp_sup", rows, seed, bound_const)
-    if name == "t1":
+    elif name == "t1":
         # the triple sum is O(M^3), so this probe runs on M = 16
+        report_seed = seed + 505
         small = make_grid(1, 16, 2.0 * np.pi)
         fs = band_limited_family(small, 5, seed + 505, max_mode=4)
         gs = band_limited_family(small, 5, seed + 506, max_mode=4)
@@ -635,11 +594,22 @@ def run_probe(name: str, seed: int = 0, bound_const: float | None = None) -> Pro
             lhs, rhs, ratio = t1_bound_probe(f, g, s=0.5, t=0.45)
             if rhs != 0.0:
                 rows.append((i, lhs, rhs, ratio))
-        return _probe_report("t1", rows, seed + 505, bound_const)
-    if name == "holefill":
-        hierarchy = BallHierarchy(
-            grid=grid, center=(np.pi,), base_radius=0.3, level_min=0, level_max=3
-        )
-        return holefill_probe(grid, EnergyParams(s=0.5, p=2.0), hierarchy, count=8,
-                              seed=seed + 606, bound_const=bound_const)
-    raise ValueError(f"unknown probe {name!r}; choose from {PROBE_NAMES}")
+    elif name == "holefill":
+        report_seed = seed + 606
+        hierarchy = BallHierarchy(grid=grid, center=(np.pi,), base_radius=0.3, level_max=3)
+        rows, passed = holefill_probe(grid, EnergyParams(s=0.5, p=2.0), hierarchy, count=8,
+                                      seed=report_seed)
+    else:
+        raise ValueError(f"unknown probe {name!r}; choose from {PROBE_NAMES}")
+    if bound_const is None:
+        bound_const = load_frozen_constants()[name]
+    worst = max([0.0] + [row[3] for row in rows])
+    return ProbeReport(
+        name=name,
+        sample_count=len(rows) if sample_count is None else sample_count,
+        worst_ratio=worst,
+        frozen_c=bound_const,
+        passed=bool(worst <= bound_const) if passed is None else passed,
+        seed=report_seed,
+        rows=tuple(rows),
+    )

@@ -7,7 +7,7 @@ number, either only within the float64 range, a bool key only true or
 false, a string key only a string, and null is accepted only where the
 default is None. Value ranges are checked by the constructors the values
 feed (make_grid, EnergyParams, SolverConfig, BallHierarchy), and the
-seeds' sign and the few rules that tie keys together (critical p = n/s,
+seed's sign and the few rules that tie keys together (critical p = n/s,
 winding data needs dim 1, the admissible t window, probe names) by
 parse_config. Every violation raises ConfigError naming
 the offending key. `probes` picks which probes run; no key reaches a
@@ -96,7 +96,6 @@ SCHEMA = {
         "phase_amp": (float, 0.3),
         "value": (list[float], [1.0, 0.0]),
         "path": (str, None),
-        "seed": (int, None),  # None: the run seed
     }, {}),
     "probes": (list[str], list(PROBE_NAMES)),
     "seed": (int, 0),
@@ -192,13 +191,11 @@ def parse_config(doc: dict) -> RunConfig:
             grid=grid,
             center=np.zeros(grid.dim) if h["center"] is None else np.asarray(h["center"]),
             base_radius=h["base_radius"],
-            level_min=0,
             level_max=h["levels"] - 1,
         )
 
-    for key, seed in (("seed", c["seed"]), ("initial.seed", c["initial"]["seed"])):
-        if seed is not None and seed < 0:
-            raise ConfigError(f"{key}: expected a non-negative integer, got {seed}")
+    if c["seed"] < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {c['seed']}")
 
     initial = c["initial"]
     if initial["kind"] not in ("winding", "constant", "file", "random"):

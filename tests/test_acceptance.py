@@ -161,7 +161,7 @@ def test_criterion_2_brute_force_oracles():
     c1 = site_coords(g1)
     params = EnergyParams(s=0.5, p=2.0)
     hier = BallHierarchy(grid=g1, center=(np.pi,), base_radius=1.2,
-                         level_min=0, level_max=0)
+                         level_max=0)
     mask = ball_mask(hier, 0)
 
     want = _naive_energy(u1.samples, c1, TWO_PI, g1.h, 1, 0.5, 2.0)
@@ -180,12 +180,12 @@ def test_criterion_2_brute_force_oracles():
     worst = max(worst, abs(got - want) / max(1.0, abs(want)))
 
     want = _naive_t(u1.samples, c1, TWO_PI, g1.h, 1, 0.5, 2.0, 0.45)
-    got = t_operator(u1, 0.45, params, mode="exact").samples
+    got = t_operator(u1, 0.45, params).samples
     denom = max(1.0, np.abs(want).max())
     worst = max(worst, np.abs(got - want).max() / denom)
 
     want = _naive_t(u1.samples, c1, TWO_PI, g1.h, 1, 0.5, 2.0, 0.45, mask=mask)
-    got = t_operator(u1, 0.45, params, region=mask, mode="exact").samples
+    got = t_operator(u1, 0.45, params, region=mask).samples
     worst = max(worst, np.abs(got - want).max() / denom)
 
     # 2d, M = 8, critical exponent p = n/s = 4
@@ -198,7 +198,7 @@ def test_criterion_2_brute_force_oracles():
     worst = max(worst, abs(got - want) / abs(want))
 
     want = _naive_t(u2.samples, c2, TWO_PI, g2.h, 2, 0.5, 4.0, 0.45)
-    got = t_operator(u2, 0.45, params2, mode="exact").samples
+    got = t_operator(u2, 0.45, params2).samples
     worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
 
     wall = time.perf_counter() - t0
@@ -331,7 +331,7 @@ def test_criterion_8_decay_scaling():
                     samples=np.stack([np.cos(x), np.sin(x)], axis=1),
                     unit_constrained=True)
     hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.05,
-                         level_min=0, level_max=4)
+                         level_max=4)
     table = decay_profile(u, hier, EnergyParams(s=0.5, p=2.0))
     gap = abs(table.theta - 2.0)
     _verdict(8, gap <= 0.15,

@@ -157,10 +157,15 @@ def test_probe_subset_and_exponent_guard(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: unknown config key probe_params\n"
 
 
-def test_decay_requires_hierarchy(tmp_path):
+def test_decay_requires_hierarchy(tmp_path, capsys):
     cfg = _write(tmp_path, SOLVE_DOC)
     assert main(["decay", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
+    # the missing hierarchy is reported before any initial data is read
+    capsys.readouterr()
+    assert main(["decay", "--out", str(tmp_path / "o"), "--set", "initial.kind=file",
+                 "--set", f"initial.path={tmp_path / 'missing.field'}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: hierarchy:")
     doc = dict(SOLVE_DOC,
                grid={"dim": 1, "points_per_axis": 128},
                hierarchy={"center": [3.141592653589793], "base_radius": 0.05,
@@ -204,10 +209,9 @@ def test_runs_are_byte_identical(tmp_path):
     ({"initial": {"degree": 10**400}}, "initial.degree"),
     # numpy's generators take only non-negative seeds
     ({"initial": {"kind": "random"}, "seed": -1}, "seed"),
-    ({"initial": {"kind": "random", "seed": -3}}, "initial.seed"),
     # h^2 is in range, but d^{n + s p} = d^10 is not
-    ({"grid": {"box_length": 1e100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
     ({"grid": {"box_length": 1e-100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
+    ({"grid": {"box_length": 1e100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
 ])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
     cfg = _write(tmp_path, doc)

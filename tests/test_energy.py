@@ -176,7 +176,7 @@ def test_energy_matches_naive_loop_2d():
 def test_energy_region_matches_naive_loop():
     g = make_grid(1, 16, TWO_PI)
     u = _unit_field(g, seed=13)
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=1.0, level_min=0, level_max=1)
+    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=1.0, level_max=1)
     mask = ball_mask(hier, 1)
     params = EnergyParams(s=0.5, p=2.0)
     want = naive_energy(u.samples, site_coords(g), g.box_length, g.h, 1, 0.5, 2.0, mask=mask)
@@ -186,7 +186,7 @@ def test_energy_region_matches_naive_loop():
     # from lag windows that wrap around the torus
     g = make_grid(2, 8, TWO_PI)
     u = _unit_field(g, seed=33, components=3)
-    hier = BallHierarchy(grid=g, center=(0.0, 0.0), base_radius=1.0, level_min=0, level_max=1)
+    hier = BallHierarchy(grid=g, center=(0.0, 0.0), base_radius=1.0, level_max=1)
     mask = ball_mask(hier, 1)
     assert mask[0] and mask[g.n_sites - 1] and not mask.all()
     coords = site_coords(g)
@@ -283,7 +283,7 @@ def test_el_residual_matches_naive_loop():
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     params = EnergyParams(s=0.5, p=2.0)
     phif = ScalarField(grid=g, samples=phi)
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=1.2, level_min=0, level_max=0)
+    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=1.2, level_max=0)
     for mask in (None, ball_mask(hier, 0)):
         got = el_residual(u, phif, omega, params, region=mask)
         want = naive_el_residual(u.samples, phi, omega, site_coords(g), g.box_length, g.h,
@@ -329,7 +329,7 @@ def test_t_operator_exact_matches_naive_loop():
         return 0.0 if d == 0.0 else d ** (t - 1.0)
 
     want = naive_t_operator(u.samples, site_coords(g), L, g.h, 1, 0.5, 2.0, kap)
-    got = t_operator(u, t, params, mode="exact")
+    got = t_operator(u, t, params)
     np.testing.assert_allclose(got.samples, want, rtol=1e-12, atol=1e-14)
 
 
@@ -340,8 +340,7 @@ def test_t_operator_region_matches_naive_loop():
         n = g.dim
         u = _unit_field(g, seed=25)
         L = g.box_length
-        hier = BallHierarchy(grid=g, center=(np.pi,) * n, base_radius=1.2, level_min=0,
-                             level_max=0)
+        hier = BallHierarchy(grid=g, center=(np.pi,) * n, base_radius=1.2, level_max=0)
         mask = ball_mask(hier, 0)
 
         def kap(xi, xz):
@@ -349,13 +348,14 @@ def test_t_operator_region_matches_naive_loop():
             return 0.0 if d == 0.0 else d ** (t - n)
 
         want = naive_t_operator(u.samples, site_coords(g), L, g.h, n, 0.5, 2.0, kap, mask=mask)
-        got = t_operator(u, t, params, region=mask, mode="exact")
+        got = t_operator(u, t, params, region=mask)
         np.testing.assert_allclose(got.samples, want, rtol=1e-12, atol=1e-14)
 
 
 def test_t_operator_duality_mode_matches_naive_loop():
-    # same pairing structure, cell-averaged kernel taken from the module
-    from fracmap.energy import _kappa_duality_1d
+    # same pairing structure, cell-averaged kernel taken from the module,
+    # correlated with the flux as duality_check does
+    from fracmap.energy import _kappa_duality_1d, _riesz_correlation, pair_flux
 
     g = make_grid(1, 16, TWO_PI)
     u = _unit_field(g, seed=26)
@@ -369,8 +369,8 @@ def test_t_operator_duality_mode_matches_naive_loop():
         return karr[j]
 
     want = naive_t_operator(u.samples, site_coords(g), L, g.h, 1, 0.5, 2.0, kap)
-    got = t_operator(u, t, params, mode="duality")
-    np.testing.assert_allclose(got.samples, want, rtol=1e-12, atol=1e-14)
+    got = _riesz_correlation(g, pair_flux(u, params).samples, karr)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def _min_image_signed(dx, L):
@@ -414,7 +414,7 @@ def test_holefill_inequality_and_nesting():
                     samples=np.stack([np.cos(theta), np.sin(theta)], axis=1),
                     unit_constrained=True)
     params = EnergyParams(s=0.5, p=2.0)
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.3, level_min=0, level_max=3)
+    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.3, level_max=3)
     lhs, rhs, ok = holefill_check(u, hier, 0, 3, params)
     assert ok and lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
     with pytest.raises(ValueError):
@@ -429,7 +429,7 @@ def test_holefill_difference_is_cross_term_sum():
     g = make_grid(1, 32, TWO_PI)
     u = _unit_field(g, seed=28)
     params = EnergyParams(s=0.5, p=2.0)
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.5, level_min=0, level_max=2)
+    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.5, level_max=2)
     inner = ball_mask(hier, 0)
     outer = ball_mask(hier, 2)
     e_outer = energy(u, params, region=outer)
@@ -455,7 +455,7 @@ def test_holefill_sides_match_naive_loops(p, eps):
     g = make_grid(1, 32, TWO_PI)
     u = _unit_field(g, seed=32)
     params = EnergyParams(s=0.5, p=p, eps_reg=eps)
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.4, level_min=0, level_max=2)
+    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.4, level_max=2)
     inner = ball_mask(hier, 0)
     outer = ball_mask(hier, 2)
     coords = site_coords(g)

@@ -11,6 +11,7 @@ mode from Lambda gives
 
     H(cos, cos) = (2^{a-1} - 1) cos(2x) - 1.
 """
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -208,3 +209,63 @@ def test_importable_via_package_root():
     shadowed = [name for name in vars(pkg)
                 if name in submodules and not inspect.ismodule(getattr(pkg, name))]
     assert shadowed == []
+
+
+def _settable_values():
+    """Defaulted parameters of every function and method defined in a
+    fracmap module, plus defaulted dataclass fields, as module.name.param;
+    a dataclass's generated __init__ repeats its fields and is skipped."""
+    pkg = importlib.import_module("fracmap")
+    found = []
+
+    def defaulted(where, fn):
+        found.extend(f"{where}.{p.name}" for p in inspect.signature(fn).parameters.values()
+                     if p.default is not inspect.Parameter.empty)
+
+    for info in pkgutil.iter_modules(pkg.__path__):
+        module = importlib.import_module(f"fracmap.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            where = f"{info.name}.{name}"
+            if inspect.isfunction(obj):
+                defaulted(where, obj)
+            elif inspect.isclass(obj):
+                is_dc = dataclasses.is_dataclass(obj)
+                found.extend(f"{where}.{f.name}" for f in (dataclasses.fields(obj) if is_dc else ())
+                             if f.default is not dataclasses.MISSING
+                             or f.default_factory is not dataclasses.MISSING)
+                for mname, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # class and static methods
+                    if inspect.isfunction(member) and not (is_dc and mname == "__init__"):
+                        defaulted(f"{where}.{mname}", member)
+    return sorted(found)
+
+
+def test_settable_values_census():
+    # every option needs two callers that want different values; a new
+    # default or defaulted field has to be declared here
+    assert _settable_values() == [
+        "calibrate.main.argv",
+        "cli.main.argv",
+        "energy.EnergyParams.eps_reg",
+        "energy._energy_raw.region",
+        "energy.el_residual.region",
+        "energy.energy.region",
+        "energy.pair_flux.region",
+        "energy.t_operator.region",
+        "grid.VectorField.unit_constrained",
+        "lab.band_limited_family.max_mode",
+        "lab.run_probe.bound_const",
+        "lab.run_probe.seed",
+        "reporting.RunConfig.raw",
+        "reporting._typed.nullable",
+        "reporting.load_config.out_dir",
+        "reporting.load_config.overrides",
+        "reporting.load_config.path",
+        "reporting.load_config.seed",
+        "reporting.write_field.meta",
+        "solver.SolverConfig.grad_tol",
+        "solver.SolverConfig.max_iters",
+        "solver.minimize.config",
+    ]

@@ -100,7 +100,7 @@ def test_field_shape_validation():
 
 def test_ball_mask_closed_ball_includes_boundary():
     g = make_grid(1, 16, TWO_PI)
-    h = BallHierarchy(grid=g, center=(0.0,), base_radius=2 * g.h, level_min=0, level_max=1)
+    h = BallHierarchy(grid=g, center=(0.0,), base_radius=2 * g.h, level_max=1)
     m = ball_mask(h, 0)
     # sites at distance exactly 2h are in; the next ones out are not
     d = h.center_dist()
@@ -110,7 +110,7 @@ def test_ball_mask_closed_ball_includes_boundary():
 
 def test_ball_mean_exact_for_constants():
     g = make_grid(2, 8, 1.0)
-    hier = BallHierarchy(grid=g, center=(0.5, 0.5), base_radius=0.2, level_min=0, level_max=1)
+    hier = BallHierarchy(grid=g, center=(0.5, 0.5), base_radius=0.2, level_max=1)
     f = ScalarField(grid=g, samples=np.full(g.n_sites, -7.125))
     assert ball_mean(f, hier, 0) == -7.125
     assert ball_mean(f, hier, 1) == -7.125
@@ -118,7 +118,7 @@ def test_ball_mean_exact_for_constants():
 
 def test_ball_mean_against_direct_average():
     g = make_grid(1, 32, TWO_PI)
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.7, level_min=0, level_max=0)
+    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.7, level_max=0)
     x = site_coords(g)[:, 0]
     f = ScalarField(grid=g, samples=np.cos(x))
     m = ball_mask(hier, 0)
@@ -129,7 +129,7 @@ def test_ball_mean_empty_ball_errors():
     g = make_grid(1, 8, TWO_PI)
     # center between sites, radius smaller than half a spacing: no sites inside
     hier = BallHierarchy(
-        grid=g, center=(g.h / 2,), base_radius=g.h / 8, level_min=0, level_max=0
+        grid=g, center=(g.h / 2,), base_radius=g.h / 8, level_max=0
     )
     f = ScalarField(grid=g, samples=np.zeros(g.n_sites))
     with pytest.raises(ValueError):
@@ -139,12 +139,12 @@ def test_ball_mean_empty_ball_errors():
 def test_hierarchy_validation():
     g = make_grid(1, 16, TWO_PI)
     with pytest.raises(ValueError):
-        BallHierarchy(grid=g, center=(0.0, 0.0), base_radius=0.1, level_min=0, level_max=1)
+        BallHierarchy(grid=g, center=(0.0, 0.0), base_radius=0.1, level_max=1)
     with pytest.raises(ValueError):
-        BallHierarchy(grid=g, center=(0.0,), base_radius=-0.1, level_min=0, level_max=1)
+        BallHierarchy(grid=g, center=(0.0,), base_radius=-0.1, level_max=1)
     with pytest.raises(ValueError):
-        BallHierarchy(grid=g, center=(0.0,), base_radius=0.1, level_min=2, level_max=1)
-    hier = BallHierarchy(grid=g, center=(0.0,), base_radius=0.1, level_min=0, level_max=2)
+        BallHierarchy(grid=g, center=(0.0,), base_radius=0.1, level_max=-1)
+    hier = BallHierarchy(grid=g, center=(0.0,), base_radius=0.1, level_max=2)
     assert hier.radius(2) == 0.4
     with pytest.raises(ValueError):
         hier.radius(3)

@@ -45,6 +45,9 @@ def test_parse_config_rejects_unknown_keys():
         parse_config({"energy": {"s": 0.5, "p": 2.0}, "grdi": {}})
     with pytest.raises(ConfigError, match="probe_params"):
         parse_config({"probes": ["t1"], "probe_params": {"t1": {"count": 2}}})
+    # the run seed is the only seed of the initial data
+    with pytest.raises(ConfigError, match="initial.seed"):
+        parse_config({"initial": {"kind": "random", "seed": -3}})
 
 
 def test_parse_config_critical_mode():
@@ -282,7 +285,7 @@ SECTIONS = {"grid": ["dim", "points_per_axis", "box_length"],
             "energy": ["s", "p", "eps_reg", "t", "critical_mode"],
             "solver": ["max_iters", "grad_tol"],
             "hierarchy": ["center", "base_radius", "levels"],
-            "initial": ["kind", "degree", "phase_amp", "value", "path", "seed"]}
+            "initial": ["kind", "degree", "phase_amp", "value", "path"]}
 TOP_KEYS = [*SECTIONS, "schema_version", "probes", "seed", "out_dir"]
 NEAR_SCHEMA = st.dictionaries(
     st.sampled_from(TOP_KEYS),
