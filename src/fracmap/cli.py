@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lab, reporting
-from .energy import EnergyParams, _validate_t, duality_check, el_residual, energy, holefill_check
+from .energy import (EnergyParams, _kappa_duality_1d, _validate_t, duality_check, el_residual, energy,
+                     holefill_check)
 from .grid import BallHierarchy, ScalarField, VectorField, ball_mean, make_grid, site_coords
 from .reporting import (
     ConfigError,
@@ -70,6 +71,15 @@ def _finish(cfg: RunConfig, started: str, outputs: list) -> None:
     manifest.write(out / f"manifest_{cfg.tag}.json")
 
 
+def _read_field_from(key: str, path):
+    """read_field, with an OSError of the open (no such file, a directory)
+    turned into a ConfigError that names the key the path came from."""
+    try:
+        return read_field(path)
+    except OSError as e:
+        raise ConfigError(f"{key}: {e}") from None
+
+
 def initial_field(cfg: RunConfig) -> VectorField:
     """Materialize the configured initial data."""
     init = cfg.initial
@@ -91,7 +101,7 @@ def initial_field(cfg: RunConfig) -> VectorField:
     path = init["path"]
     if not path:
         raise ConfigError("initial.path: required for kind = file")
-    f = read_field(path)
+    f = _read_field_from("initial.path", path)
     if not isinstance(f, VectorField):
         raise ConfigError(f"initial.path: {path} holds a scalar field")
     if f.grid != grid:
@@ -133,7 +143,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig, field_path: str) -> int:
     out = Path(cfg.out_dir)
     started = _now()
-    u = read_field(field_path)
+    u = _read_field_from("--field", field_path)
     if not isinstance(u, VectorField):
         raise ConfigError(f"{field_path}: verification needs a vector field")
     norms = np.linalg.norm(u.samples, axis=1)
@@ -239,6 +249,19 @@ def cmd_selftest() -> int:
         assert energy(const, params) == 0.0
         assert el_residual(const, ScalarField(grid=g, samples=np.ones(g.n_sites)),
                            np.array([[0.0, 1.0], [-1.0, 0.0]]), params) == 0.0
+        # two cells of the duality kernel, whose periodic images come from a
+        # series, against the images as two Hurwitz zeta values: an inner
+        # cell and the seam cell around L/2
+        import mpmath as mp
+
+        t, L, h = 0.45, g.box_length, g.h
+        kappa = _kappa_duality_1d(g, t)
+        for j, cell in ((5, ((5.5 * h) ** t - (4.5 * h) ** t) / (t * h)),
+                        (8, 2.0 * ((8 * h) ** t - (7.5 * h) ** t) / (t * h))):
+            a = mp.mpf(j) / 16
+            image = L ** (t - 1) * float(mp.zeta(1 - t, 1 + a) + mp.zeta(1 - t, 1 - a)
+                                         - 2 * mp.zeta(1 - t))
+            assert abs(kappa[j] - cell - image) < 1e-13, f"duality kernel cell {j}"
 
     def fracops_examples():
         from .fracops import build_lp_bank, commutator_H, frac_laplacian, lp_project

@@ -177,6 +177,23 @@ def test_decay_requires_hierarchy(tmp_path, capsys):
     assert table["theta"] is not None
 
 
+@pytest.mark.parametrize("name,reason", [("missing.field", "No such file or directory"),
+                                         (".", "Is a directory")])
+def test_unreadable_field_file_names_its_key(tmp_path, capsys, name, reason):
+    path = tmp_path / name
+    cfg = _write(tmp_path, SOLVE_DOC)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--set", "initial.kind=file", "--set", f"initial.path={path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial.path: ") and reason in err
+    assert err.count("\n") == 1
+    assert main(["verify", "--config", str(cfg), "--field", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --field: ") and reason in err
+    assert err.count("\n") == 1
+
+
 def test_runs_are_byte_identical(tmp_path):
     cfg = _write(tmp_path, dict(SOLVE_DOC, solver={"max_iters": 40}))
     out = tmp_path / "out"

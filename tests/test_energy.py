@@ -361,7 +361,7 @@ def test_t_operator_duality_mode_matches_naive_loop():
     u = _unit_field(g, seed=26)
     params = EnergyParams(s=0.5, p=2.0)
     t = 0.45
-    karr = _kappa_duality_1d(g.points_per_axis, g.box_length, t)
+    karr = _kappa_duality_1d(g, t)
     L = g.box_length
 
     def kap(xi, xz):
@@ -371,6 +371,65 @@ def test_t_operator_duality_mode_matches_naive_loop():
     want = naive_t_operator(u.samples, site_coords(g), L, g.h, 1, 0.5, 2.0, kap)
     got = _riesz_correlation(g, pair_flux(u, params).samples, karr)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+def naive_kappa_duality_1d(M, L, t):
+    # the cell-averaged periodized kernel cell by cell, the images from two
+    # Hurwitz zeta calls per cell; 30 digits, since in float64 the cell
+    # average's difference (c + h/2)^t - (c - h/2)^t loses up to
+    # 3e-14 max|k| to cancellation at t = 0.95, M = 512
+    import mpmath as mp
+
+    with mp.workdps(30):
+        t, L = mp.mpf(t), mp.mpf(L)
+        h = L / M
+        half = M // 2
+        k = [mp.mpf(0)] * M
+        for j in range(1, half + 1):
+            c = j * h
+            if j == half:
+                sing = 2 * ((L / 2) ** t - (L / 2 - h / 2) ** t) / (t * h)
+            else:
+                sing = ((c + h / 2) ** t - (c - h / 2) ** t) / (t * h)
+            a = mp.mpf(j) / M
+            k[j] = sing + L ** (t - 1) * (mp.zeta(1 - t, 1 + a) + mp.zeta(1 - t, 1 - a)
+                                          - 2 * mp.zeta(1 - t))
+        I0 = 2 * (h / 2) ** t / t
+        J2 = 2 * (h / 2) ** (t + 2) / (t + 2)
+        m2 = (J2 / (2 * h * h) - I0 / 2) / 3
+        k[1] += (I0 / 2 - m2) / h
+        k[2] += m2 / h
+        for j in range(half + 1, M):
+            k[j] = k[M - j]
+        return np.array([float(v) for v in k])
+
+
+@pytest.mark.parametrize("M", [16, 64, 512])
+@pytest.mark.parametrize("t", [0.05, 0.45, 0.95])
+def test_duality_kernel_matches_hurwitz_loop(M, t):
+    from fracmap.energy import _kappa_duality_1d
+
+    got = _kappa_duality_1d(make_grid(1, M, TWO_PI), t)
+    want = naive_kappa_duality_1d(M, TWO_PI, t)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_duality_kernel_build_makes_no_hurwitz_zeta_call(monkeypatch):
+    import mpmath
+
+    from fracmap.energy import _kappa_duality_1d
+
+    calls = []
+    zeta = mpmath.zeta
+
+    def counting_zeta(*args, **kwargs):
+        calls.append(len(args) + len(kwargs))
+        return zeta(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "zeta", counting_zeta)
+    _kappa_duality_1d.cache_clear()
+    _kappa_duality_1d(make_grid(1, 64, TWO_PI), 0.45)
+    assert calls and set(calls) == {1}
 
 
 def _min_image_signed(dx, L):
