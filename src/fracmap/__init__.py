@@ -30,7 +30,6 @@ from .grid import (
     ScalarField,
     VectorField,
     ball_mask,
-    ball_mean,
     make_grid,
     site_coords,
     torus_dist,

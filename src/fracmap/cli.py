@@ -13,7 +13,6 @@ frozen constant was measured on; only the seed varies it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -24,7 +23,7 @@ import numpy as np
 from . import lab, reporting
 from .energy import (EnergyParams, _kappa_duality_1d, _validate_t, duality_check, el_residual, energy,
                      holefill_check)
-from .grid import BallHierarchy, ScalarField, VectorField, ball_mean, make_grid, site_coords
+from .grid import BallHierarchy, ScalarField, VectorField, ball_mask, make_grid, site_coords
 from .reporting import (
     ConfigError,
     FieldDigestError,
@@ -37,6 +36,7 @@ from .reporting import (
     emit_el_table,
     emit_probe_report,
     emit_solve_report,
+    emit_verify_report,
     load_config,
     parse_config,
     read_field,
@@ -59,8 +59,6 @@ def _now() -> str:
 
 def _finish(cfg: RunConfig, started: str, outputs: list) -> None:
     """Write the run manifest, the one artifact that carries wall-clock time."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         config_hash=config_hash(cfg.raw),
         artifact_version=reporting.ARTIFACT_VERSION,
@@ -68,7 +66,7 @@ def _finish(cfg: RunConfig, started: str, outputs: list) -> None:
         finished=_now(),
         outputs=[Path(p).name for p in outputs],
     )
-    manifest.write(out / f"manifest_{cfg.tag}.json")
+    manifest.write(Path(cfg.out_dir) / f"manifest_{cfg.tag}.json")
 
 
 def _read_field_from(key: str, path):
@@ -102,8 +100,6 @@ def initial_field(cfg: RunConfig) -> VectorField:
     if not path:
         raise ConfigError("initial.path: required for kind = file")
     f = _read_field_from("initial.path", path)
-    if not isinstance(f, VectorField):
-        raise ConfigError(f"initial.path: {path} holds a scalar field")
     if f.grid != grid:
         raise ConfigError(f"initial.path: grid in {path} does not match the config grid")
     return f
@@ -144,13 +140,11 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
     out = Path(cfg.out_dir)
     started = _now()
     u = _read_field_from("--field", field_path)
-    if not isinstance(u, VectorField):
-        raise ConfigError(f"{field_path}: verification needs a vector field")
-    norms = np.linalg.norm(u.samples, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
-        raise ConfigError(f"{field_path}: field is not unit length (defect {np.max(np.abs(norms-1)):.2e})")
+    defect = np.max(np.abs(np.linalg.norm(u.samples, axis=1) - 1.0))
+    if defect > 1e-9:
+        raise ConfigError(f"--field: {field_path}: field is not unit length (defect {defect:.2e})")
     if u.grid != cfg.grid:
-        raise ConfigError(f"{field_path}: grid does not match the config grid")
+        raise ConfigError(f"--field: {field_path}: grid does not match the config grid")
     params = cfg.params
     checks = {}
 
@@ -177,9 +171,7 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
         checks["duality"] = {"skipped": "cell-averaged pairing kernel exists for dim 1 only"}
 
     ok = all(c.get("pass", True) for c in checks.values())
-    vpath = out / f"verify_{cfg.tag}.json"
-    vpath.write_text(json.dumps(checks, indent=2, sort_keys=True) + "\n")
-    outputs.append(vpath)
+    outputs += emit_verify_report(checks, out, cfg.tag)
     _finish(cfg, started, outputs)
     for name, result in checks.items():
         print(f"verify {name}: {result}")
@@ -236,8 +228,9 @@ def cmd_selftest() -> int:
                 pass
         g = make_grid(1, 16, 2.0 * np.pi)
         h = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.5, level_max=2)
-        f = ScalarField(grid=g, samples=np.full(g.n_sites, 3.25))
-        assert abs(ball_mean(f, h, 1) - 3.25) < 1e-15
+        # h = 2 pi / 16: the closed ball of radius 1 about a site holds it
+        # and two neighbours on each side
+        assert int(ball_mask(h, 1).sum()) == 5
 
     def energy_examples():
         g = make_grid(1, 16, 2.0 * np.pi)
@@ -298,12 +291,13 @@ def cmd_selftest() -> int:
         assert (lhs, rhs, equal) == (1.0, 1.0, True)
         case, _, _, _ = lab.kernel_case_check([0.0], [0.1], [10.0], beta=0.5, eps=0.3)
         assert case == 1
-        assert lab.sobolev_exponent(1, "0.5", "0.25", 2) == 4
+        assert lab.sobolev_exponent(1.0, 0.5, 0.25, 2.0) == 4.0
         lab.load_frozen_constants()
 
     def reporting_examples():
         g = make_grid(1, 8, 1.0)
-        f = ScalarField(grid=g, samples=np.random.default_rng(3).standard_normal(g.n_sites))
+        f = VectorField(grid=g, components=2,
+                        samples=np.random.default_rng(3).standard_normal((g.n_sites, 2)))
         with tempfile.TemporaryDirectory() as td:
             p = Path(td) / "f.field"
             write_field(p, f)
@@ -354,6 +348,10 @@ def main(argv=None) -> int:
         return cmd_selftest()
     try:
         cfg = load_config(args.config, args.set, args.seed, args.out)
+        try:
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"out_dir: {e}") from None
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "verify":

@@ -14,9 +14,8 @@ makes one from a length-S lag kernel, frequency_norms gives |k| on it.
 
 The ball hierarchy provides the dyadic localization used by the decay and
 hole-filling diagnostics: the closed balls B(x0, 2^l R), levels
-l = 0 .. level_max, as sharp site masks (ball_mask). Both diagnostics
-read only the masks; ball_mean, the mean over a ball, serves the
-selftest.
+l = 0 .. level_max, as sharp site masks (ball_mask), which are all that
+both diagnostics read.
 """
 from __future__ import annotations
 
@@ -37,7 +36,6 @@ __all__ = [
     "lag_spectrum",
     "frequency_norms",
     "ball_mask",
-    "ball_mean",
 ]
 
 
@@ -201,19 +199,3 @@ def ball_mask(hierarchy: BallHierarchy, level: int) -> np.ndarray:
     d = hierarchy.center_dist()
     return d <= r * (1 + 1e-12) + 1e-15
 
-
-def ball_mean(f, hierarchy: BallHierarchy, level: int):
-    """Arithmetic mean of the samples inside the closed ball (sharp cutoff).
-
-    Exact for constants by construction. Returns a float for scalar fields
-    and a length-N vector for vector fields.
-    """
-    mask = ball_mask(hierarchy, level)
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError(f"empty ball at level {level} (radius below grid spacing)")
-    if isinstance(f, ScalarField):
-        return float(f.samples[mask].sum() / count)
-    if isinstance(f, VectorField):
-        return f.samples[mask].sum(axis=0) / count
-    raise TypeError(f"expected ScalarField or VectorField, got {type(f).__name__}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -367,21 +366,10 @@ def kernel_case_probe(beta: float, eps: float, n: int, count_per_case: int, seed
 
 
 def sobolev_exponent(n, s, t, p):
-    """p* = n p / (n - (s - t) p), exact over rationals.
-
-    Arguments given as ints, Fractions, or decimal strings are combined
-    exactly; floats fall back to float arithmetic.
-    """
-
-    def lift(v):
-        if isinstance(v, float):
-            return v
-        return Fraction(v)
-
-    n, s, t, p = (lift(v) for v in (n, s, t, p))
-    if any(isinstance(v, float) for v in (n, s, t, p)):
-        return float(n) * float(p) / (float(n) - (float(s) - float(t)) * float(p))
-    return n * p / (n - (s - t) * p)
+    """p* = n p / (n - (s - t) p) in float arithmetic. At the critical
+    edge (s - t) p = n the denominator is exactly zero, and the division
+    raises ZeroDivisionError."""
+    return float(n) * float(p) / (float(n) - (float(s) - float(t)) * float(p))
 
 
 def sobolev_probe(f_family, s: float, t: float, p: float) -> list:
@@ -391,7 +379,7 @@ def sobolev_probe(f_family, s: float, t: float, p: float) -> list:
     n = f_family[0].grid.dim
     if not (1.0 < p < n / (s - t)):
         raise ValueError(f"p must lie in (1, n/(s-t)) = (1, {n / (s - t)})")
-    p_star = float(sobolev_exponent(float(n), s, t, p))
+    p_star = sobolev_exponent(n, s, t, p)
     rows = []
     for i, f in enumerate(f_family):
         if t == 0.0:

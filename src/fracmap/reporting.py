@@ -17,11 +17,16 @@ kept as RunConfig.raw: its hash tags the artifact file names.
 Scientific outputs are byte-reproducible; wall-clock timestamps are
 quarantined in the run manifest.
 
-Field files are a one-line JSON header followed by a raw little-endian
-float64 block in sample-major order. The header holds a sha256 digest of
-the block and a sha256 `header_digest` over the canonical JSON of dim,
-points_per_axis, box_length, components and unit_constrained; read_field
-checks the latter when present and also reads files without it. Cheap to
+This module alone formats the run artifacts, each through _write_json
+or _write_csv. The emitters return the paths they wrote into an output
+directory that the command line has created before any work.
+
+Field files hold vector fields: a one-line JSON header followed by a raw
+little-endian float64 block in sample-major order. The header holds a
+sha256 digest of the block and a sha256 `header_digest` over the canonical
+JSON of dim, points_per_axis, box_length, components (at least 1) and
+unit_constrained, the same formula as config_hash; read_field checks the
+latter when present and also reads files without it. Cheap to
 write, bit-exact to read back, and self-describing enough to catch
 truncation, damaged headers, mismatched grids and samples off the sphere
 under a unit_constrained header: any malformed file raises
@@ -37,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import MAX_KERNEL_PAIRS, EnergyParams, _validate_t, check_pair_weights
-from .grid import BallHierarchy, GridSpec, ScalarField, VectorField, make_grid
+from .grid import BallHierarchy, GridSpec, VectorField, make_grid
 from .lab import DECAY_MIN_LEVELS, DecayTable, ProbeReport, PROBE_NAMES
 from .solver import SolverConfig
 
@@ -60,7 +65,7 @@ class RunConfig:
     t: float | None
     seed: int
     out_dir: str
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: dict = field(repr=False)
 
     @property
     def tag(self) -> str:
@@ -221,8 +226,8 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path=None, overrides=(), seed=None, out_dir=None) -> RunConfig:
-    """Read a JSON config file (none: the empty config), apply --set
+def load_config(path, overrides, seed, out_dir) -> RunConfig:
+    """Read a JSON config file (None: the empty config), apply --set
     overrides, the seed and the output directory, and validate. Parse
     errors carry the line and column; schema errors name the offending
     key."""
@@ -287,7 +292,7 @@ class RunManifest:
     outputs: list
 
     def write(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        _write_json(path, asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -306,30 +311,22 @@ class FieldDigestError(ValueError):
 def _header_digest(header: dict) -> str:
     """sha256 over the canonical JSON of the header keys that fix how the
     sample block is read."""
-    doc = {k: header[k] for k in ("dim", "points_per_axis", "box_length", "components", "unit_constrained")}
-    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    return config_hash({k: header[k] for k in ("dim", "points_per_axis", "box_length", "components",
+                                               "unit_constrained")})
 
 
 def write_field(path, f, meta: dict | None = None) -> None:
     """Header line (JSON) + raw little-endian float64 sample block."""
-    if isinstance(f, ScalarField):
-        components = 0  # marks a scalar; vector fields store N >= 1
-        samples = f.samples
-        unit = False
-    elif isinstance(f, VectorField):
-        components = f.components
-        samples = f.samples
-        unit = f.unit_constrained
-    else:
-        raise TypeError(f"expected a field, got {type(f).__name__}")
-    block = np.ascontiguousarray(samples, dtype="<f8").tobytes()
+    if not isinstance(f, VectorField):
+        raise TypeError(f"expected a VectorField, got {type(f).__name__}")
+    block = np.ascontiguousarray(f.samples, dtype="<f8").tobytes()
     header = {
         "schema_version": SCHEMA_VERSION,
         "dim": f.grid.dim,
         "points_per_axis": f.grid.points_per_axis,
         "box_length": f.grid.box_length,
-        "components": components,
-        "unit_constrained": unit,
+        "components": f.components,
+        "unit_constrained": f.unit_constrained,
         "digest": hashlib.sha256(block).hexdigest(),
     }
     header["header_digest"] = _header_digest(header)
@@ -359,7 +356,9 @@ def read_field(path):
         raise FieldFormatError(f"{path}: bad header: {e}") from None
     if not header_ok:
         raise FieldDigestError(f"{path}: header digest mismatch")
-    expect = grid.n_sites * max(components, 1) * 8
+    if components < 1:
+        raise FieldFormatError(f"{path}: components must be at least 1, got {components}")
+    expect = grid.n_sites * components * 8
     if len(block) != expect:
         raise FieldFormatError(
             f"{path}: sample block holds {len(block)} bytes, header implies {expect}"
@@ -367,8 +366,6 @@ def read_field(path):
     if hashlib.sha256(block).hexdigest() != digest:
         raise FieldDigestError(f"{path}: sample block digest mismatch")
     samples = np.frombuffer(block, dtype="<f8").astype(np.float64)
-    if components == 0:
-        return ScalarField(grid=grid, samples=samples)
     try:
         return VectorField(
             grid=grid,
@@ -384,20 +381,25 @@ def read_field(path):
 # report emission
 # ---------------------------------------------------------------------------
 
-FMT = "%.17g"  # full float64 round-trip precision
+
+def _write_json(path, doc):
+    """A JSON artifact: indent 2, sorted keys, one trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
 
 
-def _csv_line(values) -> str:
-    out = []
-    for v in values:
-        out.append(FMT % v if isinstance(v, float) else str(v))
-    return ",".join(out) + "\n"
+def _write_csv(path, header: str, rows):
+    """A CSV artifact: one header line, then one line per row, floats as
+    %.17g (full float64 round-trip precision)."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n")
+    return path
 
 
 def emit_solve_report(report, out_dir, tag: str) -> list:
     """SolveReport -> JSON summary + energy-trace CSV. Returns the paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "iterations": report.iterations,
         "final_grad_norm": report.final_grad_norm,
@@ -410,71 +412,36 @@ def emit_solve_report(report, out_dir, tag: str) -> list:
         "failed_line_searches": sum(step == 0.0 for step in report.step_trace),
         "exact_energy_changes": report.exact_energy_changes,
     }
-    jpath = out_dir / f"solve_{tag}.json"
-    jpath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    cpath = out_dir / f"trace_{tag}.csv"
-    with open(cpath, "w") as fh:
-        fh.write("iteration,energy,step,grad_norm\n")
-        for i, (e, gn) in enumerate(zip(report.energy_trace, report.grad_trace, strict=True)):
-            step = report.step_trace[i - 1] if i > 0 else 0.0
-            fh.write(_csv_line((i, float(e), float(step), float(gn))))
-    return [jpath, cpath]
+    steps = (0.0, *report.step_trace)  # the initial iterate took no step
+    rows = ((i, float(e), float(step), float(gn)) for i, (e, step, gn)
+            in enumerate(zip(report.energy_trace, steps, report.grad_trace, strict=True)))
+    return [_write_json(Path(out_dir) / f"solve_{tag}.json", summary),
+            _write_csv(Path(out_dir) / f"trace_{tag}.csv", "iteration,energy,step,grad_norm", rows)]
 
 
 def emit_decay_table(table: DecayTable, out_dir, tag: str) -> list:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cpath = out_dir / f"decay_{tag}.csv"
-    with open(cpath, "w") as fh:
-        fh.write("level,radius,energy\n")
-        for lev, r, e in table.rows:
-            fh.write(_csv_line((lev, float(r), float(e))))
-    jpath = out_dir / f"decay_{tag}.json"
-    jpath.write_text(
-        json.dumps(
-            {"theta": table.theta, "fit_residual": table.fit_residual},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    return [cpath, jpath]
+    rows = ((lev, float(r), float(e)) for lev, r, e in table.rows)
+    return [_write_csv(Path(out_dir) / f"decay_{tag}.csv", "level,radius,energy", rows),
+            _write_json(Path(out_dir) / f"decay_{tag}.json",
+                        {"theta": table.theta, "fit_residual": table.fit_residual})]
 
 
 def emit_probe_report(report: ProbeReport, out_dir, tag: str) -> list:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cpath = out_dir / f"probe_{report.name}_{tag}.csv"
-    with open(cpath, "w") as fh:
-        fh.write("sample,lhs,rhs,ratio\n")
-        for sample, lhs, rhs, ratio in report.rows:
-            fh.write(_csv_line((sample, float(lhs), float(rhs), float(ratio))))
-    jpath = out_dir / f"probe_{report.name}_{tag}.json"
-    jpath.write_text(
-        json.dumps(
-            {
-                "probe": report.name,
-                "sample_count": report.sample_count,
-                "worst_ratio": report.worst_ratio,
-                "frozen_C": report.frozen_c,
-                "pass": report.passed,
-                "seed": report.seed,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    return [cpath, jpath]
+    stem = f"probe_{report.name}_{tag}"
+    rows = ((sample, float(lhs), float(rhs), float(ratio)) for sample, lhs, rhs, ratio in report.rows)
+    summary = {"probe": report.name, "sample_count": report.sample_count,
+               "worst_ratio": report.worst_ratio, "frozen_C": report.frozen_c,
+               "pass": report.passed, "seed": report.seed}
+    return [_write_csv(Path(out_dir) / f"{stem}.csv", "sample,lhs,rhs,ratio", rows),
+            _write_json(Path(out_dir) / f"{stem}.json", summary)]
 
 
 def emit_el_table(report, out_dir, tag: str) -> list:
     """ElResidualReport -> CSV of (test function, generator, residual)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cpath = out_dir / f"el_residuals_{tag}.csv"
-    with open(cpath, "w") as fh:
-        fh.write("test_function,generator,residual\n")
-        for phi_label, om_label, val in report.entries:
-            fh.write(_csv_line((phi_label, om_label, float(val))))
-    return [cpath]
+    rows = ((phi_label, om_label, float(val)) for phi_label, om_label, val in report.entries)
+    return [_write_csv(Path(out_dir) / f"el_residuals_{tag}.csv", "test_function,generator,residual", rows)]
+
+
+def emit_verify_report(checks: dict, out_dir, tag: str) -> list:
+    """verify's checks, one JSON object per check."""
+    return [_write_json(Path(out_dir) / f"verify_{tag}.json", checks)]

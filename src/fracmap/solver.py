@@ -142,7 +142,7 @@ def _preconditioner(grid: GridSpec, params: EnergyParams):
     return lambda v: fourier_multiply(grid, v, inv)
 
 
-def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig = SolverConfig()):
+def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
     """Descend from u0; returns (critical field, SolveReport). The report
     carries the EL residual suite of the returned field.
 

@@ -5,7 +5,9 @@ drives it directly and checks both the code and the files left behind.
 """
 import filecmp
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,8 +95,11 @@ def test_verify_accepts_critical_point(tmp_path):
     check_dir = tmp_path / "check"
     assert main(["verify", "--config", str(cfg), "--field", str(solution),
                  "--out", str(check_dir)]) == 0
-    doc = json.loads(next(check_dir.glob("verify_*.json")).read_text())
+    text = next(check_dir.glob("verify_*.json")).read_text()
+    doc = json.loads(text)
     assert all(section["pass"] for section in doc.values())
+    # the artifact format of every JSON the commands write
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_rejects_non_critical_field(tmp_path):
@@ -110,7 +115,7 @@ def test_verify_rejects_non_critical_field(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
-def test_verify_grid_mismatch_is_config_error(tmp_path):
+def test_verify_grid_mismatch_is_config_error(tmp_path, capsys):
     g = make_grid(1, 16, 2 * np.pi)
     u = VectorField(grid=g, components=2,
                     samples=np.tile([1.0, 0.0], (16, 1)), unit_constrained=True)
@@ -119,6 +124,8 @@ def test_verify_grid_mismatch_is_config_error(tmp_path):
     cfg = _write(tmp_path, SOLVE_DOC)  # declares M = 32
     assert main(["verify", "--config", str(cfg), "--field", str(field_path),
                  "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: --field: {field_path}: "
+                                       "grid does not match the config grid\n")
 
 
 def test_verify_off_sphere_unit_field_is_config_error(tmp_path, capsys):
@@ -192,6 +199,29 @@ def test_unreadable_field_file_names_its_key(tmp_path, capsys, name, reason):
     err = capsys.readouterr().err
     assert err.startswith("config error: --field: ") and reason in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "probe"])
+@pytest.mark.parametrize("beneath", [False, True])
+def test_unusable_out_dir_exits_2_before_any_work(tmp_path, capsys, command, beneath):
+    # --out names a regular file, or a path beneath one: the output
+    # directory is made before any work, so the run stops there
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if beneath else blocker
+    assert main([command, "--out", str(out), "--set", 'probes=["t1"]']) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: out_dir: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_run_artifacts_are_written_only_by_reporting():
+    # every artifact format (JSON with indent 2 and sorted keys, CSV with
+    # %.17g floats) lives in reporting's two writers, so the command line
+    # neither serializes JSON nor opens a file for writing
+    src = (Path(__file__).resolve().parent.parent / "src" / "fracmap" / "cli.py").read_text()
+    assert not re.search(r"^\s*(import|from)\s+json\b", src, re.M)
+    assert not re.search(r"\bjson\.|\bopen\(|\.write_(text|bytes)\(", src)
 
 
 def test_runs_are_byte_identical(tmp_path):

@@ -258,14 +258,8 @@ def test_settable_values_census():
         "lab.band_limited_family.max_mode",
         "lab.run_probe.bound_const",
         "lab.run_probe.seed",
-        "reporting.RunConfig.raw",
         "reporting._typed.nullable",
-        "reporting.load_config.out_dir",
-        "reporting.load_config.overrides",
-        "reporting.load_config.path",
-        "reporting.load_config.seed",
         "reporting.write_field.meta",
         "solver.SolverConfig.grad_tol",
         "solver.SolverConfig.max_iters",
-        "solver.minimize.config",
     ]

@@ -9,7 +9,6 @@ from fracmap.grid import (
     ScalarField,
     VectorField,
     ball_mask,
-    ball_mean,
     fourier_multiply,
     lag_spectrum,
     make_grid,
@@ -106,34 +105,6 @@ def test_ball_mask_closed_ball_includes_boundary():
     d = h.center_dist()
     assert m[np.isclose(d, 2 * g.h)].all()
     assert not m[np.isclose(d, 3 * g.h)].any()
-
-
-def test_ball_mean_exact_for_constants():
-    g = make_grid(2, 8, 1.0)
-    hier = BallHierarchy(grid=g, center=(0.5, 0.5), base_radius=0.2, level_max=1)
-    f = ScalarField(grid=g, samples=np.full(g.n_sites, -7.125))
-    assert ball_mean(f, hier, 0) == -7.125
-    assert ball_mean(f, hier, 1) == -7.125
-
-
-def test_ball_mean_against_direct_average():
-    g = make_grid(1, 32, TWO_PI)
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.7, level_max=0)
-    x = site_coords(g)[:, 0]
-    f = ScalarField(grid=g, samples=np.cos(x))
-    m = ball_mask(hier, 0)
-    np.testing.assert_allclose(ball_mean(f, hier, 0), np.cos(x)[m].mean(), rtol=1e-14)
-
-
-def test_ball_mean_empty_ball_errors():
-    g = make_grid(1, 8, TWO_PI)
-    # center between sites, radius smaller than half a spacing: no sites inside
-    hier = BallHierarchy(
-        grid=g, center=(g.h / 2,), base_radius=g.h / 8, level_max=0
-    )
-    f = ScalarField(grid=g, samples=np.zeros(g.n_sites))
-    with pytest.raises(ValueError):
-        ball_mean(f, hier, 0)
 
 
 def test_hierarchy_validation():

@@ -208,16 +208,13 @@ def test_kernel_case_probe_memory_peak():
 
 
 def test_sobolev_exponent_exact_arithmetic():
-    from fractions import Fraction
-
-    val = sobolev_exponent(1, "0.5", "0.25", 2)
-    assert isinstance(val, Fraction) and val == 4
-    assert isinstance(sobolev_exponent(1, 0.5, 0.25, 2.0), float)
-    assert sobolev_exponent(2, "0.5", "0.25", 4) == 8
+    val = sobolev_exponent(1, 0.5, 0.25, 2.0)
+    assert isinstance(val, float) and val == 4.0
+    assert sobolev_exponent(2, 0.5, 0.25, 4.0) == 8.0
     # the formula itself is pure arithmetic; at the critical edge the
-    # denominator is exactly zero and rational arithmetic says so loudly
+    # denominator is exactly zero and the division says so loudly
     with pytest.raises(ZeroDivisionError):
-        sobolev_exponent(1, "0.5", "0.25", 4)
+        sobolev_exponent(1, 0.5, 0.25, 4.0)
 
 
 def test_sobolev_probe_and_growth():

@@ -16,6 +16,8 @@ from fracmap.reporting import (
     apply_overrides,
     canonical_config,
     config_hash,
+    emit_decay_table,
+    emit_el_table,
     emit_probe_report,
     emit_solve_report,
     load_config,
@@ -125,7 +127,7 @@ def test_load_config_reports_json_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"energy": {"s": 0.5,, "p": 2}}')
     with pytest.raises(ConfigError, match="line 1"):
-        load_config(bad)
+        load_config(bad, (), None, None)
 
 
 def test_config_hash_is_key_order_independent():
@@ -164,11 +166,17 @@ def test_field_roundtrip_bitwise(tmp_path):
     np.testing.assert_array_equal(back.samples, u.samples)
     assert back.grid == g
 
-    f = ScalarField(grid=g, samples=rng.normal(size=32))
-    write_field(tmp_path / "f.field", f)
-    back_f = read_field(tmp_path / "f.field")
-    assert isinstance(back_f, ScalarField)
-    np.testing.assert_array_equal(back_f.samples, f.samples)
+    # field files hold vector fields only: no scalar is written, and a
+    # header with no components is refused
+    with pytest.raises(TypeError):
+        write_field(tmp_path / "f.field", ScalarField(grid=g, samples=rng.normal(size=32)))
+    header, _, block = path.read_bytes().partition(b"\n")
+    doc = json.loads(header)
+    doc["components"] = 0
+    doc["header_digest"] = _header_digest(doc)
+    (tmp_path / "f.field").write_bytes(json.dumps(doc).encode() + b"\n" + block)
+    with pytest.raises(FieldFormatError, match="components"):
+        read_field(tmp_path / "f.field")
 
 
 def test_field_corruption_detected(tmp_path):
@@ -263,6 +271,30 @@ def test_emit_probe_report_files(tmp_path):
     assert float(csv_lines[1].split(",")[3]) == 0.25
 
 
+def test_emit_decay_table_bytes(tmp_path):
+    from fracmap.lab import DecayTable
+
+    table = DecayTable(rows=((0, 0.05, 1.5), (1, 0.1, 0.25)), theta=None, fit_residual=None)
+    paths = emit_decay_table(table, tmp_path, "dec")
+    assert paths == [tmp_path / "decay_dec.csv", tmp_path / "decay_dec.json"]
+    # an int level prints as an int, a float with all 17 significant digits
+    assert paths[0].read_bytes() == (b"level,radius,energy\n"
+                                     b"0,0.050000000000000003,1.5\n"
+                                     b"1,0.10000000000000001,0.25\n")
+    assert paths[1].read_bytes() == b'{\n  "fit_residual": null,\n  "theta": null\n}\n'
+
+
+def test_emit_el_table_bytes(tmp_path):
+    from fracmap.energy import ElResidualReport
+
+    report = ElResidualReport(entries=(("cos1", "e12", 1e-9), ("sin2", "e21", -0.5)), max_abs=0.5)
+    paths = emit_el_table(report, tmp_path, "el")
+    assert paths == [tmp_path / "el_residuals_el.csv"]
+    assert paths[0].read_bytes() == (b"test_function,generator,residual\n"
+                                     b"cos1,e12,1.0000000000000001e-09\n"
+                                     b"sin2,e21,-0.5\n")
+
+
 def test_manifest_contents(tmp_path):
     m = RunManifest(config_hash="deadbeef", artifact_version="0.1.0",
                     started="2026-01-01T00:00:00", finished="2026-01-01T00:00:01",
@@ -312,7 +344,7 @@ def test_any_config_document_raises_only_config_error(doc, overrides):
 def _field_file_bytes(tmp_path) -> list:
     g = make_grid(1, 8, TWO_PI)
     theta = np.linspace(0.0, 1.0, 8)
-    fields = [ScalarField(grid=g, samples=theta),
+    fields = [VectorField(grid=g, components=3, samples=np.stack([theta, theta**2, -theta], 1)),
               VectorField(grid=g, components=2, samples=np.stack([np.cos(theta), np.sin(theta)], 1),
                           unit_constrained=True)]
     out = []

@@ -161,7 +161,7 @@ def test_minimize_constant_field_is_already_critical():
     g = make_grid(1, 16, TWO_PI)
     u0 = VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (16, 1)))
     params = EnergyParams(s=0.5, p=2.0)
-    u, report = minimize(u0, params)
+    u, report = minimize(u0, params, SolverConfig())
     assert report.converged and report.iterations == 0
     assert report.final_grad_norm == 0.0
     np.testing.assert_allclose(np.linalg.norm(u.samples, axis=1), 1.0, rtol=1e-14)
