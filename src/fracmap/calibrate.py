@@ -20,7 +20,7 @@ import argparse
 import json
 from pathlib import Path
 
-from .lab import constants_digest, frozen_constants_path, run_probe
+from .lab import config_hash, frozen_constants_path, run_probe
 
 MARGIN = 1.5
 CALIBRATED = ("sobolev", "commutator", "kernel_case", "lp_sup", "t1")
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     constants = calibrate(args.seed, args.margin)
     payload = {"version": 1, "margin": args.margin, "seed": args.seed, "constants": constants}
-    payload["digest"] = constants_digest(payload)
+    payload["digest"] = config_hash(payload)
     path = Path(args.out) if args.out else frozen_constants_path()
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -319,8 +319,6 @@ def _du_weight(dus: list, params: EnergyParams):
     p, eps = params.p, params.eps_reg
     if p == 2.0 and eps == 0.0:
         return 1.0
-    if eps == 0.0 and p < 2.0:
-        raise ValueError("pair weight degenerates: need p >= 2 or eps_reg > 0")
     wgt = _sq_norm(dus)
     wgt += eps
     wgt **= (p - 2.0) / 2.0
@@ -477,17 +475,15 @@ def el_pairing(u: VectorField, flux: VectorField, phi: ScalarField, omega: np.nd
     return 2.0 * float(np.sum(q * flux.samples))
 
 
-def el_residual(u: VectorField, phi: ScalarField, omega: np.ndarray, params: EnergyParams,
-                region=None) -> float:
+def el_residual(u: VectorField, phi: ScalarField, omega: np.ndarray, params: EnergyParams) -> float:
     """Euler-Lagrange pairing of u against the test field omega u phi.
 
-    residual = sum_{x != y in region} w(y-x) |du|^{p-2}
+    residual = sum_{x != y} w(y-x) |du|^{p-2}
                sum_i (u^i(x) - u^i(y)) (q^i(x) - q^i(y)),
-    with q^i = omega_ij u^j phi, evaluated as 2 sum_x q(x) . G^B(x).
-    Vanishes at critical points when the region covers the whole pairing
-    (the default), and exactly for omega = 0 or constant u.
+    with q^i = omega_ij u^j phi, evaluated as 2 sum_x q(x) . G(x).
+    Vanishes at critical points, and exactly for omega = 0 or constant u.
     """
-    return el_pairing(u, pair_flux(u, params, region=region), phi, omega)
+    return el_pairing(u, pair_flux(u, params), phi, omega)
 
 
 # ---------------------------------------------------------------------------

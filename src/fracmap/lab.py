@@ -515,8 +515,11 @@ def frozen_constants_path() -> Path:
     return Path(__file__).parent / "data" / FROZEN_FILE
 
 
-def constants_digest(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+def config_hash(doc: dict) -> str:
+    """sha256 of the canonical JSON of doc (sorted keys, no whitespace):
+    the digest of the frozen constants, of a run config and of a field
+    header."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -530,7 +533,7 @@ def load_frozen_constants() -> dict:
             "no frozen constants file; run fracmap-calibrate to generate one"
         ) from None
     payload = {k: v for k, v in raw.items() if k != "digest"}
-    if constants_digest(payload) != raw.get("digest"):
+    if config_hash(payload) != raw.get("digest"):
         raise ValueError("frozen constants digest mismatch: file was modified outside calibration")
     return raw["constants"]
 

@@ -23,14 +23,13 @@ directory that the command line has created before any work.
 
 Field files hold vector fields: a one-line JSON header followed by a raw
 little-endian float64 block in sample-major order. The header holds a
-sha256 digest of the block and a sha256 `header_digest` over the canonical
-JSON of dim, points_per_axis, box_length, components (at least 1) and
-unit_constrained, the same formula as config_hash; read_field checks the
-latter when present and also reads files without it. Cheap to
-write, bit-exact to read back, and self-describing enough to catch
-truncation, damaged headers, mismatched grids and samples off the sphere
-under a unit_constrained header: any malformed file raises
-FieldFormatError or FieldDigestError.
+sha256 digest of the block and a `header_digest`, the config_hash of
+dim, points_per_axis, box_length, components (at least 1) and
+unit_constrained; read_field checks the latter when present and also
+reads files without it. Cheap to write, bit-exact to read back, and
+self-describing enough to catch truncation, damaged headers, mismatched
+grids and samples off the sphere under a unit_constrained header: any
+malformed file raises FieldFormatError or FieldDigestError.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from .energy import MAX_KERNEL_PAIRS, EnergyParams, _validate_t, check_pair_weights
 from .grid import BallHierarchy, GridSpec, VectorField, make_grid
-from .lab import DECAY_MIN_LEVELS, DecayTable, ProbeReport, PROBE_NAMES
+from .lab import DECAY_MIN_LEVELS, DecayTable, ProbeReport, PROBE_NAMES, config_hash
 from .solver import SolverConfig
 
 SCHEMA_VERSION = 1
@@ -255,11 +254,6 @@ def canonical_config(doc: dict) -> dict:
     return json.loads(json.dumps(doc, sort_keys=True))
 
 
-def config_hash(doc: dict) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def apply_overrides(doc: dict, assignments) -> dict:
     """Apply --set key=value pairs (dotted keys) onto a config dict.
     Values parse as JSON when possible, else stay strings. The result
@@ -407,9 +401,6 @@ def emit_solve_report(report, out_dir, tag: str) -> list:
         "converged": report.converged,
         "stop_reason": report.stop_reason,
         "energy_evals": report.energy_evals,
-        "gradient_evals": report.gradient_evals,
-        # a search that ends without an accepted step records step 0
-        "failed_line_searches": sum(step == 0.0 for step in report.step_trace),
         "exact_energy_changes": report.exact_energy_changes,
     }
     steps = (0.0, *report.step_trace)  # the initial iterate took no step

@@ -45,9 +45,12 @@ change itself as one pair sum, free of the cancellation. An accepted step
 then records E(u) + change as its energy, which keeps the energy trace
 non-increasing. Outside the band the plain difference already has the
 right sign. When even the exact change cannot show a decrease, because
-the gradient itself sits at its rounding floor, the line search fails
-repeatedly and the loop returns the best iterate after 60 consecutive
-failed searches.
+the gradient itself sits at its rounding floor, the search halves tau
+until u - tau d rounds back to u bitwise. Every shorter step would try
+that same candidate again, so the solve stops there with
+line_search_stalled at the current iterate. The rule has no trial
+budget: from any STEP0 the search halves until it accepts or until the
+step vanishes in the rounding of u, which a finite d always reaches.
 """
 from __future__ import annotations
 
@@ -73,8 +76,6 @@ STEP0 = 1.0
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 GROWBACK = 2.0
-MAX_BACKTRACKS = 60
-MAX_FAILED_SEARCHES = 60
 # Bound on |fl(E) - E| / E for a computed energy E, a sum of nonnegative
 # terms. A term carries at most (q (N + 3) + 2) u of rounding (u = 2^-53,
 # q = p/2, N components); the pairwise sum over the sites of a lag and the
@@ -107,7 +108,6 @@ class SolveReport:
     converged: bool
     stop_reason: str
     energy_evals: int  # calls of energy made by the descent
-    gradient_evals: int  # calls of energy_gradient made by the descent
     exact_energy_changes: int  # Armijo tests decided by energy_change
     el_suite: ElResidualReport  # the EL suite at the returned field
 
@@ -115,8 +115,8 @@ class SolveReport:
 def project_sphere(samples: np.ndarray) -> np.ndarray:
     """Rowwise radial projection onto the unit sphere."""
     norms = np.linalg.norm(samples, axis=1, keepdims=True)
-    if float(norms.min()) < 1e-8:
-        raise ValueError("cannot project: a sample vector is shorter than 1e-8")
+    if not np.isfinite(norms).all() or float(norms.min()) < 1e-8:
+        raise ValueError("cannot project: a sample vector is not finite or shorter than 1e-8")
     return samples / norms
 
 
@@ -146,20 +146,19 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
     """Descend from u0; returns (critical field, SolveReport). The report
     carries the EL residual suite of the returned field.
 
-    Stops when the tangential gradient norm falls below grad_tol, at
-    max_iters, or after 60 consecutive failed line searches. The energy,
-    the energy change and the gradient are fixed-order sums, so the
-    iteration path is the same on every rerun. The report counts the Armijo
-    tests decided by the exact energy change.
+    Stops when the tangential gradient norm falls below grad_tol, after
+    max_iters accepted steps, or when a line search can no longer move the
+    map. The energy, the energy change and the gradient are fixed-order
+    sums, so the iteration path is the same on every rerun. The report
+    counts the Armijo tests decided by the exact energy change; the
+    gradient is evaluated once at the start and once per accepted step.
     """
     precondition = _preconditioner(u0.grid, params)
     u = project_sphere(np.array(u0.samples))
     E = energy(_wrap(u, u0), params)
-    energy_evals, gradient_evals = 1, 0
+    energy_evals = 1
 
     def tangential_gradient(u):
-        nonlocal gradient_evals
-        gradient_evals += 1
         gt = tangent_project(energy_gradient(_wrap(u, u0), params).samples, u)
         return gt, float(np.linalg.norm(gt))
 
@@ -172,24 +171,20 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
     energy_trace = [E]
     step_trace: list = []
     grad_trace = [gn]
-    failed_streak = exact_changes = 0
+    exact_changes = 0
     converged = False
     stop_reason = "max_iters"
-    it = 0
     while True:
         if gn <= config.grad_tol:
             converged = True
             stop_reason = "grad_tol"
             break
-        if it >= config.max_iters:
+        if len(step_trace) >= config.max_iters:
             break
-        # a failed search leaves u, and so the direction, unchanged
-        if failed_streak == 0:
-            d = tangent_project(precondition(gt), u)
-            slope = float(np.sum(gt * d))
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = project_sphere(u - tau * d)
+        d = tangent_project(precondition(gt), u)
+        slope = float(np.sum(gt * d))
+        while not np.array_equal(trial := u - tau * d, u):
+            cand = project_sphere(trial)
             Ec = energy(_wrap(cand, u0), params)
             energy_evals += 1
             change, target = Ec - E, -ARMIJO_C * tau * slope
@@ -199,28 +194,22 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
                 exact_changes += 1
                 Ec = E + change
             if change <= target:
-                u, E = cand, Ec
-                step_trace.append(tau)
-                tau *= GROWBACK
-                accepted = True
                 break
             tau *= ARMIJO_SHRINK
-        it += 1
-        energy_trace.append(E)
-        if accepted:
-            failed_streak = 0
-            gt, gn = tangential_gradient(u)
         else:
-            failed_streak += 1
-            step_trace.append(0.0)
-        grad_trace.append(gn)
-        if failed_streak >= MAX_FAILED_SEARCHES:
+            # this step and every shorter one leave u where it is
             stop_reason = "line_search_stalled"
             break
+        u, E = cand, Ec
+        step_trace.append(tau)
+        tau *= GROWBACK
+        energy_trace.append(E)
+        gt, gn = tangential_gradient(u)
+        grad_trace.append(gn)
     result = VectorField(grid=u0.grid, components=u0.components, samples=u, unit_constrained=True)
     suite = el_residual_suite(result, params)
     report = SolveReport(
-        iterations=it,
+        iterations=len(step_trace),
         energy_trace=energy_trace,
         step_trace=step_trace,
         grad_trace=grad_trace,
@@ -229,7 +218,6 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
         converged=converged,
         stop_reason=stop_reason,
         energy_evals=energy_evals,
-        gradient_evals=gradient_evals,
         exact_energy_changes=exact_changes,
         el_suite=suite,
     )

@@ -79,7 +79,7 @@ def test_set_overrides_reach_the_run(tmp_path):
     assert code == 3  # two iterations cannot converge from the winding start
     # the trace has a gradient norm on every row, the last one the final norm
     solve_doc = json.loads(next(out.glob("solve_*.json")).read_text())
-    assert solve_doc["iterations"] == 2 and solve_doc["gradient_evals"] == 3
+    assert solve_doc["iterations"] == 2
     lines = next(out.glob("trace_*.csv")).read_text().splitlines()
     assert len(lines) == 4 and "nan" not in "".join(lines)
     assert float(lines[-1].split(",")[3]) == solve_doc["final_grad_norm"]
@@ -259,6 +259,8 @@ def test_runs_are_byte_identical(tmp_path):
     # h^2 is in range, but d^{n + s p} = d^10 is not
     ({"grid": {"box_length": 1e-100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
     ({"grid": {"box_length": 1e100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
+    # a non-finite sample vector has no projection onto the sphere
+    ({"initial": {"kind": "constant", "value": [float("nan"), 1.0]}}, "initial.value"),
 ])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
     cfg = _write(tmp_path, doc)

@@ -13,6 +13,7 @@ from fracmap.energy import (
     EnergyParams,
     PairKernelCache,
     duality_check,
+    el_pairing,
     el_residual,
     energy,
     energy_change,
@@ -283,9 +284,9 @@ def test_el_residual_matches_naive_loop():
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     params = EnergyParams(s=0.5, p=2.0)
     phif = ScalarField(grid=g, samples=phi)
-    hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=1.2, level_max=0)
-    for mask in (None, ball_mask(hier, 0)):
-        got = el_residual(u, phif, omega, params, region=mask)
+    ball = ball_mask(BallHierarchy(grid=g, center=(np.pi,), base_radius=1.2, level_max=0), 0)
+    for mask, got in ((None, el_residual(u, phif, omega, params)),
+                      (ball, el_pairing(u, pair_flux(u, params, region=ball), phif, omega))):
         want = naive_el_residual(u.samples, phi, omega, site_coords(g), g.box_length, g.h,
                                  1, 0.5, 2.0, mask=mask)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

@@ -250,7 +250,6 @@ def test_settable_values_census():
         "cli.main.argv",
         "energy.EnergyParams.eps_reg",
         "energy._energy_raw.region",
-        "energy.el_residual.region",
         "energy.energy.region",
         "energy.pair_flux.region",
         "energy.t_operator.region",

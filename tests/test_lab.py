@@ -18,7 +18,7 @@ from fracmap.grid import BallHierarchy, ScalarField, make_grid, site_coords
 from fracmap.lab import (
     band_limited_family,
     commutator_probe,
-    constants_digest,
+    config_hash,
     decay_profile,
     holder_fit,
     holefill_probe,
@@ -321,7 +321,7 @@ def test_frozen_constants_roundtrip_and_tamper(tmp_path, monkeypatch):
     import fracmap.lab as lab_mod
 
     payload = {"version": 1, "constants": {"sobolev": 1.0}}
-    payload["digest"] = constants_digest(payload)
+    payload["digest"] = config_hash(payload)
     payload["constants"]["sobolev"] = 2.0  # tamper after sealing
     bad = tmp_path / "frozen_constants.json"
     bad.write_text(json.dumps(payload))

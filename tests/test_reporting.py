@@ -239,16 +239,17 @@ def test_emit_solve_report_files(tmp_path):
                          step_trace=(1.0, 0.5), grad_trace=(0.9, 0.7, 0.3),
                          final_grad_norm=0.3, final_el_residual_max=1e-9,
                          converged=True, stop_reason="grad_tol",
-                         energy_evals=4, gradient_evals=3,
-                         exact_energy_changes=2,
+                         energy_evals=4, exact_energy_changes=2,
                          el_suite=ElResidualReport(entries=(), max_abs=1e-9))
     emit_solve_report(report, tmp_path, "abc")
     doc = json.loads((tmp_path / "solve_abc.json").read_text())
     assert doc["converged"] is True
     assert doc["stop_reason"] == "grad_tol"
-    assert (doc["energy_evals"], doc["gradient_evals"]) == (4, 3)
-    assert (doc["failed_line_searches"], doc["exact_energy_changes"]) == (0, 2)
-    assert "wall_time" not in doc  # timing is not reproducible output
+    assert (doc["energy_evals"], doc["exact_energy_changes"]) == (4, 2)
+    # exactly these keys, and no timing: that is not reproducible output
+    assert sorted(doc) == ["converged", "energy_evals", "exact_energy_changes",
+                           "final_el_residual_max", "final_grad_norm", "iterations",
+                           "stop_reason"]
     lines = (tmp_path / "trace_abc.csv").read_text().strip().splitlines()
     assert lines[0] == "iteration,energy,step,grad_norm"
     assert len(lines) == 4
