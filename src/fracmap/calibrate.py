@@ -2,14 +2,16 @@
 
 The inequality probes compare ratios against constants nobody knows
 sharply. This tool measures the worst ratio of each probe over its
-canonical seeded sample family, multiplies by a safety margin, and
-freezes the result into the versioned constants file that ships with the
-package. The sweeps are lab.run_probe's fixed setups, the same ones the
-`probe` command checks. Rerunning with the same seed and margin
-reproduces every constant to round-off (within 1e-12 relative), not bit
-for bit: the packaged file predates the lag-by-lag order of the pair
-sums, and it is kept as written so that probe artifacts keep their
-frozen_C values.
+canonical seeded sample family (kernel_case has none: it reports the
+maximum of a one-variable ratio, whatever the seed), multiplies by a
+safety margin, and freezes the result into the versioned constants file
+that ships with the package. The sweeps are lab.run_probe's fixed
+setups, the same ones the `probe` command checks. Rerunning with the
+same seed and margin reproduces every constant within 1e-12 relative,
+not bit for bit: the packaged file predates the lag-by-lag order of the
+pair sums, and its kernel_case value was frozen from a Monte Carlo worst
+9.9e-13 below the maximum; it is kept as written so that probe artifacts
+keep their frozen_C values.
 
 The hole-filling comparison is exact (constant 1); it is written without
 calibration so the file covers every probe the CLI can run.

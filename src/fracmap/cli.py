@@ -8,7 +8,8 @@ in that case). Everything a command does is deterministic given the
 config bytes and the seed. `--workers` is accepted and ignored: every
 pair pass runs serially.
 `probe` runs each selected probe on its calibrated setup, the one its
-frozen constant was measured on; only the seed varies it.
+frozen constant was measured on; only the seed varies it, and kernel_case,
+a maximum over one variable, takes no seed.
 """
 from __future__ import annotations
 
@@ -84,7 +85,8 @@ def initial_field(cfg: RunConfig) -> VectorField:
     grid = cfg.grid
     if init["kind"] == "winding":
         x = site_coords(grid)[:, 0]
-        theta = init["degree"] * (2.0 * np.pi / grid.box_length) * x + init["phase_amp"] * np.sin(
+        # degree 1 with a phase bump: theta = x + 0.3 sin x on a 2 pi box
+        theta = (2.0 * np.pi / grid.box_length) * x + 0.3 * np.sin(
             2.0 * np.pi * x / grid.box_length
         )
         samples = np.stack([np.cos(theta), np.sin(theta)], axis=1)

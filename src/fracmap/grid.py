@@ -110,7 +110,7 @@ class VectorField:
         if self.unit_constrained:
             norms = np.linalg.norm(self.samples, axis=1)
             worst = float(np.max(np.abs(norms - 1.0)))
-            if worst > 1e-12:
+            if not worst <= 1e-12:  # NaN fails too
                 raise ValueError(f"unit-constrained field has norm defect {worst:.3e}")
 
 

@@ -4,13 +4,16 @@ Each probe in this module takes an inequality that holds up to an
 unspecified constant and turns it into a regression test: a calibration
 sweep measures the worst ratio lhs/rhs over a seeded sample family, the
 constant is frozen (times a safety margin) into a versioned data file,
-and later runs check the same sweep against the frozen value. The probe
-functions only measure: each returns its rows (sample id, lhs, rhs,
-ratio). run_probe writes each sweep's setup (exponents, sample counts,
-grid, family seeds) once, and it alone loads the frozen constant and
-closes the ProbeReport; nothing is configurable, because a constant
-frozen on one setup says nothing about another. Nothing here estimates
-sharp constants; the point is that the ratios are bounded and stay
+and later runs check the same sweep against the frozen value. The
+kernel_case probe has no sample family: its ratio is a function of one
+real variable, and the probe reports that function's maximum in each of
+the three cases, whatever the seed. The probe functions only measure:
+each returns its rows (sample id, lhs, rhs, ratio). run_probe writes
+each sweep's setup (exponents, sample counts, grid, family seeds) once,
+and it alone loads the frozen constant and closes the ProbeReport;
+nothing is configurable, because a constant frozen on one setup says
+nothing about another. Nothing here estimates sharp constants, bar the
+kernel_case maxima; the point is that the ratios are bounded and stay
 bounded.
 
 Alongside the probes: localized-energy decay tables with a power-law
@@ -44,11 +47,6 @@ PROBE_NAMES = ("sobolev", "commutator", "kernel_case", "lp_sup", "t1", "holefill
 # fewest hierarchy levels a decay table accepts
 DECAY_MIN_LEVELS = 4
 
-# worst-offender rows kept per case in the kernel_case CSV; the full
-# 1e5-per-case sweep would dominate the output directory otherwise
-KERNEL_CASE_CSV_ROWS = 200
-# triples classified at a time by the kernel_case sampler
-KERNEL_CASE_SLICE = 2**14
 
 
 @dataclass(frozen=True)
@@ -316,47 +314,34 @@ def kernel_case_check(x, y, z, beta: float, eps: float):
     return case, lhs, rhs, bool(lhs <= load_frozen_constants()["kernel_case"] * rhs)
 
 
-def _sample_case_triples(rng, n, count, target_case):
-    """Rejection-sample `count` random triples landing in target_case and
-    return their distances (dxy, dxz, dyz), a (3, count) array. A round
-    draws x, y and z whole and classifies them KERNEL_CASE_SLICE rows at a
-    time, keeping the distances of the first triples that land."""
-    kept = []
-    have = 0
-    while have < count:
-        m = max(4 * count, 1024)
-        x = rng.standard_normal((m, n))
-        y = rng.standard_normal((m, n))
-        z = rng.standard_normal((m, n))
-        for lo in range(0, m, KERNEL_CASE_SLICE):
-            rows = slice(lo, lo + KERNEL_CASE_SLICE)
-            d = np.stack([np.linalg.norm(a[rows] - b[rows], axis=1)
-                          for a, b in ((x, y), (x, z), (y, z))])
-            sel = np.all(d > 0, axis=0) & (_classify_case(*d) == target_case)
-            idx = np.flatnonzero(sel)[:count - have]
-            kept.append(d[:, idx])
-            have += len(idx)
-            if have == count:
-                break
-    return np.concatenate(kept, axis=1)
+def kernel_case_probe(beta: float, eps: float) -> list:
+    """The largest ratio lhs/rhs of the three-case majorant in each case, n = 1.
 
-
-def kernel_case_probe(beta: float, eps: float, n: int, count_per_case: int, seed: int) -> list:
-    """Monte-Carlo sweep of the three-case majorant, count_per_case
-    triples per case; the rows keep the worst offenders per case."""
-    rng = np.random.default_rng(seed)
+    The ratio is homogeneous of degree 0 in the three distances and
+    invariant under translation and reflection, so every triple reduces
+    to x = 1, z = 0 and one real y outside {0, 1}: case 1 is 1/2 <= y <= 2,
+    case 2 is y <= -1 or y > 2, case 3 the rest. A grid of 64 points per
+    octave over 2^-20 <= |y| <= 2^20, which holds the case boundaries -1,
+    1/2 and 2, brackets each case's maximum between the neighbours of its
+    best point; twelve zooms of 65 points each narrow the bracket to
+    adjacent floats. One row per case: (case<k>/y=<maximizer>, lhs, rhs,
+    ratio).
+    """
+    mags = np.exp2(np.arange(-20 * 64, 20 * 64 + 1) / 64.0)
+    grid = np.concatenate([-mags[::-1], mags[mags != 1.0]])  # ascending
     rows = []
     for target in (1, 2, 3):
-        dxy, dxz, dyz = _sample_case_triples(rng, n, count_per_case, target)
-        case = np.full(dxy.shape, target)
-        lhs = np.abs(dxz ** (beta - n) - dyz ** (beta - n))
-        rhs = _case_majorant(case, dxy, dxz, dyz, beta, eps, n)
-        ratio = lhs / rhs
-        # descending, so each case's largest ratio is kept
-        order = np.argsort(ratio)[::-1][:KERNEL_CASE_CSV_ROWS]
-        rows.extend(
-            (f"case{target}/{i}", float(lhs[i]), float(rhs[i]), float(ratio[i])) for i in order
-        )
+        y = grid
+        for _ in range(13):  # the scan, then twelve zooms
+            dxy, dxz, dyz = np.abs(1.0 - y), np.ones_like(y), np.abs(y)
+            case = _classify_case(dxy, dxz, dyz)
+            lhs = np.abs(1.0 - dyz ** (beta - 1.0))
+            rhs = _case_majorant(case, dxy, dxz, dyz, beta, eps, 1)
+            ratio = np.where(case == target, lhs / rhs, -np.inf)
+            i = int(np.argmax(ratio))
+            best = (float(y[i]), float(lhs[i]), float(rhs[i]), float(ratio[i]))
+            y = np.linspace(y[max(i - 1, 0)], y[min(i + 1, len(y) - 1)], 65)
+        rows.append((f"case{target}/y={best[0]!r}", *best[1:]))
     return rows
 
 
@@ -554,7 +539,7 @@ def run_probe(name: str, seed: int = 0, bound_const: float | None = None) -> Pro
     hole-filling verdict is holefill_check's termwise one.
     """
     grid = make_grid(1, 64, 2.0 * np.pi)
-    report_seed, sample_count, passed = seed, None, None
+    report_seed, passed = seed, None
     if name == "sobolev":
         family = band_limited_family(grid, 20, seed + 101)
         rows = sobolev_probe(family, s=0.5, t=0.25, p=2.0)
@@ -563,9 +548,7 @@ def run_probe(name: str, seed: int = 0, bound_const: float | None = None) -> Pro
                          band_limited_family(grid, 50, seed + 203)))
         rows = commutator_probe(pairs, alpha=0.5, eps=0.0, p=2.0, p1=2.0, p2=2.0)
     elif name == "kernel_case":
-        report_seed, per_case = seed + 303, 100_000
-        rows = kernel_case_probe(beta=0.5, eps=0.3, n=1, count_per_case=per_case, seed=report_seed)
-        sample_count = 3 * per_case  # the rows keep only the worst offenders
+        rows = kernel_case_probe(beta=0.5, eps=0.3)
     elif name == "lp_sup":
         # band-localized sup bound: sup |Lambda^t P_j f| against 2^{j(n/p + t - s)} [f]_{s,p}
         bank = build_lp_bank(grid)
@@ -597,7 +580,7 @@ def run_probe(name: str, seed: int = 0, bound_const: float | None = None) -> Pro
     worst = max([0.0] + [row[3] for row in rows])
     return ProbeReport(
         name=name,
-        sample_count=len(rows) if sample_count is None else sample_count,
+        sample_count=len(rows),
         worst_ratio=worst,
         frozen_c=bound_const,
         passed=bool(worst <= bound_const) if passed is None else passed,

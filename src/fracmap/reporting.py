@@ -96,8 +96,6 @@ SCHEMA = {
     }, None),
     "initial": ({
         "kind": (str, "winding"),
-        "degree": (int, 1),
-        "phase_amp": (float, 0.3),
         "value": (list[float], [1.0, 0.0]),
         "path": (str, None),
     }, {}),
@@ -360,6 +358,8 @@ def read_field(path):
     if hashlib.sha256(block).hexdigest() != digest:
         raise FieldDigestError(f"{path}: sample block digest mismatch")
     samples = np.frombuffer(block, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(samples)):
+        raise FieldFormatError(f"{path}: sample block holds non-finite values")
     try:
         return VectorField(
             grid=grid,
@@ -377,8 +377,9 @@ def read_field(path):
 
 
 def _write_json(path, doc):
-    """A JSON artifact: indent 2, sorted keys, one trailing newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """A JSON artifact: indent 2, sorted keys, one trailing newline; strict
+    JSON, so a NaN or infinite value raises ValueError."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 

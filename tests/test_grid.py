@@ -97,6 +97,15 @@ def test_field_shape_validation():
         VectorField(grid=g, components=2, samples=np.full((8, 2), 0.9), unit_constrained=True)
 
 
+def test_unit_check_rejects_non_finite_samples():
+    # a NaN norm defect compares false with any tolerance, so it must fail
+    g = make_grid(1, 8, 1.0)
+    samples = np.tile([1.0, 0.0], (8, 1))
+    samples[3, 0] = np.nan
+    with pytest.raises(ValueError, match="norm defect nan"):
+        VectorField(grid=g, components=2, samples=samples, unit_constrained=True)
+
+
 def test_ball_mask_closed_ball_includes_boundary():
     g = make_grid(1, 16, TWO_PI)
     h = BallHierarchy(grid=g, center=(0.0,), base_radius=2 * g.h, level_max=1)

@@ -145,66 +145,64 @@ def test_kernel_case_classification():
 
 
 def test_kernel_case_probe_small_run():
-    rows = kernel_case_probe(beta=0.5, eps=0.3, n=1, count_per_case=2000, seed=5)
-    assert len(rows) == 3 * 200  # the worst offenders of each case's 2000
+    rows = kernel_case_probe(beta=0.5, eps=0.3)
+    assert [row[0].split("/")[0] for row in rows] == ["case1", "case2", "case3"]
     assert max(row[3] for row in rows) <= load_frozen_constants()["kernel_case"]
-    assert all("case" in row[0] for row in rows)
+    # each row is the triple x = 1, y, z = 0 as kernel_case_check sees it
+    # (which takes its powers of python floats, numpy's of arrays)
+    for k, (sample, lhs, rhs, ratio) in enumerate(rows, start=1):
+        y = float(sample.split("/y=")[1])
+        case, lhs_c, rhs_c, ok = kernel_case_check(1.0, y, 0.0, beta=0.5, eps=0.3)
+        assert (case, ok) == (k, True)
+        np.testing.assert_allclose([lhs_c, rhs_c], [lhs, rhs], rtol=1e-15)
+        assert ratio == lhs / rhs
 
 
-def _kernel_case_rows_reference(beta, eps, n, count, seed):
-    # reference rows from a sampler that classifies all 4 count draws of a
-    # rejection round at once, keeps x, y and z, and takes the distances
-    # again from the kept triples
-    rng = np.random.default_rng(seed)
-    rows = []
-    for target in (1, 2, 3):
-        got, have = [], 0
-        while have < count:
-            m = max(4 * count, 1024)
-            x, y, z = (rng.standard_normal((m, n)) for _ in range(3))
-            dxy = np.linalg.norm(x - y, axis=1)
-            dxz = np.linalg.norm(x - z, axis=1)
-            dyz = np.linalg.norm(y - z, axis=1)
-            case = np.where((dxy <= 0.5 * dxz) | (dxy <= 0.5 * dyz), 1,
-                            np.where(dxz <= dyz, 2, 3))
-            sel = (dxy > 0) & (dxz > 0) & (dyz > 0) & (case == target)
-            idx = np.flatnonzero(sel)[:count - have]
-            got.append((x[idx], y[idx], z[idx]))
-            have += len(idx)
-        x, y, z = (np.concatenate(a) for a in zip(*got))
-        dxy = np.linalg.norm(x - y, axis=1)
-        dxz = np.linalg.norm(x - z, axis=1)
-        dyz = np.linalg.norm(y - z, axis=1)
-        near = np.minimum(dxz, dyz)
-        base = {1: near, 2: dxz, 3: dyz}[target]
-        lhs = np.abs(dxz ** (beta - n) - dyz ** (beta - n))
-        rhs = dxy**eps * base ** (beta - eps - n)
-        ratio = lhs / rhs
-        order = np.argsort(ratio)[::-1][:200]
-        rows.extend((f"case{target}/{i}", float(lhs[i]), float(rhs[i]), float(ratio[i]))
-                    for i in order)
-    return rows
+def test_kernel_case_probe_case1_maximum():
+    # the case-1 sup sits on the boundary y = 1/2 (or its mirror y = 2):
+    # (2^(1/2) - 1) / 2^(1/2)
+    ratio = kernel_case_probe(beta=0.5, eps=0.3)[0][3]
+    assert abs(ratio - (1.0 - 2.0**-0.5)) <= 1e-14 * ratio
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("count", [2000, 5000])
-def test_kernel_case_probe_rows_match_reference_sampler(n, count):
-    # 5000 per case makes 20000 draws a round, more than one classified slice
-    beta = 0.5 * n
-    rows = kernel_case_probe(beta=beta, eps=0.3, n=n, count_per_case=count, seed=7)
-    assert rows == _kernel_case_rows_reference(beta, 0.3, n, count, 7)
+def test_kernel_case_probe_cases_2_and_3_agree():
+    # swapping x and y maps case 2 onto case 3, so their sups are one number
+    _, (_, _, _, r2), (_, _, _, r3) = kernel_case_probe(beta=0.5, eps=0.3)
+    assert abs(r2 - r3) <= 1e-14 * r2
+
+
+def test_kernel_case_probe_bounds_a_seeded_sweep():
+    # oracle: random n = 1 triples, classified and majorized here from the
+    # definitions; no sampled ratio may exceed its case's maximum
+    beta, eps = 0.5, 0.3
+    maxima = [row[3] for row in kernel_case_probe(beta, eps)]
+    x, y, z = np.random.default_rng(11).standard_normal((3, 400_000))
+    dxy, dxz, dyz = np.abs(x - y), np.abs(x - z), np.abs(y - z)
+    case1 = (dxy <= 0.5 * dxz) | (dxy <= 0.5 * dyz)
+    cases = (case1, ~case1 & (dxz <= dyz), ~case1 & (dxz > dyz))
+    bases = (np.minimum(dxz, dyz), dxz, dyz)
+    lhs = np.abs(dxz ** (beta - 1.0) - dyz ** (beta - 1.0))
+    for sel, base, top in zip(cases, bases, maxima):
+        assert sel.sum() >= 20_000
+        ratio = lhs[sel] / (dxy[sel] ** eps * base[sel] ** (beta - eps - 1.0))
+        assert ratio.max() <= top * (1.0 + 1e-12)
+        assert ratio.max() >= 0.999 * top  # and the maximum is a tight one
+
+
+def test_kernel_case_probe_ignores_the_seed():
+    assert run_probe("kernel_case", seed=0).rows == run_probe("kernel_case", seed=1).rows
 
 
 def test_kernel_case_probe_memory_peak():
-    # the default probe draws 400 000 triples a round; classifying them in
-    # slices keeps only the kept distances besides the draws themselves
+    # the probe evaluates a few thousand points of one variable; a sampler
+    # of random triples would need tens of MB
     tracemalloc.start()
     try:
         run_probe("kernel_case")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28e6, f"{peak / 1e6:.1f} MB"
+    assert peak < 1e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_sobolev_exponent_exact_arithmetic():
@@ -276,8 +274,8 @@ def test_run_probe_canonical_setups():
         report = run_probe(name)
         assert report.passed, name
         assert report.worst_ratio <= report.frozen_c
-        if name == "kernel_case":  # every sampled triple, not the rows kept
-            assert report.sample_count == 3 * 100_000
+        if name == "kernel_case":  # one maximum per case
+            assert report.sample_count == len(report.rows) == 3
 
 
 def test_probe_setups_are_not_parameters():

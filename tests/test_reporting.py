@@ -13,6 +13,7 @@ from fracmap.reporting import (
     FieldFormatError,
     RunManifest,
     _header_digest,
+    _write_json,
     apply_overrides,
     canonical_config,
     config_hash,
@@ -231,6 +232,23 @@ def test_field_corruption_detected(tmp_path):
     assert read_field(tmp_path / "old.field").grid == g
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_field_rejects_non_finite_samples(tmp_path, bad):
+    g = make_grid(1, 16, TWO_PI)
+    samples = np.tile([0.6, 0.8], (16, 1))
+    samples[7, 0] = bad
+    path = tmp_path / "bad.field"
+    write_field(path, VectorField(grid=g, components=2, samples=samples))
+    with pytest.raises(FieldFormatError, match="bad.field: sample block holds non-finite values"):
+        read_field(path)
+
+
+def test_json_artifacts_are_strict_json(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "a.json", {"value": float("nan")})
+    assert not (tmp_path / "a.json").exists()
+
+
 def test_emit_solve_report_files(tmp_path):
     from fracmap.energy import ElResidualReport
     from fracmap.solver import SolveReport
@@ -318,7 +336,7 @@ SECTIONS = {"grid": ["dim", "points_per_axis", "box_length"],
             "energy": ["s", "p", "eps_reg", "t", "critical_mode"],
             "solver": ["max_iters", "grad_tol"],
             "hierarchy": ["center", "base_radius", "levels"],
-            "initial": ["kind", "degree", "phase_amp", "value", "path"]}
+            "initial": ["kind", "value", "path"]}
 TOP_KEYS = [*SECTIONS, "schema_version", "probes", "seed", "out_dir"]
 NEAR_SCHEMA = st.dictionaries(
     st.sampled_from(TOP_KEYS),

@@ -305,6 +305,16 @@ def test_el_residual_suite_structure():
     assert len(elementary_omegas(3)) == 6
 
 
+def test_el_residual_suite_maximum_keeps_nan():
+    g = make_grid(1, 16, TWO_PI)
+    samples = np.tile([1.0, 0.0], (16, 1))
+    samples[5, 1] = np.nan
+    u = VectorField(grid=g, components=2, samples=samples)
+    with np.errstate(invalid="ignore"):
+        suite = el_residual_suite(u, EnergyParams(s=0.5, p=2.0))
+    assert np.isnan(suite.max_abs)
+
+
 def test_elementary_omegas_are_antisymmetric():
     for N in (2, 3, 4):
         for label, omega in elementary_omegas(N):
