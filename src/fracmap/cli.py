@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lab, reporting
-from .energy import (EnergyParams, _kappa_duality_1d, _validate_t, duality_check, el_residual, energy,
-                     holefill_check)
+from .energy import (EnergyParams, PairKernelCache, _energy_raw, _kappa_duality_1d, _pair_flux,
+                     _validate_t, duality_check, el_residual, energy, holefill_check, pair_flux)
 from .grid import BallHierarchy, ScalarField, VectorField, ball_mask, make_grid, site_coords
 from .reporting import (
     ConfigError,
@@ -84,11 +84,14 @@ def initial_field(cfg: RunConfig) -> VectorField:
     init = cfg.initial
     grid = cfg.grid
     if init["kind"] == "winding":
-        x = site_coords(grid)[:, 0]
-        # degree 1 with a phase bump: theta = x + 0.3 sin x on a 2 pi box
-        theta = (2.0 * np.pi / grid.box_length) * x + 0.3 * np.sin(
-            2.0 * np.pi * x / grid.box_length
+        x = site_coords(grid)
+        # degree 1 along axis 0 with a phase bump: theta = x_0 + 0.3 sin x_0
+        # on a 2 pi box, plus 0.2 sin x_1 in 2d
+        theta = (2.0 * np.pi / grid.box_length) * x[:, 0] + 0.3 * np.sin(
+            2.0 * np.pi * x[:, 0] / grid.box_length
         )
+        if grid.dim == 2:
+            theta += 0.2 * np.sin(2.0 * np.pi * x[:, 1] / grid.box_length)
         samples = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return VectorField(grid=grid, components=2, samples=samples, unit_constrained=True)
     if init["kind"] == "constant":
@@ -244,6 +247,20 @@ def cmd_selftest() -> int:
         assert energy(const, params) == 0.0
         assert el_residual(const, ScalarField(grid=g, samples=np.ones(g.n_sites)),
                            np.array([[0.0, 1.0], [-1.0, 0.0]]), params) == 0.0
+        # at p = 4 the full-torus passes are spectral: a constant 2d map has
+        # exactly zero energy and flux, and on a random unit field both
+        # match the pair passes
+        g2 = make_grid(2, 8, 2.0 * np.pi)
+        p4 = EnergyParams(s=0.5, p=4.0)
+        const2 = VectorField(grid=g2, components=2, samples=np.tile([0.6, 0.8], (g2.n_sites, 1)))
+        assert energy(const2, p4) == 0.0 and not pair_flux(const2, p4).samples.any()
+        raw = np.random.default_rng(0).standard_normal((g2.n_sites, 2))
+        rand = VectorField(grid=g2, components=2, samples=project_sphere(raw + [2.0, 0.0]))
+        want = _energy_raw(rand.samples, PairKernelCache(g2, p4), 4.0, 0.0)
+        assert abs(energy(rand, p4) - want) <= 1e-12 * want, "spectral energy at p = 4"
+        G = _pair_flux(rand, p4, None).samples
+        assert np.abs(pair_flux(rand, p4).samples - G).max() <= 1e-12 * np.abs(G).max(), \
+            "spectral flux at p = 4"
         # two cells of the duality kernel, whose periodic images come from a
         # series, against the images as two Hurwitz zeta values: an inner
         # cell and the seam cell around L/2

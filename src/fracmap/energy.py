@@ -58,6 +58,21 @@ by axis, first along axis 0, and G is the forward sum minus the folded
 one. Tests compare both functions against a reference copy of these
 formulas.
 
+At p = 4 with eps_reg = 0, every full-torus pair sum is a quadratic form
+in correlations of u, a u and u u^T (a = |u|^2), and the circulant kernel
+is diagonal in Fourier space (R. M. Gray, Toeplitz and Circulant
+Matrices: A Review, 2006). There energy, pair_flux and seminorm take a
+spectral pass of O(S log S): one grid.fourier_multiply by the cached
+symbol D(k) = w^(0) - w^(k), which vanishes at k = 0, on the columns of
+the centred samples and their products (see _spectral_energy and
+_spectral_flux). The route depends only on p, eps_reg and the region:
+regions, p != 4, eps_reg > 0 and energy_change stay pair passes. Both
+sums are invariant under u -> u - c, so the passes subtract the mean of u
+first, which keeps the Fourier terms of a near-constant map from
+cancelling; constant maps still give exactly 0.0. The spectral energy
+rounds differently from the pair sum, so energy_rounding states the bound
+of whichever route energy takes, for the solver's Armijo band.
+
 For p < 2 the pair weight |u(x)-u(y)|^{p-2} degenerates at coincident
 values; a regularizer eps_reg > 0 replaces |du|^2 by |du|^2 + eps_reg
 inside the weight. With eps_reg > 0 the energy itself is evaluated as
@@ -136,6 +151,17 @@ def check_pair_weights(grid: GridSpec, exponent: float) -> None:
     if not np.all((tiny <= denom) & (denom < np.inf) & (tiny <= w) & (w < np.inf)):
         raise ValueError(f"box_length {grid.box_length:g} puts the pair weights "
                          f"h^{2 * grid.dim} / d^{exponent:g} outside the normal float64 range")
+
+
+@lru_cache(maxsize=32)
+def _pair_symbol(grid: GridSpec, exponent: float) -> np.ndarray:
+    """D(k) = w^(0) - w^(k) on the rfftn half grid, w^ the spectrum of the
+    pair lag kernel: the symbol of Dg = w^(0) g - w * g, the operator the
+    spectral passes apply. It is exactly 0 at k = 0."""
+    w_hat = lag_spectrum(grid, _pair_weights(grid, exponent)).real
+    D = w_hat.flat[0] - w_hat
+    D.flags.writeable = False
+    return D
 
 
 @lru_cache(maxsize=32)
@@ -223,17 +249,16 @@ def _block_lags(grid: GridSpec) -> int:
     return min(grid.points_per_axis, max(1, BLOCK_TERMS // grid.n_sites))
 
 
-def _lag_blocks(grid: GridSpec, samples: np.ndarray, mask):
+def _lag_blocks(grid: GridSpec, samples: np.ndarray, mask, step: int):
     """One half-lag pass over (S, N) samples, block by block. Yields the
     block's slots in the half-lag order, the first coordinate of its first
     lag and the tail coordinates its lags share, the differences
     du_z(x) = u(x) - u(x + z), one (lags, S) array per component, and the
     region factor m(x) m(x + z) (None without a region). A block is a run
-    of at most _block_lags consecutive lags along the first axis, and its
+    of at most `step` consecutive lags along the first axis, and its
     windows are a basic slice of one strided view per component."""
     M, S, n = grid.points_per_axis, grid.n_sites, grid.dim
     T = S // M  # flat distance of one step along the first axis
-    step = _block_lags(grid)
 
     def tiled(a):
         # a on the grid axes, tiled periodically to 2M - 1 along each axis
@@ -277,7 +302,8 @@ def _check_region(region, grid: GridSpec):
 def _energy_raw(samples, kernel: PairKernelCache, p, eps, region=None) -> float:
     grid = kernel.grid
     lag_energy = np.zeros(len(kernel.half_weights))
-    for slots, _, _, dus, pair_mask in _lag_blocks(grid, samples, _check_region(region, grid)):
+    for slots, _, _, dus, pair_mask in _lag_blocks(grid, samples, _check_region(region, grid),
+                                                   _block_lags(grid)):
         vals = _sq_norm(dus)
         if eps > 0.0:
             vals += eps
@@ -291,8 +317,113 @@ def _energy_raw(samples, kernel: PairKernelCache, p, eps, region=None) -> float:
     return 2.0 * float(np.sum(lag_energy))
 
 
+def _spectral_route(p: float, eps: float, region) -> bool:
+    """Whether a pass is a spectral one: p = 4, eps_reg = 0, the whole torus."""
+    return p == 4.0 and eps == 0.0 and region is None
+
+
+def _centred_products(samples: np.ndarray):
+    """From (S, N) samples: the centred v = u - mean(u), a = |v|^2 (summed
+    in component order) and the (S, N) array a v. E and G depend on u only
+    through differences, so the centring changes neither; it keeps the
+    Fourier terms of a near-constant map from cancelling."""
+    v = samples - np.mean(samples, axis=0)
+    a = _sq_norm(list(v.T))
+    return v, a, a[:, None] * v
+
+
+def _spectral_energy(grid: GridSpec, samples: np.ndarray, exponent: float) -> float:
+    """The p = 4 energy over the whole torus as
+    E = 8 sum_i <a v_i, D v_i> - 2 <a, D a> - 4 sum_ij <Q_ij, D Q_ij>,
+    <f, g> = sum_x f(x) g(x), on the centred v with a = |v|^2 and Q = v v^T;
+    the off-diagonal Q_ij, i < j, are formed once and counted twice."""
+    v, a, av = _centred_products(samples)
+    i, j = np.triu_indices(v.shape[1])
+    Q = v[:, i] * v[:, j]
+    DX = fourier_multiply(grid, np.column_stack([v, a, Q]), _pair_symbol(grid, exponent))
+    N = v.shape[1]
+    cross = np.sum(av * DX[:, :N])
+    square = np.sum(a * DX[:, N])
+    quad = np.sum(np.where(i == j, 1.0, 2.0) * Q * DX[:, N + 1:])
+    return float(8.0 * cross - 2.0 * square - 4.0 * quad)
+
+
+def _spectral_flux(grid: GridSpec, samples: np.ndarray, exponent: float) -> np.ndarray:
+    """The p = 4 pair flux over the whole torus on the centred v, a = |v|^2:
+    G_i = a D v_i - v_i D a + D(a v_i) + 2 v_i sum_j v_j D v_j
+    - 2 sum_j v_j D(v_j v_i)."""
+    v, a, av = _centred_products(samples)
+    N = v.shape[1]
+    i, j = np.triu_indices(N)
+    pair = np.empty((N, N), dtype=int)  # the column of Q_ij = Q_ji
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    DX = fourier_multiply(grid, np.column_stack([v, a, av, v[:, i] * v[:, j]]),
+                          _pair_symbol(grid, exponent))
+    Dv, Da, Dav, DQ = DX[:, :N], DX[:, N], DX[:, N + 1:2 * N + 1], DX[:, 2 * N + 1:]
+    G = a[:, None] * Dv - v * Da[:, None] + Dav + 2.0 * v * np.sum(v * Dv, axis=1)[:, None]
+    G -= 2.0 * np.sum(v[:, :, None] * DQ[:, pair], axis=1)
+    return G
+
+
+# Bound on |fl(E) - E| for the spectral energy, in units of u = 2^-53 times
+# scale = D_max (8 |a v| |v| + 2 |a|^2 + 4 |Q|^2), the 2-norms over all
+# sites and components, D_max = max_k D(k). To first order in u, with
+# L = log2 S and |<f, D g>| <= D_max |f| |g| for every term of E:
+# - the centring: fl(u - c) = (u - c)(1 + t), |t| <= u, and E(u) = E(u - c)
+#   exactly for any c; so v carries 1 u per entry, Q_ij 3 u, a (N + 2) u
+#   and a v_i (N + 4) u, and a pair <f, D g> of them at most 2N + 4 u;
+# - one D g: a forward and an inverse FFT, modelled on Higham's bound for
+#   the radix-2 FFT (Accuracy and Stability of Numerical Algorithms, 2002,
+#   Thm 24.2), L eta each with eta = mu + gamma_4 (sqrt 2 + mu) <= 8 u for
+#   twiddles within mu <= 2 u; the symbol, whose entries w^(0) and w^(k)
+#   are each within L eta sum|w| = L eta w^(0) <= L eta D_max (D averages
+#   w^(0) over k), 2 L eta + u; the product with it u, and the 1/S
+#   scaling u: (4 L eta + 3 u) D_max |g| in all;
+# - the products f D g, u, and numpy's pairwise sum of at most S N^2 of
+#   them, at most L + 2 log2 N + 20 additions deep (runs of 128 summed by
+#   eight running sums, 16 + 3 deep plus 7 leftover terms, under a binary
+#   tree), 1 u more for rounding the depth up;
+# - the two subtractions that join the three sums, 2 u.
+# Together (32 L + 3 + 2N + 4 + 1 + L + 2 log2 N + 21 + 2) u of scale.
+def _spectral_rounding(grid: GridSpec, samples: np.ndarray, exponent: float) -> float:
+    v, a, av = _centred_products(samples)
+    N = samples.shape[1]
+    units = 33.0 * np.log2(grid.n_sites) + 2.0 * N + 2.0 * np.log2(N) + 31.0
+    norm = np.linalg.norm
+    D_max = float(np.max(_pair_symbol(grid, exponent)))
+    # |Q|^2 = sum_x sum_ij v_i^2 v_j^2 = |a|^2
+    return units * 2.0**-53 * D_max * (8.0 * norm(av) * norm(v) + 6.0 * norm(a) ** 2)
+
+
+# Bound on |fl(E) - E| / E for the pair energy E, a sum of nonnegative
+# terms. A term carries at most (q (N + 3) + 2) u of rounding (u = 2^-53,
+# q = p/2, N components); the pairwise sum over the sites of a lag and the
+# one over the lags (at most 2^13 and 2^12 + 1 terms) are each at most 24
+# additions deep, and the lag weight adds one. With q (N + 3) <= 77, as for
+# p <= 25 with N <= 3, the whole stays below 128 u.
+ENERGY_ROUNDING = 2.0**-46
+
+
+def energy_rounding(u: VectorField, params: EnergyParams, E: float) -> float:
+    """A bound on the rounding |E - exact sum| of E = energy(u, params) over
+    the whole torus: the spectral bound on the spectral route, and
+    ENERGY_ROUNDING relative to E on a pair pass. With eps_reg > 0 every pair
+    term subtracts eps^{p/2}, and the rounding of those terms scales with
+    twice their total over all pairs, not with E."""
+    exponent = u.grid.dim + params.s * params.p
+    if _spectral_route(params.p, params.eps_reg, None):
+        return _spectral_rounding(u.grid, u.samples, exponent)
+    floor = (params.eps_reg ** (params.p / 2) * u.grid.n_sites
+             * float(np.sum(_pair_weights(u.grid, exponent))))
+    return ENERGY_ROUNDING * (E + 2.0 * floor)
+
+
 def energy(u: VectorField, params: EnergyParams, region=None) -> float:
-    """The double-sum energy over ordered pairs of the region."""
+    """The double-sum energy over ordered pairs of the region; a spectral
+    pass at p = 4 with eps_reg = 0 over the whole torus, a pair pass
+    otherwise."""
+    if _spectral_route(params.p, params.eps_reg, region):
+        return _spectral_energy(u.grid, u.samples, u.grid.dim + params.s * params.p)
     return _energy_raw(u.samples, PairKernelCache(u.grid, params), params.p, params.eps_reg,
                        region=region)
 
@@ -311,6 +442,8 @@ def seminorm(f, s: float, p: float) -> float:
         raise TypeError(f"expected a field, got {type(f).__name__}")
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got {p}")
+    if _spectral_route(p, 0.0, None):
+        return _spectral_energy(f.grid, samples, f.grid.dim + s * p) ** (1.0 / p)
     return _energy_raw(samples, PairKernelCache.from_exponent(f.grid, s, p), p, 0.0) ** (1.0 / p)
 
 
@@ -327,7 +460,17 @@ def _du_weight(dus: list, params: EnergyParams):
 
 def pair_flux(u: VectorField, params: EnergyParams, region=None) -> VectorField:
     """The pair flux G^B(x) = sum_{y in B} w(y - x) (|du|^2 + eps)^{(p-2)/2} du
-    with du = u(x) - u(y), for x in the region B and zero outside it.
+    with du = u(x) - u(y), for x in the region B and zero outside it: a
+    spectral pass at p = 4 with eps_reg = 0 over the whole torus, a pair
+    pass otherwise."""
+    if _spectral_route(params.p, params.eps_reg, region):
+        G = _spectral_flux(u.grid, u.samples, u.grid.dim + params.s * params.p)
+        return VectorField(grid=u.grid, components=u.components, samples=G)
+    return _pair_flux(u, params, region)
+
+
+def _pair_flux(u: VectorField, params: EnergyParams, region) -> VectorField:
+    """pair_flux as one half-lag pair pass.
 
     Each half lag z forms F_z = c'(z) w(z) (|du_z|^2 + eps)^{(p-2)/2} du_z
     once. The forward term F_z(x) is a running sum over the half lags in
@@ -351,7 +494,7 @@ def pair_flux(u: VectorField, params: EnergyParams, region=None) -> VectorField:
     G = np.zeros((N, S))
     rev = np.zeros((N,) + (2 * M,) * n)
     for slots, first, tail, dus, pair_mask in _lag_blocks(grid, u.samples,
-                                                           _check_region(region, grid)):
+                                                           _check_region(region, grid), step):
         k = len(dus[0])
         wgt = half[slots, None] * _du_weight(dus, params)
         if pair_mask is not None:
@@ -395,7 +538,11 @@ def energy_change(u: VectorField, v: VectorField, params: EnergyParams) -> float
     kernel = PairKernelCache(u.grid, params)
     stacked = np.concatenate([v.samples - u.samples, v.samples + u.samples], axis=1)
     lag_change = np.zeros(len(kernel.half_weights))
-    for slots, _, _, dus, _ in _lag_blocks(u.grid, stacked, None):
+    # the pass differences 2N components, twice a pair pass's N, so half as
+    # many lags per block keep its temporaries at a pair pass's size; a lag's
+    # sum does not depend on how many lags share its block
+    for slots, _, _, dus, _ in _lag_blocks(u.grid, stacked, None,
+                                           max(1, _block_lags(u.grid) // 2)):
         e, f = dus[:N], dus[N:]
         vals = e[0] * f[0]
         for ei, fi in zip(e[1:], f[1:]):

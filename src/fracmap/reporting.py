@@ -8,7 +8,7 @@ false, a string key only a string, and null is accepted only where the
 default is None. Value ranges are checked by the constructors the values
 feed (make_grid, EnergyParams, SolverConfig, BallHierarchy), and the
 seed's sign and the few rules that tie keys together (critical p = n/s,
-winding data needs dim 1, the admissible t window, probe names) by
+the admissible t window, probe names) by
 parse_config. Every violation raises ConfigError naming
 the offending key. `probes` picks which probes run; no key reaches a
 probe's setup, which is fixed by its frozen constant (lab.run_probe).
@@ -202,8 +202,6 @@ def parse_config(doc: dict) -> RunConfig:
     initial = c["initial"]
     if initial["kind"] not in ("winding", "constant", "file", "random"):
         raise ConfigError(f"initial.kind: unknown kind {initial['kind']!r}")
-    if initial["kind"] == "winding" and grid.dim != 1:
-        raise ConfigError("initial.kind: winding initial data needs dim = 1")
 
     for name in c["probes"]:
         if name not in PROBE_NAMES:

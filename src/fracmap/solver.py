@@ -6,9 +6,10 @@ circulant and its discrete Fourier symbol
 
     m(k) = 2p (w^(0) - w^(k)),   w^ = rfftn of the length-S lag kernel w,
 
-costs one FFT per minimize call; at p = 2 it is the exact Hessian symbol
-of the energy. With P = m + m_1 (m_1 the smallest positive m) and g_T the
-tangential gradient at the current unit field u, the step is
+is 2p times the symbol D that the spectral passes of energy read from the
+same cache, built once per process; at p = 2 it is the exact Hessian
+symbol of the energy. With P = m + m_1 (m_1 the smallest positive m) and
+g_T the tangential gradient at the current unit field u, the step is
 
     d = P_T(P^{-1} g_T),   u_next = normalize(u - tau d),
 
@@ -37,10 +38,14 @@ under plain steepest descent alike (at s = 0.3, p = 3 both keep degree 1).
 The Armijo test compares the change E(u_next) - E(u) with -ARMIJO_C tau
 (g_T . d). Near convergence that decrease falls below the rounding of the
 two totals, and a test on their difference would accept or reject on
-rounding alone. Each total is within ENERGY_ROUNDING of its exact sum of
-terms, relative to E (plus the subtracted eps^{p/2} terms when
-eps_reg > 0), so where the plain difference lies within that band of the
-Armijo bound, the test is decided by energy.energy_change instead: the
+rounding alone. energy.energy_rounding bounds each total's distance from
+its exact sum of terms for the route that energy took: ENERGY_ROUNDING
+relative to E (plus the subtracted eps^{p/2} terms when eps_reg > 0) for
+a pair sum, and at p = 4 with eps_reg = 0 a bound derived for the
+spectral sum, a multiple of max D times norms of the centred u and its
+products, O(S) to form. Where the plain difference lies within the two
+bounds of the Armijo bound, the test is decided by energy.energy_change
+instead, which stays a pair pass on every route: the
 change itself as one pair sum, free of the cancellation. An accepted step
 then records E(u) + change as its energy, which keeps the energy trace
 non-increasing. Outside the band the plain difference already has the
@@ -61,28 +66,21 @@ import numpy as np
 from .energy import (
     ElResidualReport,
     EnergyParams,
-    PairKernelCache,
+    _pair_symbol,
     el_pairing,
     energy,
     energy_change,
     energy_gradient,
+    energy_rounding,
     pair_flux,
     seminorm,
 )
-from .grid import (GridSpec, ScalarField, VectorField, fourier_multiply, lag_spectrum,
-                   site_coords, torus_dist)
+from .grid import GridSpec, ScalarField, VectorField, fourier_multiply, site_coords, torus_dist
 
 STEP0 = 1.0
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 GROWBACK = 2.0
-# Bound on |fl(E) - E| / E for a computed energy E, a sum of nonnegative
-# terms. A term carries at most (q (N + 3) + 2) u of rounding (u = 2^-53,
-# q = p/2, N components); the pairwise sum over the sites of a lag and the
-# one over the lags (at most 2^13 and 2^12 + 1 terms) are each at most 24
-# additions deep, and the lag weight adds one. With q (N + 3) <= 77, as for
-# p <= 25 with N <= 3, the whole stays below 128 u.
-ENERGY_ROUNDING = 2.0**-46
 
 
 @dataclass(frozen=True)
@@ -127,11 +125,10 @@ def tangent_project(g: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def kernel_symbol(grid: GridSpec, params: EnergyParams) -> np.ndarray:
     """The Fourier symbol m(k) = 2p (w^(0) - w^(k)) of the circulant pair
-    kernel, read off the spectrum of its lag kernel w on the rfftn half
-    grid. At p = 2, irfftn(m rfftn(u)) is the energy gradient of an
-    unconstrained u to round-off."""
-    w_hat = lag_spectrum(grid, PairKernelCache(grid, params).weights).real
-    return 2.0 * params.p * (w_hat.flat[0] - w_hat)
+    kernel on the rfftn half grid: 2p times the cached symbol D of the
+    spectral passes. At p = 2, irfftn(m rfftn(u)) is the energy gradient of
+    an unconstrained u to round-off."""
+    return 2.0 * params.p * _pair_symbol(grid, grid.dim + params.s * params.p)
 
 
 def _preconditioner(grid: GridSpec, params: EnergyParams):
@@ -163,10 +160,7 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
         return gt, float(np.linalg.norm(gt))
 
     gt, gn = tangential_gradient(u)
-    # with eps_reg > 0 every pair term subtracts eps^{p/2}; the rounding of
-    # those terms scales with their total over all pairs, not with E
-    floor = (params.eps_reg ** (params.p / 2) * u0.grid.n_sites
-             * float(np.sum(PairKernelCache(u0.grid, params).weights)))
+    rounding = energy_rounding(_wrap(u, u0), params, E)
     tau = STEP0
     energy_trace = [E]
     step_trace: list = []
@@ -188,7 +182,7 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
             Ec = energy(_wrap(cand, u0), params)
             energy_evals += 1
             change, target = Ec - E, -ARMIJO_C * tau * slope
-            if abs(change - target) <= ENERGY_ROUNDING * (E + Ec + 4.0 * floor):
+            if abs(change - target) <= rounding + energy_rounding(_wrap(cand, u0), params, Ec):
                 # the rounding of the two totals could flip this comparison
                 change = energy_change(_wrap(u, u0), _wrap(cand, u0), params)
                 exact_changes += 1
@@ -201,6 +195,7 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
             stop_reason = "line_search_stalled"
             break
         u, E = cand, Ec
+        rounding = energy_rounding(_wrap(u, u0), params, E)
         step_trace.append(tau)
         tau *= GROWBACK
         energy_trace.append(E)

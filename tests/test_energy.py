@@ -10,14 +10,18 @@ import numpy as np
 import pytest
 
 from fracmap.energy import (
+    ENERGY_ROUNDING,
     EnergyParams,
     PairKernelCache,
+    _energy_raw,
+    _pair_flux,
     duality_check,
     el_pairing,
     el_residual,
     energy,
     energy_change,
     energy_gradient,
+    energy_rounding,
     first_variation,
     holefill_check,
     pair_flux,
@@ -633,6 +637,116 @@ def test_pair_kernel_built_once_per_process():
     assert PairKernelCache(big, EnergyParams(s=0.5, p=2.0)).weights.shape == (big.n_sites,)
 
 
+def _circle_field(grid, theta):
+    return VectorField(grid=grid, components=2,
+                       samples=np.stack([np.cos(theta), np.sin(theta)], axis=1),
+                       unit_constrained=True)
+
+
+@pytest.fixture(scope="module")
+def spectral_fields():
+    """Fields on which the p = 4 spectral passes meet the pair passes:
+    random unit fields in 1d and 2d with N = 2 and 3, a band-limited 2d
+    start and the near-constant map the descent takes it to, and the 2d
+    winding x_0 + 0.3 sin x_0 + 0.2 sin x_1."""
+    from fracmap.lab import band_limited_family
+    from fracmap.solver import SolverConfig, minimize
+
+    fields = {}
+    for dim, M in ((1, 64), (1, 256), (2, 16), (2, 32)):
+        g = make_grid(dim, M, TWO_PI)
+        for N in (2, 3):
+            fields[f"random-{dim}d-M{M}-N{N}"] = _unit_field(g, seed=50 + M + N, components=N)
+    g = make_grid(2, 32, TWO_PI)
+    start = _circle_field(g, band_limited_family(g, 1, 0, max_mode=6)[0].samples)
+    fields["band-limited-2d"] = start
+    fields["band-limited-2d-solved"], _ = minimize(start, EnergyParams(s=0.5, p=4.0),
+                                                   SolverConfig(max_iters=100))
+    x = site_coords(g)
+    fields["winding-2d"] = _circle_field(g, x[:, 0] + 0.3 * np.sin(x[:, 0]) + 0.2 * np.sin(x[:, 1]))
+    return fields
+
+
+def _pair_energy(u, params):
+    return _energy_raw(u.samples, PairKernelCache(u.grid, params), params.p, params.eps_reg)
+
+
+def test_spectral_passes_match_pair_passes(spectral_fields):
+    params = EnergyParams(s=0.5, p=4.0)
+    for label, u in spectral_fields.items():
+        want = _pair_energy(u, params)
+        assert abs(energy(u, params) - want) <= 1e-12 * want, label
+        assert abs(seminorm(u, 0.5, 4.0) - want**0.25) <= 1e-12 * want**0.25, label
+        G = _pair_flux(u, params, None).samples
+        assert np.abs(pair_flux(u, params).samples - G).max() <= 1e-12 * np.abs(G).max(), label
+    # a scalar field, as the EL suite's test functions are
+    g = make_grid(2, 16, TWO_PI)
+    x = site_coords(g)
+    f = ScalarField(grid=g, samples=np.cos(x[:, 0]) * np.sin(2 * x[:, 1]))
+    want = _energy_raw(f.samples[:, None], PairKernelCache(g, params), 4.0, 0.0) ** 0.25
+    assert abs(seminorm(f, 0.5, 4.0) - want) <= 1e-12 * want
+
+
+def test_spectral_rounding_bound_covers_the_measured_error(spectral_fields):
+    # the spectral energy and the pair sum each lie within their own stated
+    # rounding of the exact sum, so they differ by at most the two together
+    params = EnergyParams(s=0.5, p=4.0)
+    for label, u in spectral_fields.items():
+        pair = _pair_energy(u, params)
+        spectral = energy(u, params)
+        band = energy_rounding(u, params, spectral) + ENERGY_ROUNDING * pair
+        assert abs(spectral - pair) <= band, label
+
+
+def test_spectral_passes_give_exact_zeros_for_constants():
+    params = EnergyParams(s=0.5, p=4.0)
+    for dim, M in ((1, 16), (1, 512), (2, 8), (2, 32)):
+        g = make_grid(dim, M, TWO_PI)
+        for value in ([0.6, 0.8], [1.0 / 3.0, -2.0 / 3.0, 2.0 / 3.0], [-0.1234567]):
+            u = VectorField(grid=g, components=len(value), samples=np.tile(value, (g.n_sites, 1)))
+            assert energy(u, params) == 0.0
+            assert not pair_flux(u, params).samples.any()
+            assert seminorm(u, 0.5, 4.0) == 0.0
+
+
+def test_only_p4_full_torus_passes_are_spectral():
+    # every other pass is the pair pass itself, to the last bit
+    g = make_grid(2, 8, TWO_PI)
+    u = _unit_field(g, seed=40, components=3)
+    mask = np.random.default_rng(41).random(g.n_sites) < 0.5
+    for p, eps, region in [(2.0, 0.0, None), (3.0, 0.0, None), (4.0, 1e-3, None),
+                           (4.0, 0.0, mask), (1.5, 1e-3, None)]:
+        params = EnergyParams(s=0.5, p=p, eps_reg=eps)
+        kernel = PairKernelCache(g, params)
+        assert energy(u, params, region=region) == _energy_raw(u.samples, kernel, p, eps, region)
+        np.testing.assert_array_equal(pair_flux(u, params, region=region).samples,
+                                      _pair_flux(u, params, region).samples)
+    kernel = PairKernelCache.from_exponent(g, 0.5, 3.0)
+    assert seminorm(u, 0.5, 3.0) == _energy_raw(u.samples, kernel, 3.0, 0.0) ** (1.0 / 3.0)
+    params = EnergyParams(s=0.5, p=4.0)
+    assert energy(u, params) != _pair_energy(u, params)
+
+
+def test_energy_change_peaks_no_higher_than_the_flux():
+    # energy_change differences 2N components where the flux takes N, so
+    # it runs half-size lag blocks; both kernels are built before measuring
+    g = make_grid(1, 256, TWO_PI)
+    u = _unit_field(g, seed=42)
+    v = _unit_field(g, seed=43)
+    params = EnergyParams(s=0.5, p=3.0)
+    peaks = []
+    for run in (lambda: pair_flux(u, params), lambda: energy_change(u, v, params)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    flux_peak, change_peak = peaks
+    assert change_peak <= flux_peak
+
+
 # Reference copy of the half-lag pair passes that fix the floats of energy
 # and energy_gradient. The passes visit one lag z of each pair {z, -z},
 # z != 0: the lags with 0 < F(z) <= F(-z), in the order of
@@ -718,11 +832,14 @@ def _reference_gradient(grid, s, p, eps, u):
     (2, 8, 3, 0.6, 1.5, 1e-2),
 ])
 def test_energy_and_gradient_bit_identical_to_reference(dim, M, N, s, p, eps):
+    # the pair passes are called directly: at p = 4 with eps_reg = 0 the
+    # public functions take the spectral route over the whole torus
     g = make_grid(dim, M, TWO_PI)
     u = _unit_field(g, seed=30 + M + N, components=N)
     params = EnergyParams(s=s, p=p, eps_reg=eps)
     mask = np.random.default_rng(31).random(g.n_sites) < 0.6
-    assert energy(u, params) == _reference_energy(g, s, p, eps, u.samples)
+    kernel = PairKernelCache(g, params)
+    assert _energy_raw(u.samples, kernel, p, eps) == _reference_energy(g, s, p, eps, u.samples)
     assert energy(u, params, region=mask) == _reference_energy(g, s, p, eps, u.samples, mask)
-    np.testing.assert_array_equal(energy_gradient(u, params).samples,
+    np.testing.assert_array_equal(2.0 * p * _pair_flux(u, params, None).samples,
                                   _reference_gradient(g, s, p, eps, u.samples))

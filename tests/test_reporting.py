@@ -82,10 +82,11 @@ def test_parse_config_validates_probe_names():
 
 
 def test_parse_config_initial_kinds():
-    with pytest.raises(ConfigError):
-        parse_config({"grid": {"dim": 2, "points_per_axis": 8},
-                      "energy": {"s": 0.5, "p": 4.0},
-                      "initial": {"kind": "winding"}})
+    # winding data exists in 1d and 2d
+    cfg = parse_config({"grid": {"dim": 2, "points_per_axis": 8},
+                        "energy": {"s": 0.5, "p": 4.0},
+                        "initial": {"kind": "winding"}})
+    assert cfg.initial["kind"] == "winding"
     with pytest.raises(ConfigError):
         parse_config({"energy": {"s": 0.5, "p": 2.0}, "initial": {"kind": "banana"}})
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fracmap import reporting, solver
-from fracmap.energy import (EnergyParams, el_residual, energy, energy_change, energy_gradient,
-                            seminorm)
+from fracmap.cli import initial_field
+from fracmap.energy import (EnergyParams, PairKernelCache, _pair_symbol, el_residual, energy,
+                            energy_change, energy_gradient, seminorm)
 from fracmap.grid import VectorField, make_grid, site_coords
 from fracmap.solver import (
     SolverConfig,
@@ -90,6 +91,38 @@ def test_kernel_symbol_is_the_p2_gradient(dim, M):
                                s=shape, axes=axes).reshape(v.shape)
     grad = energy_gradient(VectorField(grid=g, components=3, samples=v), params).samples
     assert np.abs(via_symbol - grad).max() <= 1e-12 * np.abs(grad).max()
+
+
+def test_kernel_symbol_is_2p_times_the_spectral_symbol():
+    # the preconditioner and the spectral passes read one cached symbol D,
+    # and 2p D has the bits of 2p (w^(0) - w^(k)) formed from the kernel
+    g = make_grid(2, 16, TWO_PI)
+    for p in (2.0, 3.0, 4.0):
+        params = EnergyParams(s=0.5, p=p)
+        w_hat = np.fft.rfftn(PairKernelCache(g, params).weights.reshape(16, 16)).real
+        np.testing.assert_array_equal(kernel_symbol(g, params), 2.0 * p * (w_hat.flat[0] - w_hat))
+        assert _pair_symbol(g, 2.0 + 0.5 * p) is _pair_symbol(g, 2.0 + 0.5 * p)
+
+
+def test_minimize_2d_critical_winding_keeps_its_degree():
+    # at s = 1/2, p = 4 = n/s the class in [T^2, S^1] is continuous on the
+    # energy space: the descent from the 2d winding reaches grad_tol with
+    # axis-0 degree 1 on every row and axis-1 degree 0 on every column
+    cfg = reporting.parse_config({"grid": {"dim": 2, "points_per_axis": 32},
+                                  "energy": {"s": 0.5, "p": 4.0},
+                                  "solver": {"grad_tol": 3e-8}})
+    u0 = initial_field(cfg)
+    u, report = minimize(u0, cfg.params, cfg.solver)
+    assert report.converged and report.stop_reason == "grad_tol"
+    assert report.iterations <= 60
+    assert np.all(np.diff(report.energy_trace) <= 0.0)
+    assert report.final_el_residual_max <= 1e-6
+    for field in (u0, u):
+        angle = np.arctan2(field.samples[:, 1], field.samples[:, 0]).reshape(32, 32)
+        for axis, want in ((0, 1.0), (1, 0.0)):
+            steps = np.diff(angle, axis=axis, append=angle.take([0], axis=axis))
+            wrapped = (steps + np.pi) % (2.0 * np.pi) - np.pi
+            np.testing.assert_allclose(wrapped.sum(axis=axis) / (2.0 * np.pi), want, atol=1e-9)
 
 
 @pytest.mark.parametrize("p, M, max_iters", [(2.0, 32, 80), (2.0, 64, 80), (2.0, 128, 80),
