@@ -38,7 +38,6 @@ from .lab import (
     DecayTable,
     ProbeReport,
     decay_profile,
-    holder_fit,
     kernel_case_check,
     lagrange_check,
     run_probe,

@@ -83,6 +83,7 @@ plain |du|^p form is used.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,6 +118,12 @@ class EnergyParams:
         if self.eps_reg == 0.0 and self.p < 2.0:
             # the |du|^{p-2} pair weight degenerates without a regularizer
             raise ValueError("eps_reg = 0 is only permitted for p >= 2")
+        try:  # the energy subtracts eps_reg^{p/2} from every pair term
+            finite = math.isfinite(math.pow(self.eps_reg, self.p / 2.0))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"eps_reg^(p/2) is no finite float64 at eps_reg = {self.eps_reg}")
 
 
 def _lag_kernel(grid: GridSpec, of_dist) -> np.ndarray:

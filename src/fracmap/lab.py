@@ -17,8 +17,8 @@ kernel_case maxima; the point is that the ratios are bounded and stay
 bounded.
 
 Alongside the probes: localized-energy decay tables with a power-law
-fit, a Holder-quotient fit over dyadic distance bands, and the exact
-Lagrange decomposition of a vector against a unit vector.
+fit, and the exact Lagrange decomposition of a vector against a unit
+vector.
 """
 from __future__ import annotations
 
@@ -126,7 +126,7 @@ def _grid_norm(values: np.ndarray, grid: GridSpec, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# decay tables and Holder fit
+# decay tables
 # ---------------------------------------------------------------------------
 
 
@@ -159,61 +159,6 @@ def decay_profile(u: VectorField, hierarchy: BallHierarchy, params: EnergyParams
     coef, *_ = np.linalg.lstsq(A, loge, rcond=None)
     resid = float(np.sqrt(np.mean((loge - A @ coef) ** 2)))
     return DecayTable(rows=tuple(rows), theta=float(coef[0]), fit_residual=resid)
-
-
-def holder_fit(u, beta_grid):
-    """Largest Holder exponent with a stable sup-quotient.
-
-    For each beta the pairwise quotients |u(x)-u(y)| / dist^beta are
-    maximized inside dyadic distance bands, lag by lag: the pairs of a lag
-    z = y - x share the distance dist(z, 0), so each lag contributes
-    max_x |u(x + z) - u(x)| and the fit holds O(S) numbers. Beta counts
-    as stable when the band maxima stay within an overall factor 2 of
-    each other, i.e. the quotient neither blows up at small scales (beta
-    too big) nor dies off (beta too small). Returns (best beta or None, table of
-    (beta, band sups, stable)).
-    """
-    if isinstance(u, ScalarField):
-        samples = u.samples[:, None]
-    else:
-        samples = u.samples
-    grid = u.grid
-    beta_grid = sorted(float(b) for b in beta_grid)
-    if not beta_grid or beta_grid[0] <= 0.0 or beta_grid[-1] > 1.0:
-        raise ValueError("beta_grid must lie in (0, 1]")
-    if grid.n_sites < 4:
-        raise ValueError("grid too small for a quotient fit")
-    shape = (grid.points_per_axis,) * grid.dim
-    axes = tuple(range(grid.dim))
-    U = samples.reshape(shape + samples.shape[1:])
-    # every nonzero lag z, with max_x |u(x + z) - u(x)| and dist(z, 0)
-    du = np.array([np.linalg.norm(np.roll(U, tuple(-c for c in z), axis=axes) - U, axis=-1).max()
-                   for z in np.ndindex(shape)])[1:]
-    d = torus_dist(site_coords(grid), 0.0, grid.box_length)[1:]
-    d_top = float(d.max())
-    n_bands = int(np.floor(np.log2(d_top / float(d.min())))) + 1
-    bands = []
-    for k in range(n_bands):
-        hi = d_top * 2.0**-k
-        lo = d_top * 2.0 ** -(k + 1) if k < n_bands - 1 else 0.0
-        sel = (d > lo) & (d <= hi)
-        if np.any(sel):
-            bands.append((d[sel], du[sel]))
-    table = []
-    best = None
-    for beta in beta_grid:
-        sups = tuple(float(np.max(dub / db**beta)) for db, dub in bands)
-        positive = [w for w in sups if w > 0.0]
-        if not positive:
-            stable = True  # no variation at any scale: constant input
-        elif len(positive) < len(sups):
-            stable = False
-        else:
-            stable = max(positive) / min(positive) <= 2.0
-        table.append((beta, sups, stable))
-        if stable:
-            best = beta
-    return best, tuple(table)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 A config is a strict JSON object described by one table, SCHEMA, of
 (type, default) per key, with one nested table per section. Unknown keys
 are errors; a float key takes any JSON number, an int key an integral
-number, either only within the float64 range, a bool key only true or
-false, a string key only a string, and null is accepted only where the
-default is None. Value ranges are checked by the constructors the values
+number, either only a finite float64 (NaN, Infinity and 1e400 are out of
+range, also in a list), a bool key only true or false, a string key only
+a string, and null is accepted only where the default is None. Value ranges are checked by the constructors the values
 feed (make_grid, EnergyParams, SolverConfig, BallHierarchy), and the
 seed's sign and the few rules that tie keys together (critical p = n/s,
-the admissible t window, probe names) by
+the admissible t window, a non-empty selection of known probes) by
 parse_config. Every violation raises ConfigError naming
 the offending key. `probes` picks which probes run; no key reaches a
 probe's setup, which is fixed by its frozen constant (lab.run_probe).
@@ -114,6 +114,10 @@ def _typed(value, typ, where: str, nullable: bool = False):
         return None
     if isinstance(typ, dict):
         return _section(value, typ, where)
+    try:  # strict JSON, as the artifacts: no NaN or infinity, also from 1e400
+        json.dumps(value, allow_nan=False, default=repr)
+    except ValueError:
+        raise ConfigError(f"{where}: {value} is out of range") from None
     item = getattr(typ, "__args__", (None,))[0]  # list[float] -> float
     if item is not None and isinstance(value, list):
         return [_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value)]
@@ -203,6 +207,8 @@ def parse_config(doc: dict) -> RunConfig:
     if initial["kind"] not in ("winding", "constant", "file", "random"):
         raise ConfigError(f"initial.kind: unknown kind {initial['kind']!r}")
 
+    if not c["probes"]:
+        raise ConfigError(f"probes: the selection is empty; choose from {PROBE_NAMES}")
     for name in c["probes"]:
         if name not in PROBE_NAMES:
             raise ConfigError(f"probes: unknown probe {name!r}; choose from {PROBE_NAMES}")

@@ -292,7 +292,7 @@ def test_runs_are_byte_identical(tmp_path):
     # h^2 is in range, but d^{n + s p} = d^10 is not
     ({"grid": {"box_length": 1e-100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
     ({"grid": {"box_length": 1e100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
-    # a non-finite sample vector has no projection onto the sphere
+    # a non-finite list item is out of range
     ({"initial": {"kind": "constant", "value": [float("nan"), 1.0]}}, "initial.value"),
 ])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
@@ -301,6 +301,36 @@ def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"config error: {key}:")
+
+
+@pytest.mark.parametrize("command, sets, key, says", [
+    # a non-finite float would run to max_iters (NaN), stop at once (inf),
+    # or turn the Armijo band into NaN
+    ("solve", ["solver.grad_tol=NaN"], "solver.grad_tol", "is out of range"),
+    ("solve", ["solver.grad_tol=1e400"], "solver.grad_tol", "is out of range"),
+    ("solve", ["solver.grad_tol=Infinity"], "solver.grad_tol", "is out of range"),
+    ("solve", ["energy.eps_reg=NaN"], "energy.eps_reg", "is out of range"),
+    ("solve", ["hierarchy.center=[-Infinity]"], "hierarchy.center", "is out of range"),
+    ("solve", ["initial.kind=constant", "initial.value=[1, NaN]"], "initial.value",
+     "is out of range"),
+    # eps_reg^{p/2} past the float64 range overflows the energy's float power
+    ("solve", ["grid.points_per_axis=16", "energy.p=3", "energy.eps_reg=1e300"], "energy",
+     "eps_reg^(p/2)"),
+    ("decay", ["grid.points_per_axis=16", "energy.p=3", "energy.eps_reg=1e300",
+               "hierarchy.levels=5"], "energy", "eps_reg^(p/2)"),
+    ("solve", ["grid.points_per_axis=16", "energy.p=40", "energy.eps_reg=1e20"], "energy",
+     "eps_reg^(p/2)"),
+    # a probe run that selects nothing would pass having checked nothing
+    ("probe", ["probes=[]"], "probes", "empty"),
+])
+def test_out_of_range_settings_exit_2_with_one_line(tmp_path, capsys, command, sets, key, says):
+    argv = [command, "--out", str(tmp_path / "o")]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"config error: {key}:") and says in err
 
 
 @pytest.mark.parametrize("key", ["step0", "armijo_c", "armijo_shrink", "energy_tol"])

@@ -20,7 +20,6 @@ from fracmap.lab import (
     commutator_probe,
     config_hash,
     decay_profile,
-    holder_fit,
     holefill_probe,
     kernel_case_check,
     kernel_case_probe,
@@ -36,7 +35,6 @@ from fracmap.lab import (
 )
 
 TWO_PI = 2.0 * np.pi
-BETA_GRID = tuple(round(0.2 + 0.1 * i, 1) for i in range(9))
 
 
 def test_decay_profile_on_winding_field():
@@ -72,33 +70,6 @@ def test_decay_profile_constant_has_no_fit():
     hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.05, level_max=4)
     table = decay_profile(u, hier, EnergyParams(s=0.5, p=2.0))
     assert table.theta is None
-
-
-def test_holder_fit_classifies_three_profiles():
-    # measured once at M=256 over BETA_GRID and frozen:
-    #   smooth cos      -> top of the grid (1.0)
-    #   sqrt cusp       -> 0.6 (0.5 plus one band of slack)
-    #   jump            -> no stable exponent at all
-    g = make_grid(1, 256, TWO_PI)
-    x = site_coords(g)[:, 0]
-    best, table = holder_fit(ScalarField(grid=g, samples=np.cos(x)), BETA_GRID)
-    assert best == 1.0
-    assert len(table) == len(BETA_GRID)
-
-    d = np.abs(x - np.pi)
-    d = np.minimum(d, TWO_PI - d)
-    best2, _ = holder_fit(ScalarField(grid=g, samples=np.sqrt(d)), BETA_GRID)
-    assert best2 == 0.6
-
-    jump = np.where(x < np.pi, 0.0, 1.0)
-    best3, _ = holder_fit(ScalarField(grid=g, samples=jump), BETA_GRID)
-    assert best3 is None
-
-
-def test_holder_fit_constant_is_everywhere_stable():
-    g = make_grid(1, 64, TWO_PI)
-    best, _ = holder_fit(ScalarField(grid=g, samples=np.full(64, 2.0)), BETA_GRID)
-    assert best == BETA_GRID[-1]
 
 
 def test_lagrange_identity_examples():

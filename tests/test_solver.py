@@ -6,8 +6,8 @@ import pytest
 
 from fracmap import reporting, solver
 from fracmap.cli import initial_field
-from fracmap.energy import (EnergyParams, PairKernelCache, _pair_symbol, el_residual, energy,
-                            energy_change, energy_gradient, seminorm)
+from fracmap.energy import (EnergyParams, PairKernelCache, _pair_symbol, el_pairing, el_residual,
+                            energy, energy_change, energy_gradient, pair_flux, seminorm)
 from fracmap.grid import VectorField, make_grid, site_coords
 from fracmap.solver import (
     SolverConfig,
@@ -334,8 +334,8 @@ def test_el_residual_suite_structure():
     assert suite.max_abs == 0.0
     n_bumps = len(bump_basis(g))
     assert len(suite.entries) == n_bumps * len(elementary_omegas(2))
-    assert len(elementary_omegas(2)) == 2
-    assert len(elementary_omegas(3)) == 6
+    assert len(elementary_omegas(2)) == 1
+    assert len(elementary_omegas(3)) == 3
 
 
 def test_el_residual_suite_maximum_keeps_nan():
@@ -346,6 +346,40 @@ def test_el_residual_suite_maximum_keeps_nan():
     with np.errstate(invalid="ignore"):
         suite = el_residual_suite(u, EnergyParams(s=0.5, p=2.0))
     assert np.isnan(suite.max_abs)
+
+
+def test_el_suite_tests_each_generator_of_so_n_once():
+    for N in (2, 3, 4):
+        omegas = elementary_omegas(N)
+        assert len(omegas) == N * (N - 1) // 2
+        assert len({label for label, _ in omegas}) == len(omegas)
+        for i, (_, wi) in enumerate(omegas):
+            np.testing.assert_array_equal(wi, -wi.T)
+            for _, wj in omegas[i:]:
+                assert not np.array_equal(wi, -wj)
+    g = make_grid(1, 32, TWO_PI)
+    rng = np.random.default_rng(5)
+    u = VectorField(grid=g, components=3,
+                    samples=project_sphere(rng.normal(size=(32, 3)) + [2.0, 0.0, 0.0]),
+                    unit_constrained=True)
+    params = EnergyParams(s=0.5, p=2.5)
+    suite = el_residual_suite(u, params)
+    labels = [(phi_label, om_label) for phi_label, om_label, _ in suite.entries]
+    assert len(labels) == len(bump_basis(g)) * 3
+    assert len(set(labels)) == len(labels)
+    # a suite over both signs of every generator: each negated entry repeats
+    # its generator's entry bit for bit, so the maximum keeps its bits
+    flux = pair_flux(u, params)
+    u_sem = seminorm(u, params.s, params.p)
+    plus, minus = [], []
+    for _, phi in bump_basis(g):
+        denom = seminorm(phi, params.s, params.p) * u_sem ** (params.p - 1.0)
+        for _, om in elementary_omegas(3):
+            plus.append(abs(el_pairing(u, flux, phi, om)) / denom)
+            minus.append(abs(el_pairing(u, flux, phi, -om)) / denom)
+    assert [val for _, _, val in suite.entries] == plus == minus
+    assert suite.max_abs > 0.0
+    assert float(np.max([0.0] + plus + minus)).hex() == suite.max_abs.hex()
 
 
 def test_elementary_omegas_are_antisymmetric():
