@@ -9,7 +9,10 @@ config bytes and the seed. `--workers` is accepted and ignored: every
 pair pass runs serially.
 `probe` runs each selected probe on its calibrated setup, the one its
 frozen constant was measured on; only the seed varies it, and kernel_case,
-a maximum over one variable, takes no seed.
+a maximum over one variable, takes no seed. `selftest` takes no options:
+it runs solve, verify (on the solution solve wrote), decay and probe on
+the default 1d config with a ball hierarchy in a temporary directory,
+and exits 1 when any of them exits non-zero.
 """
 from __future__ import annotations
 
@@ -22,9 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lab, reporting
-from .energy import (EnergyParams, PairKernelCache, _energy_raw, _kappa_duality_1d, _pair_flux,
-                     _validate_t, duality_check, el_residual, energy, holefill_check, pair_flux)
-from .grid import BallHierarchy, ScalarField, VectorField, ball_mask, make_grid, site_coords
+from .energy import _validate_t, duality_check, holefill_check
+from .grid import BallHierarchy, ScalarField, VectorField, site_coords
 from .reporting import (
     ConfigError,
     FieldDigestError,
@@ -39,11 +41,10 @@ from .reporting import (
     emit_solve_report,
     emit_verify_report,
     load_config,
-    parse_config,
     read_field,
     write_field,
 )
-from .solver import SolverConfig, el_residual_suite, minimize, project_sphere, tangent_project
+from .solver import el_residual_suite, minimize, project_sphere
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -213,132 +214,23 @@ def cmd_decay(cfg: RunConfig) -> int:
 
 
 def cmd_selftest() -> int:
-    """Small in-process example suite; no config, under a minute."""
-    failures = []
-
-    def check(label, fn):
-        try:
-            fn()
-            print(f"ok {label}")
-        except Exception as e:  # noqa: BLE001 - report and count every failure
-            failures.append(label)
-            print(f"FAIL {label}: {e}")
-
-    def grid_examples():
-        for bad in (24, 3):
-            try:
-                make_grid(1, bad, 1.0)
-                raise AssertionError(f"make_grid accepted M={bad}")
-            except ValueError:
-                pass
-        g = make_grid(1, 16, 2.0 * np.pi)
-        h = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.5, level_max=2)
-        # h = 2 pi / 16: the closed ball of radius 1 about a site holds it
-        # and two neighbours on each side
-        assert int(ball_mask(h, 1).sum()) == 5
-
-    def energy_examples():
-        g = make_grid(1, 16, 2.0 * np.pi)
-        params = EnergyParams(s=0.5, p=2.0)
-        const = VectorField(
-            grid=g, components=2, samples=np.tile([1.0, 0.0], (g.n_sites, 1)),
-            unit_constrained=True,
-        )
-        assert energy(const, params) == 0.0
-        assert el_residual(const, ScalarField(grid=g, samples=np.ones(g.n_sites)),
-                           np.array([[0.0, 1.0], [-1.0, 0.0]]), params) == 0.0
-        # at p = 4 the full-torus passes are spectral: a constant 2d map has
-        # exactly zero energy and flux, and on a random unit field both
-        # match the pair passes
-        g2 = make_grid(2, 8, 2.0 * np.pi)
-        p4 = EnergyParams(s=0.5, p=4.0)
-        const2 = VectorField(grid=g2, components=2, samples=np.tile([0.6, 0.8], (g2.n_sites, 1)))
-        assert energy(const2, p4) == 0.0 and not pair_flux(const2, p4).samples.any()
-        raw = np.random.default_rng(0).standard_normal((g2.n_sites, 2))
-        rand = VectorField(grid=g2, components=2, samples=project_sphere(raw + [2.0, 0.0]))
-        want = _energy_raw(rand.samples, PairKernelCache(g2, p4), 4.0, 0.0)
-        assert abs(energy(rand, p4) - want) <= 1e-12 * want, "spectral energy at p = 4"
-        G = _pair_flux(rand, p4, None).samples
-        assert np.abs(pair_flux(rand, p4).samples - G).max() <= 1e-12 * np.abs(G).max(), \
-            "spectral flux at p = 4"
-        # two cells of the duality kernel, whose periodic images come from a
-        # series, against the images as two Hurwitz zeta values: an inner
-        # cell and the seam cell around L/2
-        import mpmath as mp
-
-        t, L, h = 0.45, g.box_length, g.h
-        kappa = _kappa_duality_1d(g, t)
-        for j, cell in ((5, ((5.5 * h) ** t - (4.5 * h) ** t) / (t * h)),
-                        (8, 2.0 * ((8 * h) ** t - (7.5 * h) ** t) / (t * h))):
-            a = mp.mpf(j) / 16
-            image = L ** (t - 1) * float(mp.zeta(1 - t, 1 + a) + mp.zeta(1 - t, 1 - a)
-                                         - 2 * mp.zeta(1 - t))
-            assert abs(kappa[j] - cell - image) < 1e-13, f"duality kernel cell {j}"
-
-    def fracops_examples():
-        from .fracops import build_lp_bank, commutator_H, frac_laplacian, lp_project
-
-        g = make_grid(1, 32, 2.0 * np.pi)
-        x = site_coords(g)[:, 0]
-        const = ScalarField(grid=g, samples=np.ones(g.n_sites))
-        assert np.max(np.abs(frac_laplacian(const, 0.5).samples)) < 1e-14
-        a = ScalarField(grid=g, samples=np.cos(x))
-        assert np.max(np.abs(commutator_H(a, const, 0.5).samples)) < 1e-12
-        bank = build_lp_bank(g)
-        total = sum(lp_project(a, bank, j).samples for j in range(bank.level_max + 1))
-        assert np.max(np.abs(total - (a.samples - a.samples.mean()))) < 1e-10
-
-    def solver_examples():
-        assert np.allclose(project_sphere(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
-        u = project_sphere(np.random.default_rng(0).standard_normal((8, 3)))
-        g = np.random.default_rng(1).standard_normal((8, 3))
-        assert np.max(np.abs((tangent_project(g, u) * u).sum(axis=1))) < 1e-14
-        grid = make_grid(1, 16, 2.0 * np.pi)
-        const = VectorField(
-            grid=grid, components=2, samples=np.tile([0.0, 1.0], (grid.n_sites, 1)),
-            unit_constrained=True,
-        )
-        _, rep = minimize(const, EnergyParams(s=0.5, p=2.0), SolverConfig(max_iters=5))
-        assert rep.converged and rep.iterations == 0
-        # the default winding data at M = 32 converges in 56 preconditioned steps
-        cfg = parse_config({"grid": {"dim": 1, "points_per_axis": 32}, "energy": {"s": 0.5, "p": 2.0}})
-        _, rep = minimize(initial_field(cfg), cfg.params, SolverConfig(max_iters=80))
-        assert rep.converged, f"winding at M=32: {rep.stop_reason} after {rep.iterations} iterations"
-
-    def lab_examples():
-        lhs, rhs, equal = lab.lagrange_check([1.0, 0.0], [1.0, 0.0])
-        assert (lhs, rhs, equal) == (1.0, 1.0, True)
-        case, _, _, _ = lab.kernel_case_check([0.0], [0.1], [10.0], beta=0.5, eps=0.3)
-        assert case == 1
-        assert lab.sobolev_exponent(1.0, 0.5, 0.25, 2.0) == 4.0
-        lab.load_frozen_constants()
-
-    def reporting_examples():
-        g = make_grid(1, 8, 1.0)
-        f = VectorField(grid=g, components=2,
-                        samples=np.random.default_rng(3).standard_normal((g.n_sites, 2)))
-        with tempfile.TemporaryDirectory() as td:
-            p = Path(td) / "f.field"
-            write_field(p, f)
-            back = read_field(p)
-            assert back.samples.tobytes() == f.samples.tobytes()
-        try:
-            parse_config({"stepsize": 1})
-            raise AssertionError("unknown key accepted")
-        except ConfigError as e:
-            assert "stepsize" in str(e)
-
-    check("grid examples", grid_examples)
-    check("energy examples", energy_examples)
-    check("frac-op examples", fracops_examples)
-    check("solver examples", solver_examples)
-    check("lab examples", lab_examples)
-    check("reporting examples", reporting_examples)
-    if failures:
-        print(f"selftest: {len(failures)} failing group(s): {', '.join(failures)}")
-        return EXIT_FAIL
-    print("selftest: all groups passed")
-    return EXIT_PASS
+    """solve, verify, decay and probe, once each through main, in a
+    temporary directory. They run on the default 1d config (M = 64,
+    s = 1/2, p = 2, the winding) with a ball hierarchy, which decay needs;
+    verify reads the solution that solve wrote. At M = 32 verify's duality
+    rel_error, 2.0e-3, would exceed its tolerance."""
+    overrides = [f"hierarchy.center=[{np.pi!r}]", "hierarchy.base_radius=0.05",
+                 "hierarchy.levels=5"]
+    codes = []
+    with tempfile.TemporaryDirectory() as out:
+        common = ["--out", out] + [arg for o in overrides for arg in ("--set", o)]
+        solution = Path(out) / f"solution_{load_config(None, overrides, None, out).tag}.field"
+        for command, extra in (("solve", []), ("verify", ["--field", str(solution)]),
+                               ("decay", []), ("probe", [])):
+            code = main([command, *common, *extra])
+            print(f"selftest {command}: exit {code}")
+            codes.append(code)
+    return EXIT_FAIL if any(codes) else EXIT_PASS
 
 
 def _add_common(sub):

@@ -90,6 +90,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .fracops import frac_laplacian
 from .grid import (BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask,
                    fourier_multiply, lag_spectrum, torus_dist)
 
@@ -767,8 +768,6 @@ def duality_check(u: VectorField, phi: ScalarField, t: float, params: EnergyPara
     right side as 2 gamma_n(t) sum_x phi(x) G(x).
     Returns (lhs vector, rhs vector, relative error).
     """
-    from .fracops import frac_laplacian
-
     _validate_t(t, params)
     grid = u.grid
     if grid.dim != 1:

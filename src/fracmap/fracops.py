@@ -137,8 +137,9 @@ def commutator_H(a: ScalarField, b: ScalarField, alpha: float) -> ScalarField:
     return ScalarField(grid=a.grid, samples=out)
 
 
-def lp_sup_bound_probe(f: ScalarField, bank: LPBank, s: float, t: float, p: float):
-    """Per band j: sup |Lambda^t P_j f| against 2^{j(n/p + t - s)} [f]_{s,p}.
+def lp_sup_bound_probe(f: ScalarField, bank: LPBank, s: float, t: float, p: float, sem: float):
+    """Per band j: sup |Lambda^t P_j f| against 2^{j(n/p + t - s)} sem,
+    where sem is the caller's [f]_{s,p}.
 
     Returns a list of (j, lhs, rhs, ratio) rows; ratios of zero-energy
     inputs are reported as 0. The bound constant is empirical, measured by
@@ -148,10 +149,7 @@ def lp_sup_bound_probe(f: ScalarField, bank: LPBank, s: float, t: float, p: floa
         raise ValueError(f"need 0 <= t < s < 1, got t={t}, s={s}")
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got {p}")
-    from .energy import seminorm
-
     n = f.grid.dim
-    sem = seminorm(f, s, p)
     rows = []
     for j in range(bank.level_max + 1):
         fj = lp_project(f, bank, j)

@@ -499,7 +499,8 @@ def run_probe(name: str, seed: int = 0, bound_const: float | None = None) -> Pro
         bank = build_lp_bank(grid)
         rows = []
         for i, f in enumerate(band_limited_family(grid, 10, seed + 404)):
-            for j, lhs, rhs, ratio in lp_sup_bound_probe(f, bank, s=0.5, t=0.25, p=2.0):
+            sem = seminorm(f, 0.5, 2.0)
+            for j, lhs, rhs, ratio in lp_sup_bound_probe(f, bank, s=0.5, t=0.25, p=2.0, sem=sem):
                 if rhs != 0.0:
                     rows.append((f"{i}/band{j}", lhs, rhs, ratio))
     elif name == "t1":

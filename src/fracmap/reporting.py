@@ -8,7 +8,7 @@ range, also in a list), a bool key only true or false, a string key only
 a string, and null is accepted only where the default is None. Value ranges are checked by the constructors the values
 feed (make_grid, EnergyParams, SolverConfig, BallHierarchy), and the
 seed's sign and the few rules that tie keys together (critical p = n/s,
-the admissible t window, a non-empty selection of known probes) by
+the admissible t window, a non-empty selection of distinct known probes) by
 parse_config. Every violation raises ConfigError naming
 the offending key. `probes` picks which probes run; no key reaches a
 probe's setup, which is fixed by its frozen constant (lab.run_probe).
@@ -212,6 +212,8 @@ def parse_config(doc: dict) -> RunConfig:
     for name in c["probes"]:
         if name not in PROBE_NAMES:
             raise ConfigError(f"probes: unknown probe {name!r}; choose from {PROBE_NAMES}")
+        if c["probes"].count(name) > 1:
+            raise ConfigError(f"probes: {name!r} is selected more than once")
 
     return RunConfig(
         grid=grid,

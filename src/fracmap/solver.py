@@ -97,17 +97,29 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    iterations: int
     energy_trace: list
-    step_trace: list
+    step_trace: list  # one accepted step per iteration
     grad_trace: list
-    final_grad_norm: float
-    final_el_residual_max: float
-    converged: bool
     stop_reason: str
     energy_evals: int  # calls of energy made by the descent
     exact_energy_changes: int  # Armijo tests decided by energy_change
     el_suite: ElResidualReport  # the EL suite at the returned field
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_trace)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "grad_tol"
+
+    @property
+    def final_grad_norm(self) -> float:
+        return self.grad_trace[-1]
+
+    @property
+    def final_el_residual_max(self) -> float:
+        return self.el_suite.max_abs
 
 
 def project_sphere(samples: np.ndarray) -> np.ndarray:
@@ -166,11 +178,9 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
     step_trace: list = []
     grad_trace = [gn]
     exact_changes = 0
-    converged = False
     stop_reason = "max_iters"
     while True:
         if gn <= config.grad_tol:
-            converged = True
             stop_reason = "grad_tol"
             break
         if len(step_trace) >= config.max_iters:
@@ -202,19 +212,14 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
         gt, gn = tangential_gradient(u)
         grad_trace.append(gn)
     result = VectorField(grid=u0.grid, components=u0.components, samples=u, unit_constrained=True)
-    suite = el_residual_suite(result, params)
     report = SolveReport(
-        iterations=len(step_trace),
         energy_trace=energy_trace,
         step_trace=step_trace,
         grad_trace=grad_trace,
-        final_grad_norm=gn,
-        final_el_residual_max=suite.max_abs,
-        converged=converged,
         stop_reason=stop_reason,
         energy_evals=energy_evals,
         exact_energy_changes=exact_changes,
-        el_suite=suite,
+        el_suite=el_residual_suite(result, params),
     )
     return result, report
 

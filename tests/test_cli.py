@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracmap import lab
+from fracmap import cli, lab
 from fracmap.cli import main
 from fracmap.grid import VectorField, make_grid
 from fracmap.reporting import _header_digest, write_field
@@ -33,6 +33,16 @@ def _write(tmp_path, doc, name="config.json"):
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
+
+
+def test_selftest_fails_when_one_command_fails(monkeypatch, capsys):
+    # the other three commands still run, and the line of the failing one
+    # names it
+    monkeypatch.setattr(cli, "cmd_probe", lambda cfg: 1)
+    assert main(["selftest"]) == 1
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("selftest ")]
+    assert lines == ["selftest solve: exit 0", "selftest verify: exit 0",
+                     "selftest decay: exit 0", "selftest probe: exit 1"]
 
 
 def test_solve_converges_and_writes_outputs(tmp_path):
@@ -195,6 +205,11 @@ def test_probe_subset_and_exponent_guard(tmp_path, capsys):
     assert main(["probe", "--out", str(tmp_path / "o2"), "--set", 'probes=["sobolev"]',
                  "--set", "probe_params.sobolev.count=0"]) == 2
     assert capsys.readouterr().err == "config error: unknown config key probe_params\n"
+    # a probe named twice would run twice and overwrite its own files
+    assert main(["probe", "--out", str(tmp_path / "o3"), "--set", 'probes=["t1","t1"]']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: probes: ") and err.count("\n") == 1
+    assert not (tmp_path / "o3").exists()
 
 
 def test_decay_requires_hierarchy(tmp_path, capsys):

@@ -20,6 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracmap.energy import seminorm
 from fracmap.fracops import (
     build_lp_bank,
     commutator_H,
@@ -175,14 +176,16 @@ def test_lp_sup_probe_shape_and_preconditions():
     x = site_coords(g)[:, 0]
     f = _scalar(g, np.cos(x) + 0.2 * np.sin(5 * x))
     bank = build_lp_bank(g)
-    rows = lp_sup_bound_probe(f, bank, s=0.5, t=0.25, p=2.0)
+    sem = seminorm(f, 0.5, 2.0)
+    rows = lp_sup_bound_probe(f, bank, s=0.5, t=0.25, p=2.0, sem=sem)
     assert len(rows) >= 1
+    assert rows[0][2] == sem  # band 0 holds the seminorm it was given
     for j, lhs, rhs, ratio in rows:
         assert lhs >= 0 and rhs >= 0
         if rhs > 0:
             np.testing.assert_allclose(ratio, lhs / rhs, rtol=1e-12)
     with pytest.raises(ValueError):
-        lp_sup_bound_probe(f, bank, s=0.25, t=0.5, p=2.0)  # needs t < s
+        lp_sup_bound_probe(f, bank, s=0.25, t=0.5, p=2.0, sem=1.0)  # needs t < s
 
 
 def test_one_spectral_fractional_laplacian():
