@@ -5,7 +5,6 @@ computation."""
 
 from .energy import (
     EnergyParams,
-    PairKernelCache,
     duality_check,
     el_residual,
     energy_gradient,

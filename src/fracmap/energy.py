@@ -43,8 +43,9 @@ sum_{x,y in B} w |du|^{p-2} du . (f(x) - f(y)) equals 2 sum_{x in B}
 f(x) . G^B(x): the gradient is 2p G, an EL residual is
 2 sum_x q(x) . G^B(x), the duality right side is 2 gamma sum_x phi(x) G^B(x),
 and the T operator 2 sum_x k(x - z) G^B(x) is one FFT correlation of G^B
-with the length-S Riesz lag kernel k = dist^{t-n}. energy_change forms
-E(v) - E(u) in one such pass, pair by pair, for the solver's line search.
+with the length-S Riesz lag kernel k = dist^{t-n}. Off the spectral
+route, energy_change forms E(v) - E(u) for the solver's line search in one
+such pass, pair by pair.
 
 All reductions follow a fixed order, which pins the energy and the
 gradient to the last bit: |du|^2 is summed in component order; the energy
@@ -61,17 +62,15 @@ formulas.
 At p = 4 with eps_reg = 0, every full-torus pair sum is a quadratic form
 in correlations of u, a u and u u^T (a = |u|^2), and the circulant kernel
 is diagonal in Fourier space (R. M. Gray, Toeplitz and Circulant
-Matrices: A Review, 2006). There energy, pair_flux and seminorm take a
-spectral pass of O(S log S): one grid.fourier_multiply by the cached
-symbol D(k) = w^(0) - w^(k), which vanishes at k = 0, on the columns of
-the centred samples and their products (see _spectral_energy and
-_spectral_flux). The route depends only on p, eps_reg and the region:
-regions, p != 4, eps_reg > 0 and energy_change stay pair passes. Both
-sums are invariant under u -> u - c, so the passes subtract the mean of u
-first, which keeps the Fourier terms of a near-constant map from
-cancelling; constant maps still give exactly 0.0. The spectral energy
-rounds differently from the pair sum, so energy_rounding states the bound
-of whichever route energy takes, for the solver's Armijo band.
+Matrices: A Review, 2006). There energy, pair_flux, seminorm and
+energy_change take a spectral pass of O(S log S): one
+grid.fourier_multiply by the cached symbol D(k) = w^(0) - w^(k), which
+vanishes at k = 0, on the columns of the centred samples and their
+products (see _spectral_energy, _spectral_flux and _spectral_change). The
+route depends only on p, eps_reg and the region: regions, p != 4 and
+eps_reg > 0 stay pair passes. The sums are invariant under u -> u - c, so
+the passes subtract the mean first, which keeps the Fourier terms of a
+near-constant map from cancelling; constant maps still give exactly 0.0.
 
 For p < 2 the pair weight |u(x)-u(y)|^{p-2} degenerates at coincident
 values; a regularizer eps_reg > 0 replaces |du|^2 by |du|^2 + eps_reg
@@ -373,59 +372,6 @@ def _spectral_flux(grid: GridSpec, samples: np.ndarray, exponent: float) -> np.n
     return G
 
 
-# Bound on |fl(E) - E| for the spectral energy, in units of u = 2^-53 times
-# scale = D_max (8 |a v| |v| + 2 |a|^2 + 4 |Q|^2), the 2-norms over all
-# sites and components, D_max = max_k D(k). To first order in u, with
-# L = log2 S and |<f, D g>| <= D_max |f| |g| for every term of E:
-# - the centring: fl(u - c) = (u - c)(1 + t), |t| <= u, and E(u) = E(u - c)
-#   exactly for any c; so v carries 1 u per entry, Q_ij 3 u, a (N + 2) u
-#   and a v_i (N + 4) u, and a pair <f, D g> of them at most 2N + 4 u;
-# - one D g: a forward and an inverse FFT, modelled on Higham's bound for
-#   the radix-2 FFT (Accuracy and Stability of Numerical Algorithms, 2002,
-#   Thm 24.2), L eta each with eta = mu + gamma_4 (sqrt 2 + mu) <= 8 u for
-#   twiddles within mu <= 2 u; the symbol, whose entries w^(0) and w^(k)
-#   are each within L eta sum|w| = L eta w^(0) <= L eta D_max (D averages
-#   w^(0) over k), 2 L eta + u; the product with it u, and the 1/S
-#   scaling u: (4 L eta + 3 u) D_max |g| in all;
-# - the products f D g, u, and numpy's pairwise sum of at most S N^2 of
-#   them, at most L + 2 log2 N + 20 additions deep (runs of 128 summed by
-#   eight running sums, 16 + 3 deep plus 7 leftover terms, under a binary
-#   tree), 1 u more for rounding the depth up;
-# - the two subtractions that join the three sums, 2 u.
-# Together (32 L + 3 + 2N + 4 + 1 + L + 2 log2 N + 21 + 2) u of scale.
-def _spectral_rounding(grid: GridSpec, samples: np.ndarray, exponent: float) -> float:
-    v, a, av = _centred_products(samples)
-    N = samples.shape[1]
-    units = 33.0 * np.log2(grid.n_sites) + 2.0 * N + 2.0 * np.log2(N) + 31.0
-    norm = np.linalg.norm
-    D_max = float(np.max(_pair_symbol(grid, exponent)))
-    # |Q|^2 = sum_x sum_ij v_i^2 v_j^2 = |a|^2
-    return units * 2.0**-53 * D_max * (8.0 * norm(av) * norm(v) + 6.0 * norm(a) ** 2)
-
-
-# Bound on |fl(E) - E| / E for the pair energy E, a sum of nonnegative
-# terms. A term carries at most (q (N + 3) + 2) u of rounding (u = 2^-53,
-# q = p/2, N components); the pairwise sum over the sites of a lag and the
-# one over the lags (at most 2^13 and 2^12 + 1 terms) are each at most 24
-# additions deep, and the lag weight adds one. With q (N + 3) <= 77, as for
-# p <= 25 with N <= 3, the whole stays below 128 u.
-ENERGY_ROUNDING = 2.0**-46
-
-
-def energy_rounding(u: VectorField, params: EnergyParams, E: float) -> float:
-    """A bound on the rounding |E - exact sum| of E = energy(u, params) over
-    the whole torus: the spectral bound on the spectral route, and
-    ENERGY_ROUNDING relative to E on a pair pass. With eps_reg > 0 every pair
-    term subtracts eps^{p/2}, and the rounding of those terms scales with
-    twice their total over all pairs, not with E."""
-    exponent = u.grid.dim + params.s * params.p
-    if _spectral_route(params.p, params.eps_reg, None):
-        return _spectral_rounding(u.grid, u.samples, exponent)
-    floor = (params.eps_reg ** (params.p / 2) * u.grid.n_sites
-             * float(np.sum(_pair_weights(u.grid, exponent))))
-    return ENERGY_ROUNDING * (E + 2.0 * floor)
-
-
 def energy(u: VectorField, params: EnergyParams, region=None) -> float:
     """The double-sum energy over ordered pairs of the region; a spectral
     pass at p = 4 with eps_reg = 0 over the whole torus, a pair pass
@@ -529,9 +475,54 @@ def _pair_flux(u: VectorField, params: EnergyParams, region) -> VectorField:
 
 
 def energy_change(u: VectorField, v: VectorField, params: EnergyParams) -> float:
-    """E(v) - E(u) over the whole torus as one half-lag pair sum of
-    w (|D_v|^p - |D_u|^p), free of the cancellation between two rounded
-    totals.
+    """E(v) - E(u) over the whole torus, formed from the differences
+    e = v - u and f = v + u, free of the cancellation between two rounded
+    totals: a spectral pass at p = 4 with eps_reg = 0, a pair pass
+    otherwise."""
+    if v.grid != u.grid or v.components != u.components:
+        raise ValueError("energy_change needs two fields on one grid with one component count")
+    if _spectral_route(params.p, params.eps_reg, None):
+        return _spectral_change(u.grid, u.samples, v.samples, u.grid.dim + params.s * params.p)
+    return _pair_change(u, v, params)
+
+
+def _spectral_change(grid: GridSpec, u: np.ndarray, v: np.ndarray, exponent: float) -> float:
+    """The p = 4 change E(v) - E(u) over the whole torus. With the centred
+    e = v - u and f = v + u, A = e . f and, for c in {e, f}, C = |c|^2, it
+    is (T_e + T_f) / 2 with
+
+        T_c = -2 <A, D C> + 4 sum_j <A c_j, D c_j>
+              + 2 sum_i (<C e_i, D f_i> + <C f_i, D e_i>)
+              - 4 sum_ij <e_i c_j, D(f_i c_j)>,
+
+    the polarization of the quartic form: with the pair differences D_e
+    and D_f, |D_v|^4 - |D_u|^4 = (D_e . D_f) (|D_e|^2 + |D_f|^2) / 2.
+    Every term carries a factor of e, so nothing of the size of E cancels;
+    with e = f = u, T_c is the sum of _spectral_energy."""
+    e = v - u
+    e -= np.mean(e, axis=0)
+    f = v + u
+    f -= np.mean(f, axis=0)
+    S, N = e.shape
+    A = np.sum(e * f, axis=1)
+    Ce, Cf = _sq_norm(list(e.T)), _sq_norm(list(f.T))
+
+    def outer(a, b):  # column i N + j holds a_i b_j
+        return (a[:, :, None] * b[:, None, :]).reshape(S, N * N)
+
+    DX = fourier_multiply(grid, np.column_stack([e, f, Ce, Cf, outer(f, e), outer(f, f)]),
+                          _pair_symbol(grid, exponent))
+    De, Df, DCe, DCf, Dfe, Dff = np.split(DX, np.cumsum([N, N, 1, 1, N * N]), axis=1)
+    total = 0.0
+    for c, C, Dc, DC, Dfc in ((e, Ce, De, DCe, Dfe), (f, Cf, Df, DCf, Dff)):
+        total += (-2.0 * np.sum(A * DC[:, 0]) + 4.0 * np.sum(A[:, None] * c * Dc)
+                  + 2.0 * np.sum(C[:, None] * (e * Df + f * De))
+                  - 4.0 * np.sum(outer(e, c) * Dfc))
+    return float(0.5 * total)
+
+
+def _pair_change(u: VectorField, v: VectorField, params: EnergyParams) -> float:
+    """energy_change as one half-lag pair sum of w (|D_v|^p - |D_u|^p).
 
     The pass runs on the stacked samples [v - u, v + u], whose differences
     are e = D_v - D_u and f = D_v + D_u, so |D_v|^2 - |D_u|^2 = e . f comes
@@ -540,8 +531,6 @@ def energy_change(u: VectorField, v: VectorField, params: EnergyParams) -> float
     a^q - b^q = b^q expm1(q log1p((a - b) / b)) where |a - b| <= b, and
     the direct form where b = 0 or a > 2 b, which cancels little.
     """
-    if v.grid != u.grid or v.components != u.components:
-        raise ValueError("energy_change needs two fields on one grid with one component count")
     N, p = u.components, params.p
     kernel = PairKernelCache(u.grid, params)
     stacked = np.concatenate([v.samples - u.samples, v.samples + u.samples], axis=1)

@@ -407,8 +407,7 @@ def emit_solve_report(report, out_dir, tag: str) -> list:
         "final_el_residual_max": report.final_el_residual_max,
         "converged": report.converged,
         "stop_reason": report.stop_reason,
-        "energy_evals": report.energy_evals,
-        "exact_energy_changes": report.exact_energy_changes,
+        "energy_changes": report.energy_changes,
     }
     steps = (0.0, *report.step_trace)  # the initial iterate took no step
     rows = ((i, float(e), float(step), float(gn)) for i, (e, step, gn)

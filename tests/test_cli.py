@@ -320,7 +320,7 @@ def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
 
 @pytest.mark.parametrize("command, sets, key, says", [
     # a non-finite float would run to max_iters (NaN), stop at once (inf),
-    # or turn the Armijo band into NaN
+    # or turn the Armijo test into NaN
     ("solve", ["solver.grad_tol=NaN"], "solver.grad_tol", "is out of range"),
     ("solve", ["solver.grad_tol=1e400"], "solver.grad_tol", "is out of range"),
     ("solve", ["solver.grad_tol=Infinity"], "solver.grad_tol", "is out of range"),

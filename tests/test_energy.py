@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from fracmap.energy import (
-    ENERGY_ROUNDING,
     EnergyParams,
     PairKernelCache,
     _energy_raw,
+    _pair_change,
     _pair_flux,
     duality_check,
     el_pairing,
@@ -21,7 +21,6 @@ from fracmap.energy import (
     energy,
     energy_change,
     energy_gradient,
-    energy_rounding,
     first_variation,
     holefill_check,
     pair_flux,
@@ -673,29 +672,27 @@ def _pair_energy(u, params):
 
 def test_spectral_passes_match_pair_passes(spectral_fields):
     params = EnergyParams(s=0.5, p=4.0)
+    rng = np.random.default_rng(44)
     for label, u in spectral_fields.items():
         want = _pair_energy(u, params)
         assert abs(energy(u, params) - want) <= 1e-12 * want, label
         assert abs(seminorm(u, 0.5, 4.0) - want**0.25) <= 1e-12 * want**0.25, label
         G = _pair_flux(u, params, None).samples
         assert np.abs(pair_flux(u, params).samples - G).max() <= 1e-12 * np.abs(G).max(), label
+        # the change to a field 1e-3 away. The spectral change rounds with
+        # max D times norms of e and f, not with the change: 1e-6 away from
+        # the 2d winding it is off by 3e-12 of the change, the pair sum by
+        # 6e-14 (both against a longdouble sum)
+        near = VectorField(grid=u.grid, components=u.components,
+                           samples=project_sphere(u.samples + 1e-3 * rng.normal(size=u.samples.shape)))
+        change = _pair_change(u, near, params)
+        assert abs(energy_change(u, near, params) - change) <= 1e-12 * abs(change), label
     # a scalar field, as the EL suite's test functions are
     g = make_grid(2, 16, TWO_PI)
     x = site_coords(g)
     f = ScalarField(grid=g, samples=np.cos(x[:, 0]) * np.sin(2 * x[:, 1]))
     want = _energy_raw(f.samples[:, None], PairKernelCache(g, params), 4.0, 0.0) ** 0.25
     assert abs(seminorm(f, 0.5, 4.0) - want) <= 1e-12 * want
-
-
-def test_spectral_rounding_bound_covers_the_measured_error(spectral_fields):
-    # the spectral energy and the pair sum each lie within their own stated
-    # rounding of the exact sum, so they differ by at most the two together
-    params = EnergyParams(s=0.5, p=4.0)
-    for label, u in spectral_fields.items():
-        pair = _pair_energy(u, params)
-        spectral = energy(u, params)
-        band = energy_rounding(u, params, spectral) + ENERGY_ROUNDING * pair
-        assert abs(spectral - pair) <= band, label
 
 
 def test_spectral_passes_give_exact_zeros_for_constants():
@@ -707,12 +704,16 @@ def test_spectral_passes_give_exact_zeros_for_constants():
             assert energy(u, params) == 0.0
             assert not pair_flux(u, params).samples.any()
             assert seminorm(u, 0.5, 4.0) == 0.0
+            other = VectorField(grid=g, components=len(value),
+                                samples=np.tile(np.negative(value), (g.n_sites, 1)))
+            assert energy_change(u, other, params) == 0.0
 
 
 def test_only_p4_full_torus_passes_are_spectral():
     # every other pass is the pair pass itself, to the last bit
     g = make_grid(2, 8, TWO_PI)
     u = _unit_field(g, seed=40, components=3)
+    v = _unit_field(g, seed=45, components=3)
     mask = np.random.default_rng(41).random(g.n_sites) < 0.5
     for p, eps, region in [(2.0, 0.0, None), (3.0, 0.0, None), (4.0, 1e-3, None),
                            (4.0, 0.0, mask), (1.5, 1e-3, None)]:
@@ -721,10 +722,13 @@ def test_only_p4_full_torus_passes_are_spectral():
         assert energy(u, params, region=region) == _energy_raw(u.samples, kernel, p, eps, region)
         np.testing.assert_array_equal(pair_flux(u, params, region=region).samples,
                                       _pair_flux(u, params, region).samples)
+        if region is None:
+            assert energy_change(u, v, params) == _pair_change(u, v, params)
     kernel = PairKernelCache.from_exponent(g, 0.5, 3.0)
     assert seminorm(u, 0.5, 3.0) == _energy_raw(u.samples, kernel, 3.0, 0.0) ** (1.0 / 3.0)
     params = EnergyParams(s=0.5, p=4.0)
     assert energy(u, params) != _pair_energy(u, params)
+    assert energy_change(u, v, params) != _pair_change(u, v, params)
 
 
 def test_energy_change_peaks_no_higher_than_the_flux():
