@@ -27,9 +27,15 @@ du_z(x) = u(x) - u(x + z) for a block of a run's lags is one subtraction
 against a zero-copy strided view of the periodically tiled samples, each
 window a flat slice; a region B multiplies each term by m(x) m(x + z).
 
-The energy weights each lag energy by c(z) w(z), with c = 2 on paired lags
-and 1 on self-inverse ones. Besides the energy there is a single pair
-pass, the flux
+There are two pair passes. The first is the change
+
+    E(v) - E(u) = sum_z c(z) w(z) sum_x m(x) m(x + z) (|D_v|^p - |D_u|^p)
+
+over the half lags, with c = 2 on paired lags and 1 on self-inverse ones
+and D_u = du_z. It is formed from the differences of e = v - u and
+f = v + u, free of the cancellation between two rounded totals. It is
+energy_change, and energy and seminorm are the change from the zero map,
+whose energy is exactly 0. The second is the flux
 
     G^B(x) = sum_z m(x) m(x + z) w(z) (|du_z|^2 + eps_reg)^{(p-2)/2} du_z(x)
 
@@ -43,14 +49,13 @@ sum_{x,y in B} w |du|^{p-2} du . (f(x) - f(y)) equals 2 sum_{x in B}
 f(x) . G^B(x): the gradient is 2p G, an EL residual is
 2 sum_x q(x) . G^B(x), the duality right side is 2 gamma sum_x phi(x) G^B(x),
 and the T operator 2 sum_x k(x - z) G^B(x) is one FFT correlation of G^B
-with the length-S Riesz lag kernel k = dist^{t-n}. Off the spectral
-route, energy_change forms E(v) - E(u) for the solver's line search in one
-such pass, pair by pair.
+with the length-S Riesz lag kernel k = dist^{t-n}.
 
 All reductions follow a fixed order, which pins the energy and the
-gradient to the last bit: |du|^2 is summed in component order; the energy
-of a lag is one numpy (pairwise) sum over x times c'(z) w(z), and the
-energy is twice one numpy sum of the lag energies in pass order. In the
+gradient to the last bit: |du|^2 and e . f are summed in component order;
+the change of a lag is one numpy (pairwise) sum over x times c'(z) w(z),
+and the change is twice one numpy sum of the lag changes in pass order.
+From the zero map, e = f = du, so e . f is |du|^2 to the last bit. In the
 flux, the forward entry sum_z F_z(x) is a running sum over the half lags
 in pass order, starting from zero; each reverse entry F_z(y) is added, in
 the same order, at y + z of an accumulator 2M wide per axis, where the
@@ -62,23 +67,26 @@ formulas.
 At p = 4 with eps_reg = 0, every full-torus pair sum is a quadratic form
 in correlations of u, a u and u u^T (a = |u|^2), and the circulant kernel
 is diagonal in Fourier space (R. M. Gray, Toeplitz and Circulant
-Matrices: A Review, 2006). There energy, pair_flux, seminorm and
-energy_change take a spectral pass of O(S log S): one
-grid.fourier_multiply by the cached symbol D(k) = w^(0) - w^(k), which
-vanishes at k = 0, on the columns of the centred samples and their
-products (see _spectral_energy, _spectral_flux and _spectral_change). The
-route depends only on p, eps_reg and the region: regions, p != 4 and
-eps_reg > 0 stay pair passes. The sums are invariant under u -> u - c, so
-the passes subtract the mean first, which keeps the Fourier terms of a
-near-constant map from cancelling; constant maps still give exactly 0.0.
+Matrices: A Review, 2006). There the change (and with it energy,
+seminorm and energy_change) and pair_flux take a spectral pass of
+O(S log S): one grid.fourier_multiply by the cached symbol
+D(k) = w^(0) - w^(k), which vanishes at k = 0, on the columns of the
+centred samples and their products (see _spectral_change and
+_spectral_flux). The route depends only on p, eps_reg and the region:
+regions, p != 4 and eps_reg > 0 stay pair passes. _change decides it for
+the change, pair_flux for the flux. The sums are invariant under
+u -> u - c, so the passes subtract the mean first, which keeps the Fourier
+terms of a near-constant map from cancelling; constant maps still give
+exactly 0.0.
 
 For p < 2 the pair weight |u(x)-u(y)|^{p-2} degenerates at coincident
 values; a regularizer eps_reg > 0 replaces |du|^2 by |du|^2 + eps_reg
-inside the weight. With eps_reg > 0 the energy itself is evaluated as
-sum w [ (|du|^2 + eps)^{p/2} - eps^{p/2} ], which keeps constants at
-exactly zero energy and makes energy_gradient the exact gradient of the
-evaluated functional. For eps_reg = 0 (the default, requires p >= 2) the
-plain |du|^p form is used.
+inside the weight. With eps_reg > 0 the energy itself is
+sum w [ (|du|^2 + eps)^{p/2} - eps^{p/2} ], which is zero on constants and
+of which energy_gradient is the exact gradient. From the zero map, a term
+with |du|^2 <= eps is formed as eps^{p/2} expm1((p/2) log1p(|du|^2 / eps)),
+which keeps the digits of |du|^2 << eps. For eps_reg = 0 (the default,
+requires p >= 2) the plain |du|^p form is used.
 """
 from __future__ import annotations
 
@@ -306,60 +314,20 @@ def _check_region(region, grid: GridSpec):
     return region
 
 
-def _energy_raw(samples, kernel: PairKernelCache, p, eps, region=None) -> float:
-    grid = kernel.grid
-    lag_energy = np.zeros(len(kernel.half_weights))
-    for slots, _, _, dus, pair_mask in _lag_blocks(grid, samples, _check_region(region, grid),
-                                                   _block_lags(grid)):
-        vals = _sq_norm(dus)
-        if eps > 0.0:
-            vals += eps
-            vals **= p / 2
-            vals -= eps ** (p / 2)
-        elif p != 2.0:
-            vals **= p / 2
-        if pair_mask is not None:
-            vals *= pair_mask
-        lag_energy[slots] = kernel.half_weights[slots] * vals.sum(axis=1)
-    return 2.0 * float(np.sum(lag_energy))
-
-
 def _spectral_route(p: float, eps: float, region) -> bool:
     """Whether a pass is a spectral one: p = 4, eps_reg = 0, the whole torus."""
     return p == 4.0 and eps == 0.0 and region is None
 
 
-def _centred_products(samples: np.ndarray):
-    """From (S, N) samples: the centred v = u - mean(u), a = |v|^2 (summed
-    in component order) and the (S, N) array a v. E and G depend on u only
-    through differences, so the centring changes neither; it keeps the
-    Fourier terms of a near-constant map from cancelling."""
-    v = samples - np.mean(samples, axis=0)
-    a = _sq_norm(list(v.T))
-    return v, a, a[:, None] * v
-
-
-def _spectral_energy(grid: GridSpec, samples: np.ndarray, exponent: float) -> float:
-    """The p = 4 energy over the whole torus as
-    E = 8 sum_i <a v_i, D v_i> - 2 <a, D a> - 4 sum_ij <Q_ij, D Q_ij>,
-    <f, g> = sum_x f(x) g(x), on the centred v with a = |v|^2 and Q = v v^T;
-    the off-diagonal Q_ij, i < j, are formed once and counted twice."""
-    v, a, av = _centred_products(samples)
-    i, j = np.triu_indices(v.shape[1])
-    Q = v[:, i] * v[:, j]
-    DX = fourier_multiply(grid, np.column_stack([v, a, Q]), _pair_symbol(grid, exponent))
-    N = v.shape[1]
-    cross = np.sum(av * DX[:, :N])
-    square = np.sum(a * DX[:, N])
-    quad = np.sum(np.where(i == j, 1.0, 2.0) * Q * DX[:, N + 1:])
-    return float(8.0 * cross - 2.0 * square - 4.0 * quad)
-
-
 def _spectral_flux(grid: GridSpec, samples: np.ndarray, exponent: float) -> np.ndarray:
     """The p = 4 pair flux over the whole torus on the centred v, a = |v|^2:
     G_i = a D v_i - v_i D a + D(a v_i) + 2 v_i sum_j v_j D v_j
-    - 2 sum_j v_j D(v_j v_i)."""
-    v, a, av = _centred_products(samples)
+    - 2 sum_j v_j D(v_j v_i). G depends on u only through differences, so
+    the centring v = u - mean(u) does not change it; it keeps the Fourier
+    terms of a near-constant map from cancelling."""
+    v = samples - np.mean(samples, axis=0)
+    a = _sq_norm(list(v.T))
+    av = a[:, None] * v
     N = v.shape[1]
     i, j = np.triu_indices(N)
     pair = np.empty((N, N), dtype=int)  # the column of Q_ij = Q_ji
@@ -373,17 +341,15 @@ def _spectral_flux(grid: GridSpec, samples: np.ndarray, exponent: float) -> np.n
 
 
 def energy(u: VectorField, params: EnergyParams, region=None) -> float:
-    """The double-sum energy over ordered pairs of the region; a spectral
-    pass at p = 4 with eps_reg = 0 over the whole torus, a pair pass
-    otherwise."""
-    if _spectral_route(params.p, params.eps_reg, region):
-        return _spectral_energy(u.grid, u.samples, u.grid.dim + params.s * params.p)
-    return _energy_raw(u.samples, PairKernelCache(u.grid, params), params.p, params.eps_reg,
-                       region=region)
+    """The double-sum energy over ordered pairs of the region, as the
+    change from the zero map, whose energy is exactly 0 (see _change)."""
+    return _change(u.grid, np.zeros_like(u.samples), u.samples, params.s, params.p,
+                   params.eps_reg, region)
 
 
 def seminorm(f, s: float, p: float) -> float:
-    """Gagliardo-type seminorm: energy(...)^{1/p} over the whole torus.
+    """Gagliardo-type seminorm: energy(...)^{1/p} over the whole torus, the
+    energy as the change from the zero map.
 
     Valid for any p > 1; the plain |du|^p integrand never degenerates, so
     no regularizer is involved here.
@@ -396,9 +362,7 @@ def seminorm(f, s: float, p: float) -> float:
         raise TypeError(f"expected a field, got {type(f).__name__}")
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got {p}")
-    if _spectral_route(p, 0.0, None):
-        return _spectral_energy(f.grid, samples, f.grid.dim + s * p) ** (1.0 / p)
-    return _energy_raw(samples, PairKernelCache.from_exponent(f.grid, s, p), p, 0.0) ** (1.0 / p)
+    return _change(f.grid, np.zeros_like(samples), samples, s, p, 0.0, None) ** (1.0 / p)
 
 
 def _du_weight(dus: list, params: EnergyParams):
@@ -475,15 +439,23 @@ def _pair_flux(u: VectorField, params: EnergyParams, region) -> VectorField:
 
 
 def energy_change(u: VectorField, v: VectorField, params: EnergyParams) -> float:
-    """E(v) - E(u) over the whole torus, formed from the differences
-    e = v - u and f = v + u, free of the cancellation between two rounded
-    totals: a spectral pass at p = 4 with eps_reg = 0, a pair pass
-    otherwise."""
+    """E(v) - E(u) over the whole torus, free of the cancellation between
+    two rounded totals (see _change)."""
     if v.grid != u.grid or v.components != u.components:
         raise ValueError("energy_change needs two fields on one grid with one component count")
-    if _spectral_route(params.p, params.eps_reg, None):
-        return _spectral_change(u.grid, u.samples, v.samples, u.grid.dim + params.s * params.p)
-    return _pair_change(u, v, params)
+    return _change(u.grid, u.samples, v.samples, params.s, params.p, params.eps_reg, None)
+
+
+def _change(grid: GridSpec, u: np.ndarray, v: np.ndarray, s: float, p: float, eps: float,
+            region) -> float:
+    """E(v) - E(u) over ordered pairs of the region for (S, N) samples u and
+    v, formed from the differences e = v - u and f = v + u: a spectral pass
+    at p = 4 with eps_reg = 0 over the whole torus, a pair pass otherwise.
+    This is the one route decision of energy, seminorm and energy_change;
+    the first two start from the zero map, whose energy is exactly 0."""
+    if _spectral_route(p, eps, region):
+        return _spectral_change(grid, u, v, grid.dim + s * p)
+    return _pair_change(PairKernelCache.from_exponent(grid, s, p), u, v, p, eps, region)
 
 
 def _spectral_change(grid: GridSpec, u: np.ndarray, v: np.ndarray, exponent: float) -> float:
@@ -497,8 +469,8 @@ def _spectral_change(grid: GridSpec, u: np.ndarray, v: np.ndarray, exponent: flo
 
     the polarization of the quartic form: with the pair differences D_e
     and D_f, |D_v|^4 - |D_u|^4 = (D_e . D_f) (|D_e|^2 + |D_f|^2) / 2.
-    Every term carries a factor of e, so nothing of the size of E cancels;
-    with e = f = u, T_c is the sum of _spectral_energy."""
+    Every term carries a factor of e, so nothing of the size of E cancels.
+    From the zero map, e = f = v and each T_c is the energy E(v)."""
     e = v - u
     e -= np.mean(e, axis=0)
     f = v + u
@@ -521,25 +493,28 @@ def _spectral_change(grid: GridSpec, u: np.ndarray, v: np.ndarray, exponent: flo
     return float(0.5 * total)
 
 
-def _pair_change(u: VectorField, v: VectorField, params: EnergyParams) -> float:
-    """energy_change as one half-lag pair sum of w (|D_v|^p - |D_u|^p).
+def _pair_change(kernel: PairKernelCache, u: np.ndarray, v: np.ndarray, p: float, eps: float,
+                 region) -> float:
+    """E(v) - E(u) as one half-lag pair sum of w (|D_v|^p - |D_u|^p), each
+    term times m(x) m(x + z) on a region.
 
     The pass runs on the stacked samples [v - u, v + u], whose differences
     are e = D_v - D_u and f = D_v + D_u, so |D_v|^2 - |D_u|^2 = e . f comes
     without cancellation. At p = 2 that is the pair term. Otherwise, with
     b = |D_u|^2 + eps, a = |D_v|^2 + eps and q = p / 2, the term is
     a^q - b^q = b^q expm1(q log1p((a - b) / b)) where |a - b| <= b, and
-    the direct form where b = 0 or a > 2 b, which cancels little.
+    the direct form where b = 0 or a > 2 b, which cancels little. From the
+    zero map, b = eps and a - b = |D_v|^2: at eps_reg = 0 every term is
+    the direct |D_v|^p.
     """
-    N, p = u.components, params.p
-    kernel = PairKernelCache(u.grid, params)
-    stacked = np.concatenate([v.samples - u.samples, v.samples + u.samples], axis=1)
+    grid, N = kernel.grid, u.shape[1]
+    stacked = np.concatenate([v - u, v + u], axis=1)
     lag_change = np.zeros(len(kernel.half_weights))
     # the pass differences 2N components, twice a pair pass's N, so half as
     # many lags per block keep its temporaries at a pair pass's size; a lag's
     # sum does not depend on how many lags share its block
-    for slots, _, _, dus, _ in _lag_blocks(u.grid, stacked, None,
-                                           max(1, _block_lags(u.grid) // 2)):
+    for slots, _, _, dus, pair_mask in _lag_blocks(grid, stacked, _check_region(region, grid),
+                                                   max(1, _block_lags(grid) // 2)):
         e, f = dus[:N], dus[N:]
         vals = e[0] * f[0]
         for ei, fi in zip(e[1:], f[1:]):
@@ -549,27 +524,33 @@ def _pair_change(u: VectorField, v: VectorField, params: EnergyParams) -> float:
                 fi -= ei
                 fi *= 0.5  # D_u
             b = _sq_norm(f)
-            b += params.eps_reg
+            b += eps
             vals = _power_change(b, vals, p / 2)
+        if pair_mask is not None:
+            vals *= pair_mask
         lag_change[slots] = kernel.half_weights[slots] * vals.sum(axis=1)
     return 2.0 * float(np.sum(lag_change))
 
 
 def _power_change(b: np.ndarray, diff: np.ndarray, q: float) -> np.ndarray:
     """(b + diff)^q - b^q for b >= 0, with b + diff >= 0 up to rounding.
-    Overwrites diff."""
+    Overwrites diff. Each of the two forms is computed only if some term
+    takes it."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bq = b**q
         r = np.maximum(diff / b, -1.0)  # NaN or inf where b = 0
         far = ~(r <= 1.0)
+        if far.any():
+            diff += b
+            np.maximum(diff, 0.0, out=diff)
+            diff **= q
+            diff -= bq
+            if far.all():
+                return diff
         near = np.log1p(r, out=r)
         near *= q
         np.expm1(near, out=near)
         near *= bq
-        diff += b
-        np.maximum(diff, 0.0, out=diff)
-        diff **= q
-        diff -= bq
     np.copyto(near, diff, where=far)
     return near
 

@@ -12,7 +12,6 @@ import pytest
 from fracmap.energy import (
     EnergyParams,
     PairKernelCache,
-    _energy_raw,
     _pair_change,
     _pair_flux,
     duality_check,
@@ -149,11 +148,28 @@ def test_params_validation():
 
 
 def test_energy_constant_is_zero():
+    # from the zero map, a constant's pair terms are 0/0 at eps_reg = 0,
+    # which takes the direct form, and log1p(0) at eps_reg > 0
     g = make_grid(1, 16, TWO_PI)
     u = VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (16, 1)))
-    params = EnergyParams(s=0.5, p=2.0)
-    assert energy(u, params) == 0.0
-    assert energy(u, EnergyParams(s=0.5, p=2.0, eps_reg=1e-3)) == 0.0
+    mask = np.arange(16) < 9
+    for p, eps in [(2.0, 0.0), (2.0, 1e-3), (3.0, 0.0), (4.0, 0.0), (1.5, 1e-3)]:
+        params = EnergyParams(s=0.5, p=p, eps_reg=eps)
+        for region in (None, mask):
+            assert energy(u, params, region=region) == 0.0, (p, eps, region)
+    assert seminorm(u, 0.5, 3.0) == 0.0
+
+
+def test_regularized_energy_of_a_near_constant_map():
+    # (|du|^2 + eps)^q - eps^q loses the digits of |du|^2 << eps; the
+    # change from the zero map keeps them
+    g = make_grid(1, 32, TWO_PI)
+    rng = np.random.default_rng(46)
+    u = VectorField(grid=g, components=2,
+                    samples=np.tile([0.6, 0.8], (32, 1)) + 1e-6 * rng.normal(size=(32, 2)))
+    params = EnergyParams(s=0.6, p=1.5, eps_reg=1e-3)
+    want = float(_naive_change_longdouble(np.zeros_like(u.samples), u.samples, g, 0.6, 1.5, 1e-3))
+    assert abs(energy(u, params) - want) <= 1e-12 * want
 
 
 def test_energy_matches_naive_loop_1d():
@@ -666,8 +682,11 @@ def spectral_fields():
     return fields
 
 
-def _pair_energy(u, params):
-    return _energy_raw(u.samples, PairKernelCache(u.grid, params), params.p, params.eps_reg)
+def _pair_energy(u, params, region=None):
+    """The pair-pass energy: the pair change from the zero map."""
+    kernel = PairKernelCache(u.grid, params)
+    return _pair_change(kernel, np.zeros_like(u.samples), u.samples, params.p, params.eps_reg,
+                        region)
 
 
 def test_spectral_passes_match_pair_passes(spectral_fields):
@@ -685,13 +704,16 @@ def test_spectral_passes_match_pair_passes(spectral_fields):
         # 6e-14 (both against a longdouble sum)
         near = VectorField(grid=u.grid, components=u.components,
                            samples=project_sphere(u.samples + 1e-3 * rng.normal(size=u.samples.shape)))
-        change = _pair_change(u, near, params)
+        change = _pair_change(PairKernelCache(u.grid, params), u.samples, near.samples, 4.0, 0.0,
+                              None)
         assert abs(energy_change(u, near, params) - change) <= 1e-12 * abs(change), label
     # a scalar field, as the EL suite's test functions are
     g = make_grid(2, 16, TWO_PI)
     x = site_coords(g)
     f = ScalarField(grid=g, samples=np.cos(x[:, 0]) * np.sin(2 * x[:, 1]))
-    want = _energy_raw(f.samples[:, None], PairKernelCache(g, params), 4.0, 0.0) ** 0.25
+    samples = f.samples[:, None]
+    kernel = PairKernelCache(g, params)
+    want = _pair_change(kernel, np.zeros_like(samples), samples, 4.0, 0.0, None) ** 0.25
     assert abs(seminorm(f, 0.5, 4.0) - want) <= 1e-12 * want
 
 
@@ -719,27 +741,34 @@ def test_only_p4_full_torus_passes_are_spectral():
                            (4.0, 0.0, mask), (1.5, 1e-3, None)]:
         params = EnergyParams(s=0.5, p=p, eps_reg=eps)
         kernel = PairKernelCache(g, params)
-        assert energy(u, params, region=region) == _energy_raw(u.samples, kernel, p, eps, region)
+        assert energy(u, params, region=region) == _pair_energy(u, params, region)
         np.testing.assert_array_equal(pair_flux(u, params, region=region).samples,
                                       _pair_flux(u, params, region).samples)
         if region is None:
-            assert energy_change(u, v, params) == _pair_change(u, v, params)
+            assert energy_change(u, v, params) == _pair_change(kernel, u.samples, v.samples, p,
+                                                               eps, None)
     kernel = PairKernelCache.from_exponent(g, 0.5, 3.0)
-    assert seminorm(u, 0.5, 3.0) == _energy_raw(u.samples, kernel, 3.0, 0.0) ** (1.0 / 3.0)
+    zero = np.zeros_like(u.samples)
+    assert seminorm(u, 0.5, 3.0) == _pair_change(kernel, zero, u.samples, 3.0, 0.0, None) ** (1 / 3)
     params = EnergyParams(s=0.5, p=4.0)
+    kernel = PairKernelCache(g, params)
     assert energy(u, params) != _pair_energy(u, params)
-    assert energy_change(u, v, params) != _pair_change(u, v, params)
+    assert energy_change(u, v, params) != _pair_change(kernel, u.samples, v.samples, 4.0, 0.0,
+                                                       None)
 
 
 def test_energy_change_peaks_no_higher_than_the_flux():
-    # energy_change differences 2N components where the flux takes N, so
-    # it runs half-size lag blocks; both kernels are built before measuring
+    # energy_change and the region energy difference 2N components where
+    # the flux takes N, so they run half-size lag blocks; every kernel is
+    # built before measuring
     g = make_grid(1, 256, TWO_PI)
     u = _unit_field(g, seed=42)
     v = _unit_field(g, seed=43)
     params = EnergyParams(s=0.5, p=3.0)
+    mask = np.arange(g.n_sites) < 160
     peaks = []
-    for run in (lambda: pair_flux(u, params), lambda: energy_change(u, v, params)):
+    for run in (lambda: pair_flux(u, params), lambda: energy_change(u, v, params),
+                lambda: energy(u, params, region=mask)):
         run()
         tracemalloc.start()
         try:
@@ -747,8 +776,9 @@ def test_energy_change_peaks_no_higher_than_the_flux():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    flux_peak, change_peak = peaks
+    flux_peak, change_peak, region_peak = peaks
     assert change_peak <= flux_peak
+    assert region_peak <= flux_peak
 
 
 # Reference copy of the half-lag pair passes that fix the floats of energy
@@ -842,8 +872,7 @@ def test_energy_and_gradient_bit_identical_to_reference(dim, M, N, s, p, eps):
     u = _unit_field(g, seed=30 + M + N, components=N)
     params = EnergyParams(s=s, p=p, eps_reg=eps)
     mask = np.random.default_rng(31).random(g.n_sites) < 0.6
-    kernel = PairKernelCache(g, params)
-    assert _energy_raw(u.samples, kernel, p, eps) == _reference_energy(g, s, p, eps, u.samples)
+    assert _pair_energy(u, params) == _reference_energy(g, s, p, eps, u.samples)
     assert energy(u, params, region=mask) == _reference_energy(g, s, p, eps, u.samples, mask)
     np.testing.assert_array_equal(2.0 * p * _pair_flux(u, params, None).samples,
                                   _reference_gradient(g, s, p, eps, u.samples))

@@ -252,7 +252,6 @@ def test_settable_values_census():
         "calibrate.main.argv",
         "cli.main.argv",
         "energy.EnergyParams.eps_reg",
-        "energy._energy_raw.region",
         "energy.energy.region",
         "energy.pair_flux.region",
         "energy.t_operator.region",
