@@ -6,7 +6,10 @@ raised a numerical error, 2 config or usage error (a malformed config,
 --set, flag or input file), 3 non-convergence (reports are still written
 in that case). Everything a command does is deterministic given the
 config bytes and the seed. `--workers` is accepted and ignored: every
-pair pass runs serially.
+pair pass runs serially. Commands that share a config and an output
+directory write distinct files: each writes its own
+`manifest_<command>_<tag>.json`, solve its decay table as
+`decay_solve_<tag>` and verify its EL table as `el_residuals_verify_<tag>`.
 `probe` runs each selected probe on its calibrated setup, the one its
 frozen constant was measured on; only the seed varies it, and kernel_case,
 a maximum over one variable, takes no seed. `selftest` takes no options:
@@ -59,8 +62,9 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _finish(cfg: RunConfig, started: str, outputs: list) -> None:
-    """Write the run manifest, the one artifact that carries wall-clock time."""
+def _finish(cfg: RunConfig, command: str, started: str, outputs: list) -> None:
+    """Write the command's run manifest, the one artifact that carries
+    wall-clock time."""
     manifest = RunManifest(
         config_hash=config_hash(cfg.raw),
         artifact_version=reporting.ARTIFACT_VERSION,
@@ -68,7 +72,7 @@ def _finish(cfg: RunConfig, started: str, outputs: list) -> None:
         finished=_now(),
         outputs=[Path(p).name for p in outputs],
     )
-    manifest.write(Path(cfg.out_dir) / f"manifest_{cfg.tag}.json")
+    manifest.write(Path(cfg.out_dir) / f"manifest_{command}_{cfg.tag}.json")
 
 
 def _read_field_from(key: str, path):
@@ -132,8 +136,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     outputs.append(solution_path)
     if cfg.hierarchy is not None:
         table = lab.decay_profile(u, cfg.hierarchy, cfg.params)
-        outputs += emit_decay_table(table, out, cfg.tag)
-    _finish(cfg, started, outputs)
+        outputs += emit_decay_table(table, out, f"solve_{cfg.tag}")
+    _finish(cfg, "solve", started, outputs)
     ok = report.converged and suite.max_abs <= EL_TOL
     print(
         f"solve: converged={report.converged} iterations={report.iterations} "
@@ -156,7 +160,7 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
 
     suite = el_residual_suite(u, params)
     checks["el_residual"] = {"value": suite.max_abs, "tol": EL_TOL, "pass": suite.max_abs <= EL_TOL}
-    outputs = emit_el_table(suite, out, cfg.tag)
+    outputs = emit_el_table(suite, out, f"verify_{cfg.tag}")
 
     hierarchy = _default_hierarchy(cfg)
     lhs, rhs, hf_ok = holefill_check(u, hierarchy, 0, hierarchy.level_max, params)
@@ -178,7 +182,7 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
 
     ok = all(c.get("pass", True) for c in checks.values())
     outputs += emit_verify_report(checks, out, cfg.tag)
-    _finish(cfg, started, outputs)
+    _finish(cfg, "verify", started, outputs)
     for name, result in checks.items():
         print(f"verify {name}: {result}")
     return EXIT_PASS if ok else EXIT_FAIL
@@ -196,7 +200,7 @@ def cmd_probe(cfg: RunConfig) -> int:
             f"probe {name}: worst_ratio={report.worst_ratio:.6g} "
             f"frozen_C={report.frozen_c:.6g} pass={report.passed}"
         )
-    _finish(cfg, started, outputs)
+    _finish(cfg, "probe", started, outputs)
     return EXIT_PASS if all_pass else EXIT_FAIL
 
 
@@ -207,18 +211,19 @@ def cmd_decay(cfg: RunConfig) -> int:
     u = initial_field(cfg)
     table = lab.decay_profile(u, cfg.hierarchy, cfg.params)
     outputs = emit_decay_table(table, cfg.out_dir, cfg.tag)
-    _finish(cfg, started, outputs)
+    _finish(cfg, "decay", started, outputs)
     theta = "undefined" if table.theta is None else f"{table.theta:.4f}"
     print(f"decay: theta={theta} levels={len(table.rows)}")
     return EXIT_PASS
 
 
 def cmd_selftest() -> int:
-    """solve, verify, decay and probe, once each through main, in a
+    """solve, verify, decay and probe, once each through main, in one
     temporary directory. They run on the default 1d config (M = 64,
     s = 1/2, p = 2, the winding) with a ball hierarchy, which decay needs;
     verify reads the solution that solve wrote. At M = 32 verify's duality
-    rel_error, 2.0e-3, would exceed its tolerance."""
+    rel_error, 2.0e-3, would exceed its tolerance. It fails, too, when a
+    command rewrites a file that an earlier one wrote."""
     overrides = [f"hierarchy.center=[{np.pi!r}]", "hierarchy.base_radius=0.05",
                  "hierarchy.levels=5"]
     codes = []
@@ -227,9 +232,13 @@ def cmd_selftest() -> int:
         solution = Path(out) / f"solution_{load_config(None, overrides, None, out).tag}.field"
         for command, extra in (("solve", []), ("verify", ["--field", str(solution)]),
                                ("decay", []), ("probe", [])):
+            earlier = {p: p.stat().st_mtime_ns for p in Path(out).iterdir()}
             code = main([command, *common, *extra])
             print(f"selftest {command}: exit {code}")
             codes.append(code)
+            if any(p.stat().st_mtime_ns != t for p, t in earlier.items()):
+                print(f"selftest {command}: rewrote a file of an earlier command")
+                codes.append(EXIT_FAIL)
     return EXIT_FAIL if any(codes) else EXIT_PASS
 
 

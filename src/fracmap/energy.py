@@ -68,16 +68,18 @@ At p = 4 with eps_reg = 0, every full-torus pair sum is a quadratic form
 in correlations of u, a u and u u^T (a = |u|^2), and the circulant kernel
 is diagonal in Fourier space (R. M. Gray, Toeplitz and Circulant
 Matrices: A Review, 2006). There the change (and with it energy,
-seminorm and energy_change) and pair_flux take a spectral pass of
-O(S log S): one grid.fourier_multiply by the cached symbol
+seminorm and energy_change) and pair_flux read one cubic form H(c, f)
+(see _cubic_form): the flux is H(v, v) / 2 and the change
+<e, H([e f], f)> / 2. H is one grid.fourier_multiply by the cached symbol
 D(k) = w^(0) - w^(k), which vanishes at k = 0, on the columns of the
-centred samples and their products (see _spectral_change and
-_spectral_flux). The route depends only on p, eps_reg and the region:
-regions, p != 4 and eps_reg > 0 stay pair passes. _change decides it for
-the change, pair_flux for the flux. The sums are invariant under
-u -> u - c, so the passes subtract the mean first, which keeps the Fourier
-terms of a near-constant map from cancelling; constant maps still give
-exactly 0.0.
+centred samples and their products, O(S log S). The route
+depends only on p, eps_reg and the region: regions, p != 4 and
+eps_reg > 0 stay pair passes. _change decides it for the change,
+pair_flux for the flux. The sums are invariant under u -> u - c, so the
+spectral passes subtract the mean first, which keeps the Fourier terms
+of a near-constant map from cancelling; constant maps still give exactly
+0.0. They have a fixed order too, but differ from the pair sums at
+round-off.
 
 For p < 2 the pair weight |u(x)-u(y)|^{p-2} degenerates at coincident
 values; a regularizer eps_reg > 0 replaces |du|^2 by |du|^2 + eps_reg
@@ -319,25 +321,42 @@ def _spectral_route(p: float, eps: float, region) -> bool:
     return p == 4.0 and eps == 0.0 and region is None
 
 
-def _spectral_flux(grid: GridSpec, samples: np.ndarray, exponent: float) -> np.ndarray:
-    """The p = 4 pair flux over the whole torus on the centred v, a = |v|^2:
-    G_i = a D v_i - v_i D a + D(a v_i) + 2 v_i sum_j v_j D v_j
-    - 2 sum_j v_j D(v_j v_i). G depends on u only through differences, so
-    the centring v = u - mean(u) does not change it; it keeps the Fourier
-    terms of a near-constant map from cancelling."""
-    v = samples - np.mean(samples, axis=0)
-    a = _sq_norm(list(v.T))
-    av = a[:, None] * v
-    N = v.shape[1]
+def _cubic_form(grid: GridSpec, c: np.ndarray, f: np.ndarray, exponent: float) -> np.ndarray:
+    """The p = 4 cubic form over the whole torus,
+
+        H(c, f)(x) = 2 sum_y w(x - y) |c(x) - c(y)|^2 (f(x) - f(y)),
+
+    for (S, N) samples f and (S, K) columns c whose last N are f, C = |c|^2.
+    As sum_y w(x - y) g(y) = w^(0) g - D g, the w^(0) terms cancel and
+
+        H(c, f) = -2 f D C + 4 f sum_j c_j D c_j + 2 C D f + 2 D(C f)
+                  - 4 sum_j c_j D(f c_j),
+
+    one grid.fourier_multiply of the columns c, C, C f, the upper triangle
+    of f f^T and f c_j for the columns c_j before f. The flux is
+    G(v) = H(v, v) / 2. With the pair differences D_e and D_f of e = v - u
+    and f = v + u, |D_v|^4 - |D_u|^4 = (D_e . D_f) (|D_e|^2 + |D_f|^2) / 2,
+    so the change is (T_e + T_f) / 2 with T_c = sum_{x,y} w (D_e . D_f) |D_c|^2.
+    T_c is linear in D_e = e(x) - e(y), the rest is antisymmetric in (x, y),
+    so T_c = <e, H(c, f)>; H is linear in C, so the change is
+    <e, H([e f], f)> / 2. H reads only differences, so the callers centre
+    c and f, which keeps the Fourier terms of a near-constant map from
+    cancelling."""
+    S, N = f.shape
+    g = c[:, :-N]  # the columns of c before f
+    C = _sq_norm(list(c.T))
     i, j = np.triu_indices(N)
-    pair = np.empty((N, N), dtype=int)  # the column of Q_ij = Q_ji
-    pair[i, j] = pair[j, i] = np.arange(len(i))
-    DX = fourier_multiply(grid, np.column_stack([v, a, av, v[:, i] * v[:, j]]),
+    sym = np.empty((N, N), dtype=int)  # the column of f_i f_j = f_j f_i
+    sym[i, j] = sym[j, i] = np.arange(len(i))
+    fg = (f[:, :, None] * g[:, None, :]).reshape(S, -1)
+    DX = fourier_multiply(grid, np.column_stack([c, C, C[:, None] * f, f[:, i] * f[:, j], fg]),
                           _pair_symbol(grid, exponent))
-    Dv, Da, Dav, DQ = DX[:, :N], DX[:, N], DX[:, N + 1:2 * N + 1], DX[:, 2 * N + 1:]
-    G = a[:, None] * Dv - v * Da[:, None] + Dav + 2.0 * v * np.sum(v * Dv, axis=1)[:, None]
-    G -= 2.0 * np.sum(v[:, :, None] * DQ[:, pair], axis=1)
-    return G
+    Dc, DC, DCf, Dff, Dfg = np.split(DX, np.cumsum([c.shape[1], 1, N, len(i)]), axis=1)
+    # D(f_i c_k) at [x, i, k]
+    Dfc = np.concatenate([Dfg.reshape(S, N, g.shape[1]), Dff[:, sym]], axis=2)
+    H = 2.0 * (C[:, None] * Dc[:, -N:] - f * DC + DCf)
+    H += 4.0 * (f * np.sum(c * Dc, axis=1)[:, None] - np.sum(c[:, None, :] * Dfc, axis=2))
+    return H
 
 
 def energy(u: VectorField, params: EnergyParams, region=None) -> float:
@@ -382,7 +401,8 @@ def pair_flux(u: VectorField, params: EnergyParams, region=None) -> VectorField:
     spectral pass at p = 4 with eps_reg = 0 over the whole torus, a pair
     pass otherwise."""
     if _spectral_route(params.p, params.eps_reg, region):
-        G = _spectral_flux(u.grid, u.samples, u.grid.dim + params.s * params.p)
+        v = u.samples - np.mean(u.samples, axis=0)
+        G = 0.5 * _cubic_form(u.grid, v, v, u.grid.dim + params.s * params.p)
         return VectorField(grid=u.grid, components=u.components, samples=G)
     return _pair_flux(u, params, region)
 
@@ -449,48 +469,20 @@ def energy_change(u: VectorField, v: VectorField, params: EnergyParams) -> float
 def _change(grid: GridSpec, u: np.ndarray, v: np.ndarray, s: float, p: float, eps: float,
             region) -> float:
     """E(v) - E(u) over ordered pairs of the region for (S, N) samples u and
-    v, formed from the differences e = v - u and f = v + u: a spectral pass
-    at p = 4 with eps_reg = 0 over the whole torus, a pair pass otherwise.
-    This is the one route decision of energy, seminorm and energy_change;
-    the first two start from the zero map, whose energy is exactly 0."""
-    if _spectral_route(p, eps, region):
-        return _spectral_change(grid, u, v, grid.dim + s * p)
-    return _pair_change(PairKernelCache.from_exponent(grid, s, p), u, v, p, eps, region)
-
-
-def _spectral_change(grid: GridSpec, u: np.ndarray, v: np.ndarray, exponent: float) -> float:
-    """The p = 4 change E(v) - E(u) over the whole torus. With the centred
-    e = v - u and f = v + u, A = e . f and, for c in {e, f}, C = |c|^2, it
-    is (T_e + T_f) / 2 with
-
-        T_c = -2 <A, D C> + 4 sum_j <A c_j, D c_j>
-              + 2 sum_i (<C e_i, D f_i> + <C f_i, D e_i>)
-              - 4 sum_ij <e_i c_j, D(f_i c_j)>,
-
-    the polarization of the quartic form: with the pair differences D_e
-    and D_f, |D_v|^4 - |D_u|^4 = (D_e . D_f) (|D_e|^2 + |D_f|^2) / 2.
-    Every term carries a factor of e, so nothing of the size of E cancels.
-    From the zero map, e = f = v and each T_c is the energy E(v)."""
+    v, formed from the differences e = v - u and f = v + u: at p = 4 with
+    eps_reg = 0 over the whole torus <e, H([e f], f)> / 2 (see
+    _cubic_form), which carries a factor of e, so nothing of the size of E
+    cancels; a pair pass otherwise. This is the one route decision of
+    energy, seminorm and energy_change; the first two start from the zero
+    map, whose energy is exactly 0: there e = f = v and the spectral change
+    is <v, H(v, v)> = E(v)."""
+    if not _spectral_route(p, eps, region):
+        return _pair_change(PairKernelCache.from_exponent(grid, s, p), u, v, p, eps, region)
     e = v - u
     e -= np.mean(e, axis=0)
     f = v + u
     f -= np.mean(f, axis=0)
-    S, N = e.shape
-    A = np.sum(e * f, axis=1)
-    Ce, Cf = _sq_norm(list(e.T)), _sq_norm(list(f.T))
-
-    def outer(a, b):  # column i N + j holds a_i b_j
-        return (a[:, :, None] * b[:, None, :]).reshape(S, N * N)
-
-    DX = fourier_multiply(grid, np.column_stack([e, f, Ce, Cf, outer(f, e), outer(f, f)]),
-                          _pair_symbol(grid, exponent))
-    De, Df, DCe, DCf, Dfe, Dff = np.split(DX, np.cumsum([N, N, 1, 1, N * N]), axis=1)
-    total = 0.0
-    for c, C, Dc, DC, Dfc in ((e, Ce, De, DCe, Dfe), (f, Cf, Df, DCf, Dff)):
-        total += (-2.0 * np.sum(A * DC[:, 0]) + 4.0 * np.sum(A[:, None] * c * Dc)
-                  + 2.0 * np.sum(C[:, None] * (e * Df + f * De))
-                  - 4.0 * np.sum(outer(e, c) * Dfc))
-    return float(0.5 * total)
+    return float(0.5 * np.sum(e * _cubic_form(grid, np.hstack([e, f]), f, grid.dim + s * p)))
 
 
 def _pair_change(kernel: PairKernelCache, u: np.ndarray, v: np.ndarray, p: float, eps: float,

@@ -55,10 +55,12 @@ class GridSpec:
 
 
 def make_grid(dim: int, points_per_axis: int, box_length: float) -> GridSpec:
-    """Validated grid constructor. M must be a power of two, at least 4,
-    and the pair weights' factor h^{2n} a normal float64."""
+    """Validated grid constructor. M must be an integral power of two, at
+    least 4, and the pair weights' factor h^{2n} a normal float64."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
+    if not (isinstance(points_per_axis, (int, np.integer)) or float(points_per_axis).is_integer()):
+        raise ValueError(f"points_per_axis must be an integer, got {points_per_axis}")
     M = int(points_per_axis)
     if M < 4 or (M & (M - 1)) != 0:
         raise ValueError(f"points_per_axis must be a power of two >= 4, got {points_per_axis}")
@@ -71,7 +73,7 @@ def make_grid(dim: int, points_per_axis: int, box_length: float) -> GridSpec:
     if not (np.finfo(np.float64).tiny <= cell < math.inf):
         raise ValueError(f"box_length {box_length} puts h^{2 * dim} outside the normal "
                          f"float64 range")
-    return GridSpec(dim=dim, points_per_axis=M, box_length=float(box_length))
+    return GridSpec(dim=int(dim), points_per_axis=M, box_length=float(box_length))
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -124,8 +126,10 @@ def site_coords(grid: GridSpec) -> np.ndarray:
 
 
 def torus_dist(a: np.ndarray, b: np.ndarray, box_length: float) -> np.ndarray:
-    """Minimum-image distance between coordinate arrays (broadcasting)."""
-    d = np.abs(a - b)
+    """Minimum-image distance between coordinate arrays (broadcasting), for
+    coordinates anywhere on the real line: each is reduced modulo L first,
+    which is exact, and the identity on [0, L), where the sites lie."""
+    d = np.abs(np.mod(a, box_length) - np.mod(b, box_length))
     d = np.minimum(d, box_length - d)
     return np.sqrt((d**2).sum(axis=-1))
 

@@ -345,12 +345,15 @@ def read_field(path):
     try:
         header = json.loads(header_line)
         grid = make_grid(header["dim"], header["points_per_axis"], header["box_length"])
-        components = int(header["components"])
+        components = header["components"]
+        if not (isinstance(components, int) or float(components).is_integer()):
+            raise ValueError(f"components must be an integer, got {components}")
+        components = int(components)
         digest = header["digest"]
         header_ok = "header_digest" not in header or header["header_digest"] == _header_digest(header)
     except KeyError as e:
         raise FieldFormatError(f"{path}: header missing {e}") from None
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise FieldFormatError(f"{path}: bad header: {e}") from None
     if not header_ok:
         raise FieldDigestError(f"{path}: header digest mismatch")

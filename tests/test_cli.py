@@ -15,7 +15,7 @@ import pytest
 from fracmap import cli, lab
 from fracmap.cli import main
 from fracmap.grid import VectorField, make_grid
-from fracmap.reporting import _header_digest, write_field
+from fracmap.reporting import _header_digest, load_config, write_field
 
 SOLVE_DOC = {
     "grid": {"dim": 1, "points_per_axis": 32, "box_length": 6.283185307179586},
@@ -172,6 +172,56 @@ def test_non_finite_field_file_exits_2_naming_it(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--set", "initial.kind=file", "--set", f"initial.path={field_path}"]) == 2
     assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("key, value", [("components", "1e400"), ("points_per_axis", "1e400"),
+                                        ("points_per_axis", "32.5"), ("dim", "1.5"),
+                                        ("components", "2.5")])
+def test_non_integral_field_header_exits_2_naming_it(tmp_path, capsys, key, value):
+    # an infinite or fractional size in a header is a bad field file, not a
+    # traceback, and never silently truncated
+    g = make_grid(1, 32, 2 * np.pi)
+    field_path = tmp_path / "sizes.field"
+    write_field(field_path, VectorField(grid=g, components=2, samples=np.tile([1.0, 0.0], (32, 1)),
+                                        unit_constrained=True))
+    header, _, block = field_path.read_bytes().partition(b"\n")
+    doc = json.loads(header)
+    del doc["header_digest"]
+    doc[key] = "VALUE"
+    field_path.write_bytes(json.dumps(doc).replace('"VALUE"', value).encode() + b"\n" + block)
+    cfg = _write(tmp_path, SOLVE_DOC)
+    assert main(["verify", "--config", str(cfg), "--field", str(field_path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: {field_path}: bad header: ")
+
+
+def test_commands_sharing_a_directory_write_distinct_files(tmp_path):
+    # solve with a hierarchy, verify, decay and probe on one config into one
+    # directory: no file is written by two commands, and each manifest lists
+    # exactly its own command's outputs
+    doc = dict(SOLVE_DOC, hierarchy={"center": [3.141592653589793], "base_radius": 0.1,
+                                     "levels": 4}, probes=["sobolev", "lp_sup"])
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    tag = load_config(str(cfg), [], None, str(out)).tag
+    seen = {}
+    for command in ("solve", "verify", "decay", "probe"):
+        extra = ["--field", str(out / f"solution_{tag}.field")] if command == "verify" else []
+        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()} if out.exists() else {}
+        # at M = 32 verify's duality check fails (exit 1); its files are written
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) in (0, 1)
+        after = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert all(after[name] == t for name, t in before.items()), command
+        written = set(after) - set(before)
+        manifest = f"manifest_{command}_{tag}.json"
+        assert manifest in written
+        listed = json.loads((out / manifest).read_text())["outputs"]
+        assert sorted(listed) == sorted(written - {manifest}), command
+        seen[command] = written
+    assert {f"decay_solve_{tag}.csv", f"decay_solve_{tag}.json"} <= seen["solve"]
+    assert f"el_residuals_verify_{tag}.csv" in seen["verify"]
 
 
 def test_verify_of_a_constant_map_passes(tmp_path):

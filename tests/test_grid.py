@@ -28,6 +28,10 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(1, 2, 1.0)  # below the minimum
     with pytest.raises(ValueError):
         make_grid(1, 16, 0.0)
+    for bad in (64.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="points_per_axis must be an integer"):
+            make_grid(1, bad, 1.0)
+    assert make_grid(2.0, 64.0, 1.0) == make_grid(2, 64, 1.0)
 
 
 def test_grid_derived_quantities():
@@ -57,6 +61,14 @@ def test_torus_dist_minimum_image():
     # 2d: independent min-image per axis, then Euclidean
     d = torus_dist(np.array([[0.0, 0.0]]), np.array([[3.9, 0.3]]), 4.0)
     np.testing.assert_allclose(d, [np.hypot(0.1, 0.3)], rtol=1e-14)
+    # a point whole periods away is the same point of the torus
+    for k in (-5, -2, 2, 5):
+        np.testing.assert_allclose(torus_dist(0.0, np.array([[3.0 + k * TWO_PI]]), TWO_PI), [3.0],
+                                   rtol=1e-13)
+    # also far beyond the sites' scale, where a - b would lose them
+    far = 1e308 % TWO_PI
+    with np.errstate(all="raise"):
+        assert torus_dist(np.array([[0.0]]), np.array([[1e308]]), TWO_PI) == TWO_PI - far
 
 
 @pytest.mark.parametrize("dim, M", [(1, 16), (2, 4)])

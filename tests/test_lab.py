@@ -14,7 +14,7 @@ import pytest
 from fracmap import lab
 from fracmap.calibrate import calibrate
 from fracmap.energy import EnergyParams
-from fracmap.grid import BallHierarchy, ScalarField, make_grid, site_coords
+from fracmap.grid import BallHierarchy, ScalarField, ball_mask, make_grid, site_coords
 from fracmap.lab import (
     band_limited_family,
     commutator_probe,
@@ -53,6 +53,33 @@ def _unit(g, samples):
     from fracmap.grid import VectorField
 
     return VectorField(grid=g, components=2, samples=samples, unit_constrained=True)
+
+
+@pytest.mark.parametrize("dim, M, center", [(1, 64, (2.3,)), (2, 16, (2.3, 4.1))])
+def test_ball_mask_and_decay_profile_read_the_centre_on_the_torus(dim, M, center):
+    # a centre k box lengths away is the same point: the same balls and the
+    # same decay table
+    g = make_grid(dim, M, TWO_PI)
+    x = site_coords(g)
+    theta = x[:, 0] + 0.3 * np.sin(x[:, -1])
+    u = _unit(g, np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    params = EnergyParams(s=0.5, p=2.0)
+
+    def at(c):
+        hier = BallHierarchy(grid=g, center=c, base_radius=0.3, level_max=3)
+        return [ball_mask(hier, level) for level in range(4)], decay_profile(u, hier, params)
+
+    masks, table = at(np.array(center))
+    assert masks[0].any() and not masks[-1].all()
+    for k in (-5, -2, 2, 5):
+        shifted_masks, shifted = at(np.array(center) + k * TWO_PI)
+        for m, s in zip(masks, shifted_masks):
+            np.testing.assert_array_equal(m, s)
+        assert shifted == table
+    # a centre far beyond the sites' scale is the point it lands on modulo L
+    far = np.full(dim, 1e308)
+    _, far_table = at(far)
+    assert far_table == at(far % TWO_PI)[1] and far_table.theta is not None
 
 
 def test_decay_profile_needs_enough_levels():
