@@ -5,7 +5,7 @@ stable contract: 0 pass, 1 a scientific check failed or a computation
 raised a numerical error, 2 config or usage error (a malformed config,
 --set, flag or input file), 3 non-convergence (reports are still written
 in that case). Everything a command does is deterministic given the
-config bytes and the seed. `--workers` is accepted and ignored: every
+config, its seed included. `--workers` is accepted and ignored: every
 pair pass runs serially. Commands that share a config and an output
 directory write distinct files: each writes its own
 `manifest_<command>_<tag>.json`, solve its decay table as
@@ -229,7 +229,7 @@ def cmd_selftest() -> int:
     codes = []
     with tempfile.TemporaryDirectory() as out:
         common = ["--out", out] + [arg for o in overrides for arg in ("--set", o)]
-        solution = Path(out) / f"solution_{load_config(None, overrides, None, out).tag}.field"
+        solution = Path(out) / f"solution_{load_config(None, overrides, out).tag}.field"
         for command, extra in (("solve", []), ("verify", ["--field", str(solution)]),
                                ("decay", []), ("probe", [])):
             earlier = {p: p.stat().st_mtime_ns for p in Path(out).iterdir()}
@@ -250,7 +250,6 @@ def _add_common(sub):
     sub.add_argument("--workers", type=int, metavar="N",
                      help="accepted and ignored: every pair pass runs serially "
                           "(kept for callers that still pass it)")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
 def main(argv=None) -> int:
@@ -267,7 +266,7 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return cmd_selftest()
     try:
-        cfg = load_config(args.config, args.set, args.seed, args.out)
+        cfg = load_config(args.config, args.set, args.out)
         try:
             Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         except OSError as e:

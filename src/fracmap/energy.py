@@ -37,7 +37,7 @@ f = v + u, free of the cancellation between two rounded totals. It is
 energy_change, and energy and seminorm are the change from the zero map,
 whose energy is exactly 0. The second is the flux
 
-    G^B(x) = sum_z m(x) m(x + z) w(z) (|du_z|^2 + eps_reg)^{(p-2)/2} du_z(x)
+    G^B(x) = sum_z m(x) m(x + z) w(z) |du_z|^{p-2} du_z(x)
 
 over all lags, and everything linear in the pair field is read off it.
 With F_z the summand at lag z, the term of -z at x is -F_z(x - z), so the
@@ -64,35 +64,28 @@ by axis, first along axis 0, and G is the forward sum minus the folded
 one. Tests compare both functions against a reference copy of these
 formulas.
 
-At p = 4 with eps_reg = 0, every full-torus pair sum is a quadratic form
-in correlations of u, a u and u u^T (a = |u|^2), and the circulant kernel
-is diagonal in Fourier space (R. M. Gray, Toeplitz and Circulant
-Matrices: A Review, 2006). There the change (and with it energy,
-seminorm and energy_change) and pair_flux read one cubic form H(c, f)
-(see _cubic_form): the flux is H(v, v) / 2 and the change
-<e, H([e f], f)> / 2. H is one grid.fourier_multiply by the cached symbol
-D(k) = w^(0) - w^(k), which vanishes at k = 0, on the columns of the
-centred samples and their products, O(S log S). The route
-depends only on p, eps_reg and the region: regions, p != 4 and
-eps_reg > 0 stay pair passes. _change decides it for the change,
+At p = 4, every full-torus pair sum is a quadratic form in correlations
+of u, a u and u u^T (a = |u|^2), and the circulant kernel is diagonal in
+Fourier space (R. M. Gray, Toeplitz and Circulant Matrices: A Review,
+2006). There the change (and with it energy, seminorm and energy_change)
+and pair_flux read one cubic form H(c, f) (see _cubic_form): the flux is
+H(v, v) / 2 and the change <e, H([e f], f)> / 2. H is one
+grid.fourier_multiply by the cached symbol D(k) = w^(0) - w^(k), which
+vanishes at k = 0, on the columns of the centred samples and their
+products, O(S log S). The route depends only on p and the region:
+regions and p != 4 stay pair passes. _change decides it for the change,
 pair_flux for the flux. The sums are invariant under u -> u - c, so the
 spectral passes subtract the mean first, which keeps the Fourier terms
 of a near-constant map from cancelling; constant maps still give exactly
 0.0. They have a fixed order too, but differ from the pair sums at
 round-off.
 
-For p < 2 the pair weight |u(x)-u(y)|^{p-2} degenerates at coincident
-values; a regularizer eps_reg > 0 replaces |du|^2 by |du|^2 + eps_reg
-inside the weight. With eps_reg > 0 the energy itself is
-sum w [ (|du|^2 + eps)^{p/2} - eps^{p/2} ], which is zero on constants and
-of which energy_gradient is the exact gradient. From the zero map, a term
-with |du|^2 <= eps is formed as eps^{p/2} expm1((p/2) log1p(|du|^2 / eps)),
-which keeps the digits of |du|^2 << eps. For eps_reg = 0 (the default,
-requires p >= 2) the plain |du|^p form is used.
+For p < 2 the flux weight |du|^{p-2} is infinite at coincident values
+u(x) = u(y); the term |du|^{p-2} du has size |du|^{p-1} -> 0 there, so the
+flux takes it as 0, the derivative of the pair term |du|^p for every p > 1.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,24 +109,12 @@ BLOCK_TERMS = 2**15
 class EnergyParams:
     s: float
     p: float
-    eps_reg: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ValueError(f"s must lie in (0,1), got {self.s}")
         if not (self.p > 1.0):
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.eps_reg < 0.0:
-            raise ValueError("eps_reg must be nonnegative")
-        if self.eps_reg == 0.0 and self.p < 2.0:
-            # the |du|^{p-2} pair weight degenerates without a regularizer
-            raise ValueError("eps_reg = 0 is only permitted for p >= 2")
-        try:  # the energy subtracts eps_reg^{p/2} from every pair term
-            finite = math.isfinite(math.pow(self.eps_reg, self.p / 2.0))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"eps_reg^(p/2) is no finite float64 at eps_reg = {self.eps_reg}")
 
 
 def _lag_kernel(grid: GridSpec, of_dist) -> np.ndarray:
@@ -316,9 +297,9 @@ def _check_region(region, grid: GridSpec):
     return region
 
 
-def _spectral_route(p: float, eps: float, region) -> bool:
-    """Whether a pass is a spectral one: p = 4, eps_reg = 0, the whole torus."""
-    return p == 4.0 and eps == 0.0 and region is None
+def _spectral_route(p: float, region) -> bool:
+    """Whether a pass is a spectral one: p = 4 over the whole torus."""
+    return p == 4.0 and region is None
 
 
 def _cubic_form(grid: GridSpec, c: np.ndarray, f: np.ndarray, exponent: float) -> np.ndarray:
@@ -362,16 +343,14 @@ def _cubic_form(grid: GridSpec, c: np.ndarray, f: np.ndarray, exponent: float) -
 def energy(u: VectorField, params: EnergyParams, region=None) -> float:
     """The double-sum energy over ordered pairs of the region, as the
     change from the zero map, whose energy is exactly 0 (see _change)."""
-    return _change(u.grid, np.zeros_like(u.samples), u.samples, params.s, params.p,
-                   params.eps_reg, region)
+    return _change(u.grid, np.zeros_like(u.samples), u.samples, params.s, params.p, region)
 
 
 def seminorm(f, s: float, p: float) -> float:
     """Gagliardo-type seminorm: energy(...)^{1/p} over the whole torus, the
     energy as the change from the zero map.
 
-    Valid for any p > 1; the plain |du|^p integrand never degenerates, so
-    no regularizer is involved here.
+    Valid for any p > 1.
     """
     if isinstance(f, ScalarField):
         samples = f.samples[:, None]
@@ -381,26 +360,27 @@ def seminorm(f, s: float, p: float) -> float:
         raise TypeError(f"expected a field, got {type(f).__name__}")
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got {p}")
-    return _change(f.grid, np.zeros_like(samples), samples, s, p, 0.0, None) ** (1.0 / p)
+    return _change(f.grid, np.zeros_like(samples), samples, s, p, None) ** (1.0 / p)
 
 
-def _du_weight(dus: list, params: EnergyParams):
-    """(|du|^2 + eps)^{(p-2)/2}, with the 0^0 := 1 convention at p = 2."""
-    p, eps = params.p, params.eps_reg
-    if p == 2.0 and eps == 0.0:
+def _du_weight(dus: list, p: float):
+    """|du|^{p-2}, with the 0^0 := 1 convention at p = 2 and 0 at |du| = 0
+    for p < 2 (see the module docstring)."""
+    if p == 2.0:
         return 1.0
     wgt = _sq_norm(dus)
-    wgt += eps
-    wgt **= (p - 2.0) / 2.0
+    if p < 2.0:  # the mask keeps the zeros; `**=` keeps numpy's sqrt path at p = 3
+        np.power(wgt, (p - 2.0) / 2.0, out=wgt, where=wgt > 0.0)
+    else:
+        wgt **= (p - 2.0) / 2.0
     return wgt
 
 
 def pair_flux(u: VectorField, params: EnergyParams, region=None) -> VectorField:
-    """The pair flux G^B(x) = sum_{y in B} w(y - x) (|du|^2 + eps)^{(p-2)/2} du
-    with du = u(x) - u(y), for x in the region B and zero outside it: a
-    spectral pass at p = 4 with eps_reg = 0 over the whole torus, a pair
-    pass otherwise."""
-    if _spectral_route(params.p, params.eps_reg, region):
+    """The pair flux G^B(x) = sum_{y in B} w(y - x) |du|^{p-2} du with
+    du = u(x) - u(y), for x in the region B and zero outside it: a spectral
+    pass at p = 4 over the whole torus, a pair pass otherwise."""
+    if _spectral_route(params.p, region):
         v = u.samples - np.mean(u.samples, axis=0)
         G = 0.5 * _cubic_form(u.grid, v, v, u.grid.dim + params.s * params.p)
         return VectorField(grid=u.grid, components=u.components, samples=G)
@@ -410,8 +390,8 @@ def pair_flux(u: VectorField, params: EnergyParams, region=None) -> VectorField:
 def _pair_flux(u: VectorField, params: EnergyParams, region) -> VectorField:
     """pair_flux as one half-lag pair pass.
 
-    Each half lag z forms F_z = c'(z) w(z) (|du_z|^2 + eps)^{(p-2)/2} du_z
-    once. The forward term F_z(x) is a running sum over the half lags in
+    Each half lag z forms F_z = c'(z) w(z) |du_z|^{p-2} du_z once. The
+    forward term F_z(x) is a running sum over the half lags in
     pass order; the reverse term F_z(x - z), which is minus the lag -z's
     term, is a running sum at each entry of an accumulator tiled 2M wide
     per axis and folded onto the torus at the end, axis by axis; G is the
@@ -434,7 +414,7 @@ def _pair_flux(u: VectorField, params: EnergyParams, region) -> VectorField:
     for slots, first, tail, dus, pair_mask in _lag_blocks(grid, u.samples,
                                                            _check_region(region, grid), step):
         k = len(dus[0])
-        wgt = half[slots, None] * _du_weight(dus, params)
+        wgt = half[slots, None] * _du_weight(dus, params.p)
         if pair_mask is not None:
             wgt = wgt * pair_mask
         F = buf.reshape(step + 1, P)[1:k + 1, :S]
@@ -463,21 +443,20 @@ def energy_change(u: VectorField, v: VectorField, params: EnergyParams) -> float
     two rounded totals (see _change)."""
     if v.grid != u.grid or v.components != u.components:
         raise ValueError("energy_change needs two fields on one grid with one component count")
-    return _change(u.grid, u.samples, v.samples, params.s, params.p, params.eps_reg, None)
+    return _change(u.grid, u.samples, v.samples, params.s, params.p, None)
 
 
-def _change(grid: GridSpec, u: np.ndarray, v: np.ndarray, s: float, p: float, eps: float,
-            region) -> float:
+def _change(grid: GridSpec, u: np.ndarray, v: np.ndarray, s: float, p: float, region) -> float:
     """E(v) - E(u) over ordered pairs of the region for (S, N) samples u and
-    v, formed from the differences e = v - u and f = v + u: at p = 4 with
-    eps_reg = 0 over the whole torus <e, H([e f], f)> / 2 (see
-    _cubic_form), which carries a factor of e, so nothing of the size of E
-    cancels; a pair pass otherwise. This is the one route decision of
-    energy, seminorm and energy_change; the first two start from the zero
-    map, whose energy is exactly 0: there e = f = v and the spectral change
-    is <v, H(v, v)> = E(v)."""
-    if not _spectral_route(p, eps, region):
-        return _pair_change(PairKernelCache.from_exponent(grid, s, p), u, v, p, eps, region)
+    v, formed from the differences e = v - u and f = v + u: at p = 4 over
+    the whole torus <e, H([e f], f)> / 2 (see _cubic_form), which carries
+    a factor of e, so nothing of the size of E cancels; a pair pass
+    otherwise. This is the one route decision of energy, seminorm and
+    energy_change; the first two start from the zero map, whose energy is
+    exactly 0: there e = f = v and the spectral change is
+    <v, H(v, v)> = E(v)."""
+    if not _spectral_route(p, region):
+        return _pair_change(PairKernelCache.from_exponent(grid, s, p), u, v, p, region)
     e = v - u
     e -= np.mean(e, axis=0)
     f = v + u
@@ -485,19 +464,17 @@ def _change(grid: GridSpec, u: np.ndarray, v: np.ndarray, s: float, p: float, ep
     return float(0.5 * np.sum(e * _cubic_form(grid, np.hstack([e, f]), f, grid.dim + s * p)))
 
 
-def _pair_change(kernel: PairKernelCache, u: np.ndarray, v: np.ndarray, p: float, eps: float,
-                 region) -> float:
+def _pair_change(kernel: PairKernelCache, u: np.ndarray, v: np.ndarray, p: float, region) -> float:
     """E(v) - E(u) as one half-lag pair sum of w (|D_v|^p - |D_u|^p), each
     term times m(x) m(x + z) on a region.
 
     The pass runs on the stacked samples [v - u, v + u], whose differences
     are e = D_v - D_u and f = D_v + D_u, so |D_v|^2 - |D_u|^2 = e . f comes
     without cancellation. At p = 2 that is the pair term. Otherwise, with
-    b = |D_u|^2 + eps, a = |D_v|^2 + eps and q = p / 2, the term is
+    b = |D_u|^2, a = |D_v|^2 and q = p / 2, the term is
     a^q - b^q = b^q expm1(q log1p((a - b) / b)) where |a - b| <= b, and
     the direct form where b = 0 or a > 2 b, which cancels little. From the
-    zero map, b = eps and a - b = |D_v|^2: at eps_reg = 0 every term is
-    the direct |D_v|^p.
+    zero map b = 0, so every term is the direct |D_v|^p.
     """
     grid, N = kernel.grid, u.shape[1]
     stacked = np.concatenate([v - u, v + u], axis=1)
@@ -515,9 +492,7 @@ def _pair_change(kernel: PairKernelCache, u: np.ndarray, v: np.ndarray, p: float
             for ei, fi in zip(e, f):
                 fi -= ei
                 fi *= 0.5  # D_u
-            b = _sq_norm(f)
-            b += eps
-            vals = _power_change(b, vals, p / 2)
+            vals = _power_change(_sq_norm(f), vals, p / 2)
         if pair_mask is not None:
             vals *= pair_mask
         lag_change[slots] = kernel.half_weights[slots] * vals.sum(axis=1)
@@ -548,9 +523,9 @@ def _power_change(b: np.ndarray, diff: np.ndarray, q: float) -> np.ndarray:
 
 
 def energy_gradient(u: VectorField, params: EnergyParams) -> VectorField:
-    """Exact gradient of the (possibly regularized) discrete energy.
+    """Exact gradient of the discrete energy.
 
-    g(x) = 2 p sum_y w(y-x) (|u(x)-u(y)|^2 + eps)^{(p-2)/2} (u(x) - u(y)) = 2 p G(x)
+    g(x) = 2 p sum_y w(y-x) |u(x)-u(y)|^{p-2} (u(x) - u(y)) = 2 p G(x)
     """
     G = pair_flux(u, params)
     return VectorField(grid=u.grid, components=u.components, samples=2.0 * params.p * G.samples)

@@ -26,8 +26,10 @@ little-endian float64 block in sample-major order. The header holds a
 sha256 digest of the block and a `header_digest`, the config_hash of
 dim, points_per_axis, box_length, components (at least 1) and
 unit_constrained; read_field checks the latter when present and also
-reads files without it. Cheap to write, bit-exact to read back, and
-self-describing enough to catch truncation, damaged headers, mismatched
+reads files without it. Those five keys take the config's strict types:
+integral dim, points_per_axis and components, a number box_length, and
+unit_constrained only true or false. Cheap to write, bit-exact to read
+back, and self-describing enough to catch truncation, damaged headers, mismatched
 grids and samples off the sphere under a unit_constrained header: any
 malformed file raises FieldFormatError or FieldDigestError.
 """
@@ -84,7 +86,6 @@ SCHEMA = {
     "energy": ({
         "s": (float, 0.5),
         "p": (float, None),  # None: p = n/s
-        "eps_reg": (float, 0.0),
         "t": (float, None),
         "critical_mode": (bool, False),
     }, {}),
@@ -176,7 +177,7 @@ def parse_config(doc: dict) -> RunConfig:
     e = c["energy"]
     critical_p = grid.dim / e["s"] if e["s"] > 0 else np.inf  # EnergyParams rejects s <= 0
     p = critical_p if e["critical_mode"] or e["p"] is None else e["p"]
-    params = as_config_error("energy", EnergyParams, s=e["s"], p=p, eps_reg=e["eps_reg"])
+    params = as_config_error("energy", EnergyParams, s=e["s"], p=p)
     if e["critical_mode"] and e["p"] is not None and abs(e["p"] - p) > 1e-12:
         raise ConfigError(f"energy.p: critical_mode pins p = n/s = {p}, got {e['p']}")
     if e["t"] is not None:
@@ -229,9 +230,9 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path, overrides, seed, out_dir) -> RunConfig:
+def load_config(path, overrides, out_dir) -> RunConfig:
     """Read a JSON config file (None: the empty config), apply --set
-    overrides, the seed and the output directory, and validate. Parse
+    overrides and the output directory, and validate. Parse
     errors carry the line and column; schema errors name the offending
     key."""
     doc = {}
@@ -245,8 +246,6 @@ def load_config(path, overrides, seed, out_dir) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected an object")
     doc = apply_overrides(doc, overrides)
-    if seed is not None:
-        doc["seed"] = seed
     if out_dir is not None:
         doc["out_dir"] = out_dir
     return parse_config(doc)
@@ -344,11 +343,11 @@ def read_field(path):
         block = fh.read()
     try:
         header = json.loads(header_line)
-        grid = make_grid(header["dim"], header["points_per_axis"], header["box_length"])
-        components = header["components"]
-        if not (isinstance(components, int) or float(components).is_integer()):
-            raise ValueError(f"components must be an integer, got {components}")
-        components = int(components)
+        grid = make_grid(_typed(header["dim"], int, "dim"),
+                         _typed(header["points_per_axis"], int, "points_per_axis"),
+                         _typed(header["box_length"], float, "box_length"))
+        components = _typed(header["components"], int, "components")
+        unit_constrained = _typed(header.get("unit_constrained", False), bool, "unit_constrained")
         digest = header["digest"]
         header_ok = "header_digest" not in header or header["header_digest"] == _header_digest(header)
     except KeyError as e:
@@ -374,7 +373,7 @@ def read_field(path):
             grid=grid,
             components=components,
             samples=samples.reshape(grid.n_sites, components),
-            unit_constrained=bool(header.get("unit_constrained", False)),
+            unit_constrained=unit_constrained,
         )
     except ValueError as e:  # the samples break what the header claims
         raise FieldFormatError(f"{path}: {e}") from None

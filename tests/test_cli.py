@@ -112,6 +112,16 @@ def test_verify_accepts_critical_point(tmp_path):
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def test_solve_and_verify_at_a_critical_p_below_2(tmp_path, capsys):
+    # s = 0.6 in 1d takes the paper's critical p = n/s = 5/3 by default
+    out = tmp_path / "out"
+    assert main(["solve", "--set", "energy.s=0.6", "--out", str(out)]) == 0
+    solution = next(out.glob("solution_*.field"))
+    assert main(["verify", "--set", "energy.s=0.6", "--field", str(solution),
+                 "--out", str(tmp_path / "check")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_rejects_non_critical_field(tmp_path):
     g = make_grid(1, 32, 2 * np.pi)
     rng = np.random.default_rng(81)
@@ -176,10 +186,13 @@ def test_non_finite_field_file_exits_2_naming_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("components", "1e400"), ("points_per_axis", "1e400"),
                                         ("points_per_axis", "32.5"), ("dim", "1.5"),
-                                        ("components", "2.5")])
+                                        ("components", "2.5"), ("dim", "true"),
+                                        ("box_length", "true"), ("components", "true"),
+                                        ("unit_constrained", '"no"')])
 def test_non_integral_field_header_exits_2_naming_it(tmp_path, capsys, key, value):
     # an infinite or fractional size in a header is a bad field file, not a
-    # traceback, and never silently truncated
+    # traceback, and never silently truncated; the header takes the config's
+    # strict types, so `true` is no size and "no" no flag
     g = make_grid(1, 32, 2 * np.pi)
     field_path = tmp_path / "sizes.field"
     write_field(field_path, VectorField(grid=g, components=2, samples=np.tile([1.0, 0.0], (32, 1)),
@@ -205,7 +218,7 @@ def test_commands_sharing_a_directory_write_distinct_files(tmp_path):
                                      "levels": 4}, probes=["sobolev", "lp_sup"])
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o"
-    tag = load_config(str(cfg), [], None, str(out)).tag
+    tag = load_config(str(cfg), [], str(out)).tag
     seen = {}
     for command in ("solve", "verify", "decay", "probe"):
         extra = ["--field", str(out / f"solution_{tag}.field")] if command == "verify" else []
@@ -374,17 +387,15 @@ def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
     ("solve", ["solver.grad_tol=NaN"], "solver.grad_tol", "is out of range"),
     ("solve", ["solver.grad_tol=1e400"], "solver.grad_tol", "is out of range"),
     ("solve", ["solver.grad_tol=Infinity"], "solver.grad_tol", "is out of range"),
-    ("solve", ["energy.eps_reg=NaN"], "energy.eps_reg", "is out of range"),
+    ("solve", ["energy.s=NaN"], "energy.s", "is out of range"),
     ("solve", ["hierarchy.center=[-Infinity]"], "hierarchy.center", "is out of range"),
     ("solve", ["initial.kind=constant", "initial.value=[1, NaN]"], "initial.value",
      "is out of range"),
-    # eps_reg^{p/2} past the float64 range overflows the energy's float power
-    ("solve", ["grid.points_per_axis=16", "energy.p=3", "energy.eps_reg=1e300"], "energy",
-     "eps_reg^(p/2)"),
-    ("decay", ["grid.points_per_axis=16", "energy.p=3", "energy.eps_reg=1e300",
-               "hierarchy.levels=5"], "energy", "eps_reg^(p/2)"),
-    ("solve", ["grid.points_per_axis=16", "energy.p=40", "energy.eps_reg=1e20"], "energy",
-     "eps_reg^(p/2)"),
+    # the energy's own range: 0 < s < 1 and p > 1, checked by its constructor
+    ("solve", ["energy.s=1.5"], "energy", "s must lie in (0,1)"),
+    ("decay", ["energy.p=1", "hierarchy.levels=5"], "energy", "p must exceed 1"),
+    # at s = 0.6 the critical p = 5/3 puts t's lower end at 1 - 0.4 p = 1/3
+    ("solve", ["energy.s=0.6", "energy.t=0.3"], "energy.t", "inadmissible"),
     # a probe run that selects nothing would pass having checked nothing
     ("probe", ["probes=[]"], "probes", "empty"),
 ])
@@ -404,6 +415,12 @@ def test_fixed_step_rules_are_not_config_keys(tmp_path, capsys, key):
     assert main(["solve", "--out", str(tmp_path / "o"), "--set", f"solver.{key}=1"]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: unknown config key solver.{key}\n"
+
+
+def test_eps_reg_is_not_a_config_key(tmp_path, capsys):
+    # one energy for every p > 1: there is no regularizer to set
+    assert main(["solve", "--out", str(tmp_path / "o"), "--set", "energy.eps_reg=0.001"]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key energy.eps_reg\n"
 
 
 def test_set_into_a_non_object_root_exits_2(tmp_path, capsys):

@@ -251,7 +251,6 @@ def test_settable_values_census():
     assert _settable_values() == [
         "calibrate.main.argv",
         "cli.main.argv",
-        "energy.EnergyParams.eps_reg",
         "energy.energy.region",
         "energy.pair_flux.region",
         "energy.t_operator.region",

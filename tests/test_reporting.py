@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fracmap.reporting import (
     ConfigError,
     FieldDigestError,
     FieldFormatError,
+    SCHEMA,
     RunManifest,
     _header_digest,
     _write_json,
@@ -28,6 +30,24 @@ from fracmap.reporting import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def test_readme_config_example_parses_and_uses_schema_keys():
+    # the JSON block under the README's "## Config" is a valid config, and
+    # every key it shows is one of the schema's
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Config\n", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    parse_config(doc)
+
+    def check(node, schema, where):
+        for key, value in node.items():
+            assert key in schema, f"README config key {where}{key} is not in SCHEMA"
+            sub = schema[key][0]
+            if isinstance(sub, dict):
+                check(value, sub, f"{where}{key}.")
+
+    check(doc, SCHEMA, "")
 
 
 def test_parse_config_defaults():
@@ -129,7 +149,7 @@ def test_load_config_reports_json_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"energy": {"s": 0.5,, "p": 2}}')
     with pytest.raises(ConfigError, match="line 1"):
-        load_config(bad, (), None, None)
+        load_config(bad, (), None)
 
 
 def test_config_hash_is_key_order_independent():
@@ -335,7 +355,7 @@ JSON = st.recursive(
     max_leaves=8,
 )
 SECTIONS = {"grid": ["dim", "points_per_axis", "box_length"],
-            "energy": ["s", "p", "eps_reg", "t", "critical_mode"],
+            "energy": ["s", "p", "t", "critical_mode"],
             "solver": ["max_iters", "grad_tol"],
             "hierarchy": ["center", "base_radius", "levels"],
             "initial": ["kind", "value", "path"]}
