@@ -47,7 +47,7 @@ from .reporting import (
     read_field,
     write_field,
 )
-from .solver import el_residual_suite, minimize, project_sphere
+from .solver import el_residual_suite, minimize
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -75,13 +75,21 @@ def _finish(cfg: RunConfig, command: str, started: str, outputs: list) -> None:
     manifest.write(Path(cfg.out_dir) / f"manifest_{command}_{cfg.tag}.json")
 
 
-def _read_field_from(key: str, path):
-    """read_field, with an OSError of the open (no such file, a directory)
-    turned into a ConfigError that names the key the path came from."""
+def _read_map(key: str, path, grid) -> VectorField:
+    """The one way a run reads a map from a file (initial.path, --field):
+    read_field, then the config grid and unit samples to 1e-9. An OSError
+    of the open (no such file, a directory) and a map the run cannot take
+    become a ConfigError that names the key the path came from."""
     try:
-        return read_field(path)
+        f = read_field(path)
     except OSError as e:
         raise ConfigError(f"{key}: {e}") from None
+    if f.grid != grid:
+        raise ConfigError(f"{key}: {path}: grid does not match the config grid")
+    defect = np.max(np.abs(np.linalg.norm(f.samples, axis=1) - 1.0))
+    if defect > 1e-9:
+        raise ConfigError(f"{key}: {path}: field is not unit length (defect {defect:.2e})")
+    return f
 
 
 def initial_field(cfg: RunConfig) -> VectorField:
@@ -99,20 +107,11 @@ def initial_field(cfg: RunConfig) -> VectorField:
             theta += 0.2 * np.sin(2.0 * np.pi * x[:, 1] / grid.box_length)
         samples = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return VectorField(grid=grid, components=2, samples=samples, unit_constrained=True)
-    if init["kind"] == "constant":
-        value = np.asarray(init["value"], dtype=np.float64)
-        unit = as_config_error("initial.value", project_sphere, value[None, :])[0]
-        samples = np.tile(unit, (grid.n_sites, 1))
-        return VectorField(grid=grid, components=len(value), samples=samples, unit_constrained=True)
     if init["kind"] == "random":
         return lab.unit_circle_family(grid, 1, cfg.seed)[0]
-    path = init["path"]
-    if not path:
+    if not init["path"]:
         raise ConfigError("initial.path: required for kind = file")
-    f = _read_field_from("initial.path", path)
-    if f.grid != grid:
-        raise ConfigError(f"initial.path: grid in {path} does not match the config grid")
-    return f
+    return _read_map("initial.path", init["path"], grid)
 
 
 def _default_hierarchy(cfg: RunConfig) -> BallHierarchy:
@@ -132,7 +131,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     suite = report.el_suite
     outputs += emit_el_table(suite, out, cfg.tag)
     solution_path = out / f"solution_{cfg.tag}.field"
-    write_field(solution_path, u, meta={"iterations": report.iterations})
+    write_field(solution_path, u)
     outputs.append(solution_path)
     if cfg.hierarchy is not None:
         table = lab.decay_profile(u, cfg.hierarchy, cfg.params)
@@ -149,13 +148,12 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig, field_path: str) -> int:
     out = Path(cfg.out_dir)
     started = _now()
-    u = _read_field_from("--field", field_path)
-    defect = np.max(np.abs(np.linalg.norm(u.samples, axis=1) - 1.0))
-    if defect > 1e-9:
-        raise ConfigError(f"--field: {field_path}: field is not unit length (defect {defect:.2e})")
-    if u.grid != cfg.grid:
-        raise ConfigError(f"--field: {field_path}: grid does not match the config grid")
+    u = _read_map("--field", field_path, cfg.grid)
     params = cfg.params
+    t = cfg.t
+    if cfg.grid.dim == 1 and t is None:  # the duality check's exponent, before any work
+        t = params.s - 0.05
+        as_config_error("energy.t (default s - 0.05)", _validate_t, t, params)
     checks = {}
 
     suite = el_residual_suite(u, params)
@@ -167,10 +165,6 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
     checks["holefill"] = {"lhs": lhs, "rhs": rhs, "pass": bool(hf_ok)}
 
     if cfg.grid.dim == 1:
-        t = cfg.t
-        if t is None:
-            t = params.s - 0.05
-            as_config_error("energy.t (default s - 0.05)", _validate_t, t, params)
         x = site_coords(cfg.grid)[:, 0]
         phi = ScalarField(
             grid=cfg.grid, samples=np.cos(2.0 * np.pi * x / cfg.grid.box_length)

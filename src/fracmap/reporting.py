@@ -97,7 +97,6 @@ SCHEMA = {
     }, None),
     "initial": ({
         "kind": (str, "winding"),
-        "value": (list[float], [1.0, 0.0]),
         "path": (str, None),
     }, {}),
     "probes": (list[str], list(PROBE_NAMES)),
@@ -205,7 +204,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"seed: expected a non-negative integer, got {c['seed']}")
 
     initial = c["initial"]
-    if initial["kind"] not in ("winding", "constant", "file", "random"):
+    if initial["kind"] not in ("winding", "file", "random"):
         raise ConfigError(f"initial.kind: unknown kind {initial['kind']!r}")
 
     if not c["probes"]:
@@ -312,7 +311,7 @@ def _header_digest(header: dict) -> str:
                                                "unit_constrained")})
 
 
-def write_field(path, f, meta: dict | None = None) -> None:
+def write_field(path, f) -> None:
     """Header line (JSON) + raw little-endian float64 sample block."""
     if not isinstance(f, VectorField):
         raise TypeError(f"expected a VectorField, got {type(f).__name__}")
@@ -327,8 +326,6 @@ def write_field(path, f, meta: dict | None = None) -> None:
         "digest": hashlib.sha256(block).hexdigest(),
     }
     header["header_digest"] = _header_digest(header)
-    if meta:
-        header["meta"] = meta
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(block)

@@ -15,7 +15,7 @@ import pytest
 from fracmap import cli, lab
 from fracmap.cli import main
 from fracmap.grid import VectorField, make_grid
-from fracmap.reporting import _header_digest, load_config, write_field
+from fracmap.reporting import load_config, write_field
 
 SOLVE_DOC = {
     "grid": {"dim": 1, "points_per_axis": 32, "box_length": 6.283185307179586},
@@ -135,37 +135,54 @@ def test_verify_rejects_non_critical_field(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
-def test_verify_grid_mismatch_is_config_error(tmp_path, capsys):
+# the three ways a map file reaches a run, and the key each one names
+MAP_KEYS = {"solve": "initial.path", "decay": "initial.path", "verify": "--field"}
+
+
+def _run_on_map(tmp_path, command, field_path) -> Path:
+    """Run `command` on the map in field_path under SOLVE_DOC (M = 32),
+    with a hierarchy for decay; returns the output directory."""
+    doc = dict(SOLVE_DOC, hierarchy={"center": [3.141592653589793], "base_radius": 0.1,
+                                     "levels": 4})
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "verify":
+        argv += ["--field", str(field_path)]
+    else:
+        argv += ["--set", "initial.kind=file", "--set", f"initial.path={field_path}"]
+    assert main(argv) == 2
+    return out
+
+
+@pytest.mark.parametrize("command", list(MAP_KEYS))
+def test_verify_grid_mismatch_is_config_error(tmp_path, capsys, command):
     g = make_grid(1, 16, 2 * np.pi)
     u = VectorField(grid=g, components=2,
                     samples=np.tile([1.0, 0.0], (16, 1)), unit_constrained=True)
     field_path = tmp_path / "small.field"
     write_field(field_path, u)
-    cfg = _write(tmp_path, SOLVE_DOC)  # declares M = 32
-    assert main(["verify", "--config", str(cfg), "--field", str(field_path),
-                 "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == (f"config error: --field: {field_path}: "
+    out = _run_on_map(tmp_path, command, field_path)  # the config declares M = 32
+    assert capsys.readouterr().err == (f"config error: {MAP_KEYS[command]}: {field_path}: "
                                        "grid does not match the config grid\n")
+    assert list(out.iterdir()) == []
 
 
-def test_verify_off_sphere_unit_field_is_config_error(tmp_path, capsys):
-    # the header claims unit norm and both digests hold, but every sample
-    # is 1e-10 off the sphere: a bad field file, not a failed check
+@pytest.mark.parametrize("command", list(MAP_KEYS))
+def test_verify_off_sphere_unit_field_is_config_error(tmp_path, capsys, command):
+    # a radius-2 copy of the winding: a well-formed file whose header claims
+    # no unit norm, but a map of the paper lies on the sphere, so every
+    # command refuses it before any work rather than projecting or fitting it
     g = make_grid(1, 32, 2 * np.pi)
-    u = VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (32, 1)) * (1 + 1e-10))
+    theta = 2 * np.pi * np.arange(32) / 32
+    u = VectorField(grid=g, components=2, samples=2.0 * np.stack([np.cos(theta), np.sin(theta)], 1))
     field_path = tmp_path / "off.field"
     write_field(field_path, u)
-    header, _, block = field_path.read_bytes().partition(b"\n")
-    doc = json.loads(header)
-    doc["unit_constrained"] = True
-    doc["header_digest"] = _header_digest(doc)
-    field_path.write_bytes(json.dumps(doc).encode() + b"\n" + block)
-    cfg = _write(tmp_path, SOLVE_DOC)
-    assert main(["verify", "--config", str(cfg), "--field", str(field_path),
-                 "--out", str(tmp_path / "o")]) == 2
+    out = _run_on_map(tmp_path, command, field_path)
     err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith(f"config error: {field_path}: unit-constrained field has norm defect")
+    assert err == (f"config error: {MAP_KEYS[command]}: {field_path}: "
+                   "field is not unit length (defect 1.00e+00)\n")
+    assert list(out.iterdir()) == []
 
 
 def test_non_finite_field_file_exits_2_naming_it(tmp_path, capsys):
@@ -370,8 +387,6 @@ def test_runs_are_byte_identical(tmp_path):
     # h^2 is in range, but d^{n + s p} = d^10 is not
     ({"grid": {"box_length": 1e-100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
     ({"grid": {"box_length": 1e100}, "energy": {"s": 0.9, "p": 10}}, "grid"),
-    # a non-finite list item is out of range
-    ({"initial": {"kind": "constant", "value": [float("nan"), 1.0]}}, "initial.value"),
 ])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
     cfg = _write(tmp_path, doc)
@@ -389,8 +404,8 @@ def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
     ("solve", ["solver.grad_tol=Infinity"], "solver.grad_tol", "is out of range"),
     ("solve", ["energy.s=NaN"], "energy.s", "is out of range"),
     ("solve", ["hierarchy.center=[-Infinity]"], "hierarchy.center", "is out of range"),
-    ("solve", ["initial.kind=constant", "initial.value=[1, NaN]"], "initial.value",
-     "is out of range"),
+    # a constant start is already critical: a constant map is a field file
+    ("solve", ["initial.kind=constant"], "initial.kind", "unknown kind 'constant'"),
     # the energy's own range: 0 < s < 1 and p > 1, checked by its constructor
     ("solve", ["energy.s=1.5"], "energy", "s must lie in (0,1)"),
     ("decay", ["energy.p=1", "hierarchy.levels=5"], "energy", "p must exceed 1"),
@@ -421,6 +436,37 @@ def test_eps_reg_is_not_a_config_key(tmp_path, capsys):
     # one energy for every p > 1: there is no regularizer to set
     assert main(["solve", "--out", str(tmp_path / "o"), "--set", "energy.eps_reg=0.001"]) == 2
     assert capsys.readouterr().err == "config error: unknown config key energy.eps_reg\n"
+
+
+def test_initial_value_is_not_a_config_key(tmp_path, capsys):
+    cfg = _write(tmp_path, {"initial": {"value": [1.0, 0.0]}})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key initial.value\n"
+
+
+def test_verify_checks_the_default_t_before_any_work(tmp_path, capsys):
+    # at s = 0.04 the default t = s - 0.05 is negative: verify exits 2
+    # before its EL suite, so the output directory stays empty
+    g = make_grid(1, 16, 2 * np.pi)
+    field_path = tmp_path / "const.field"
+    write_field(field_path, VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (16, 1)),
+                                        unit_constrained=True))
+    out = tmp_path / "o"
+    assert main(["verify", "--set", "energy.s=0.04", "--set", "energy.p=2",
+                 "--set", "grid.points_per_axis=16", "--field", str(field_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: energy.t (default s - 0.05): t must lie in (0,1)")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_probe_reports_carry_the_run_seed(tmp_path):
+    out = tmp_path / "o"
+    assert main(["probe", "--set", "seed=7", "--out", str(out)]) == 0
+    docs = [json.loads(p.read_text()) for p in out.glob("probe_*.json")]
+    assert sorted(d["probe"] for d in docs) == sorted(lab.PROBE_NAMES)
+    assert [d["seed"] for d in docs] == [7] * len(docs)
 
 
 def test_set_into_a_non_object_root_exits_2(tmp_path, capsys):

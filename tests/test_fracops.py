@@ -259,7 +259,6 @@ def test_settable_values_census():
         "lab.run_probe.bound_const",
         "lab.run_probe.seed",
         "reporting._typed.nullable",
-        "reporting.write_field.meta",
         "solver.SolverConfig.grad_tol",
         "solver.SolverConfig.max_iters",
     ]

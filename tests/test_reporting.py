@@ -78,7 +78,7 @@ def test_parse_config_critical_mode():
     assert cfg.params.p == 2.0
     cfg2 = parse_config({"grid": {"dim": 2, "points_per_axis": 8},
                          "energy": {"s": 0.5, "critical_mode": True},
-                         "initial": {"kind": "constant"}})
+                         "initial": {"kind": "winding"}})
     assert cfg2.params.p == 4.0
     with pytest.raises(ConfigError):
         parse_config({"energy": {"s": 0.5, "p": 3.0, "critical_mode": True}})
@@ -181,12 +181,20 @@ def test_field_roundtrip_bitwise(tmp_path):
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     u = VectorField(grid=g, components=2, samples=raw, unit_constrained=True)
     path = tmp_path / "u.field"
-    write_field(path, u, meta={"note": "fixture"})
+    write_field(path, u)
     back = read_field(path)
     assert isinstance(back, VectorField)
     assert back.unit_constrained
     np.testing.assert_array_equal(back.samples, u.samples)
     assert back.grid == g
+    # the header holds the map only; files whose header also carries a
+    # `meta` object, as solve wrote them before, are still read
+    header, _, block = path.read_bytes().partition(b"\n")
+    doc = json.loads(header)
+    assert "meta" not in doc
+    doc["meta"] = {"iterations": 3}
+    (tmp_path / "meta.field").write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + block)
+    np.testing.assert_array_equal(read_field(tmp_path / "meta.field").samples, u.samples)
 
     # field files hold vector fields only: no scalar is written, and a
     # header with no components is refused
@@ -350,7 +358,7 @@ def test_manifest_contents(tmp_path):
 # the type checks and reach the range and cross-key rules
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-    | st.sampled_from([0.5, 2.0, 3.0, 1, 2, 4, 64, "winding", "constant", "random", "file"]),
+    | st.sampled_from([0.5, 2.0, 3.0, 1, 2, 4, 64, "winding", "random", "file"]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=8,
 )
@@ -358,7 +366,7 @@ SECTIONS = {"grid": ["dim", "points_per_axis", "box_length"],
             "energy": ["s", "p", "t", "critical_mode"],
             "solver": ["max_iters", "grad_tol"],
             "hierarchy": ["center", "base_radius", "levels"],
-            "initial": ["kind", "value", "path"]}
+            "initial": ["kind", "path"]}
 TOP_KEYS = [*SECTIONS, "schema_version", "probes", "seed", "out_dir"]
 NEAR_SCHEMA = st.dictionaries(
     st.sampled_from(TOP_KEYS),
@@ -390,7 +398,7 @@ def _field_file_bytes(tmp_path) -> list:
                           unit_constrained=True)]
     out = []
     for f in fields:
-        write_field(tmp_path / "f.field", f, meta={"iterations": 3})
+        write_field(tmp_path / "f.field", f)
         out.append((tmp_path / "f.field").read_bytes())
     return out
 
