@@ -3,6 +3,16 @@ sphere-valued lattice fields, with the spectral fractional operators,
 pairing identities, and inequality probes used to cross-check the
 computation."""
 
+import os
+
+# One BLAS thread per process, set before anything loads numpy. fracmap's
+# BLAS calls are matrix-vector sized and every pair pass is serial, yet
+# numpy's bundled OpenBLAS starts a worker thread that busy-waits: on a
+# 2-vCPU x86 machine a fresh `import fracmap.cli` took 0.24 s of CPU with
+# it and 0.17 s without (medians of 21). An outside OPENBLAS_NUM_THREADS
+# is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .energy import (
     EnergyParams,
     duality_check,

@@ -6,8 +6,10 @@ raised a numerical error, 2 config or usage error (a malformed config,
 --set, flag or input file), 3 non-convergence (reports are still written
 in that case). Everything a command does is deterministic given the
 config, its seed included. `--workers` is accepted and ignored: every
-pair pass runs serially. Commands that share a config and an output
-directory write distinct files: each writes its own
+pair pass runs serially, and each process runs one BLAS thread, since
+importing the package sets OPENBLAS_NUM_THREADS=1 unless it is already
+set. Commands that share a config and an output directory write
+distinct files: each writes its own
 `manifest_<command>_<tag>.json`, solve its decay table as
 `decay_solve_<tag>` and verify its EL table as `el_residuals_verify_<tag>`.
 `probe` runs each selected probe on its calibrated setup, the one its
@@ -45,6 +47,7 @@ from .reporting import (
     emit_verify_report,
     load_config,
     read_field,
+    worst_el_entry,
     write_field,
 )
 from .solver import el_residual_suite, minimize
@@ -157,7 +160,8 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
     checks = {}
 
     suite = el_residual_suite(u, params)
-    checks["el_residual"] = {"value": suite.max_abs, "tol": EL_TOL, "pass": suite.max_abs <= EL_TOL}
+    checks["el_residual"] = {"value": suite.max_abs, "tol": EL_TOL, "pass": suite.max_abs <= EL_TOL,
+                             "worst": worst_el_entry(suite)}
     outputs = emit_el_table(suite, out, f"verify_{cfg.tag}")
 
     hierarchy = _default_hierarchy(cfg)

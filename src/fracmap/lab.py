@@ -133,12 +133,14 @@ def _grid_norm(values: np.ndarray, grid: GridSpec, q: float) -> float:
 def decay_profile(u: VectorField, hierarchy: BallHierarchy, params: EnergyParams) -> DecayTable:
     """Localized energies over the ball hierarchy and the power-law fit.
 
-    The fit runs over levels above the base level whose energy is
-    positive; the base ball holds only a handful of sites and its energy
-    is pure quadrature noise, so it never enters the fit. Energies must
-    come out non-decreasing in the level (they are sums of nonnegative
-    terms over nested index sets); a violation means the caller handed in
-    inconsistent pieces and raises.
+    The fit runs over levels above the base level whose radius is below
+    half the box length L and whose energy is positive. The base ball
+    holds only a handful of sites and its energy is pure quadrature noise;
+    a ball of radius L/2 or more wraps onto itself (in 1d it is the whole
+    torus). Neither enters the fit, but every level keeps its row.
+    Energies must come out non-decreasing in the level (they are sums of
+    nonnegative terms over nested index sets); a violation means the
+    caller handed in inconsistent pieces and raises.
     """
     levels = range(hierarchy.level_max + 1)
     if len(levels) < DECAY_MIN_LEVELS:
@@ -150,7 +152,8 @@ def decay_profile(u: VectorField, hierarchy: BallHierarchy, params: EnergyParams
     for (_, _, e0), (_, _, e1) in zip(rows, rows[1:]):
         if e1 < e0 - 1e-12 * max(1.0, e0):
             raise ValueError(f"localized energies not monotone: {e0} then {e1}")
-    fit = [(r, e) for lev, r, e in rows[1:] if e > 0.0]
+    half = hierarchy.grid.box_length / 2.0
+    fit = [(r, e) for _, r, e in rows[1:] if r < half and e > 0.0]
     if len(fit) < 2:
         return DecayTable(rows=tuple(rows), theta=None, fit_residual=None)
     logr = np.log([r for r, _ in fit])

@@ -398,12 +398,22 @@ def _write_csv(path, header: str, rows):
     return path
 
 
+def worst_el_entry(suite) -> dict | None:
+    """The first entry of an ElResidualReport with its largest residual,
+    keyed as the EL table's columns; None when it is empty."""
+    if not suite.entries:
+        return None
+    phi_label, om_label, val = max(suite.entries, key=lambda entry: entry[2])
+    return {"test_function": phi_label, "generator": om_label, "residual": float(val)}
+
+
 def emit_solve_report(report, out_dir, tag: str) -> list:
     """SolveReport -> JSON summary + energy-trace CSV. Returns the paths."""
     summary = {
         "iterations": report.iterations,
         "final_grad_norm": report.final_grad_norm,
         "final_el_residual_max": report.final_el_residual_max,
+        "worst_el_entry": worst_el_entry(report.el_suite),
         "converged": report.converged,
         "stop_reason": report.stop_reason,
         "energy_changes": report.energy_changes,

@@ -2,11 +2,16 @@
 
 main() returns the exit code instead of raising SystemExit, so each test
 drives it directly and checks both the code and the files left behind.
+The BLAS thread tests start a fresh interpreter, since the thread count is
+fixed when numpy is first imported.
 """
 import filecmp
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +113,11 @@ def test_verify_accepts_critical_point(tmp_path):
     text = next(check_dir.glob("verify_*.json")).read_text()
     doc = json.loads(text)
     assert all(section["pass"] for section in doc.values())
+    # the worst EL entry is a row of verify's EL table, with the maximum
+    worst = doc["el_residual"]["worst"]
+    assert worst["residual"] == doc["el_residual"]["value"]
+    rows = next(check_dir.glob("el_residuals_verify_*.csv")).read_text().splitlines()
+    assert f"{worst['test_function']},{worst['generator']},{worst['residual']:.17g}" in rows
     # the artifact format of every JSON the commands write
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -269,6 +279,7 @@ def test_verify_of_a_constant_map_passes(tmp_path):
     doc = json.loads(next(out.glob("verify_*.json")).read_text())
     assert doc["duality"]["rel_error"] == 0.0
     assert doc["el_residual"]["value"] == 0.0
+    assert doc["el_residual"]["worst"]["residual"] == 0.0
 
 
 def test_probe_subset_and_exponent_guard(tmp_path, capsys):
@@ -363,6 +374,45 @@ def test_runs_are_byte_identical(tmp_path):
     assert names
     for name in names:
         assert filecmp.cmp(first / name, out / name, shallow=False), name
+
+
+def _fresh_python(args, blas_threads, cwd):
+    """Run `python <args>` in a new interpreter with OPENBLAS_NUM_THREADS
+    unset (None) or set, whatever this process holds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    done = subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("blas_threads, threads", [(None, 1), ("2", 2)])
+def test_a_fresh_cli_runs_one_blas_thread_unless_told_otherwise(tmp_path, blas_threads, threads):
+    # numpy's OpenBLAS starts a busy-waiting worker per extra thread; the
+    # package sets one thread before numpy loads, and keeps an outside value
+    if threads > (os.cpu_count() or 1):
+        pytest.skip("OpenBLAS starts no more threads than there are CPUs")
+    out = _fresh_python(["-c", "import os, fracmap.cli; print(len(os.listdir('/proc/self/task')))"],
+                        blas_threads, tmp_path)
+    assert int(out) == threads
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # the same relative --out in two directories, so the tags agree
+    first, second = tmp_path / "unset", tmp_path / "two"
+    for cwd, blas_threads in ((first, None), (second, "2")):
+        cwd.mkdir()
+        _fresh_python(["-m", "fracmap.cli", "solve", "--set", "grid.points_per_axis=32",
+                       "--out", "."], blas_threads, cwd)
+    names = sorted(p.name for p in first.iterdir() if not p.name.startswith("manifest"))
+    assert names == sorted(p.name for p in second.iterdir() if not p.name.startswith("manifest"))
+    assert names
+    for name in names:
+        assert filecmp.cmp(first / name, second / name, shallow=False), name
 
 
 @pytest.mark.parametrize("doc, key", [

@@ -49,6 +49,29 @@ def test_decay_profile_on_winding_field():
     assert abs(table.theta - 2.0) <= 0.15
 
 
+@pytest.mark.parametrize("dim, M", [(1, 128), (2, 16)])
+def test_decay_fit_leaves_out_balls_that_wrap_the_torus(dim, M):
+    # radii 0.3 ... 2.4 lie below L/2 = pi; the balls of radius 4.8 and up
+    # wrap onto themselves, so they keep their rows but leave theta alone
+    g = make_grid(dim, M, TWO_PI)
+    x = site_coords(g)
+    theta = x[:, 0] + 0.3 * np.sin(x[:, -1])
+    u = _unit(g, np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    params = EnergyParams(s=0.5, p=2.0)
+
+    def table(level_max):
+        hier = BallHierarchy(grid=g, center=np.full(dim, np.pi), base_radius=0.3,
+                             level_max=level_max)
+        return decay_profile(u, hier, params)
+
+    inside = table(3)
+    assert inside.theta is not None
+    for level_max in (4, 6):
+        wrapped = table(level_max)
+        assert len(wrapped.rows) == level_max + 1 and wrapped.rows[:4] == inside.rows
+        assert (wrapped.theta, wrapped.fit_residual) == (inside.theta, inside.fit_residual)
+
+
 def _unit(g, samples):
     from fracmap.grid import VectorField
 

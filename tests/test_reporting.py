@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -286,7 +287,10 @@ def test_emit_solve_report_files(tmp_path):
                          step_trace=(1.0, 0.5), grad_trace=(0.9, 0.7, 0.3),
                          stop_reason="grad_tol",
                          energy_changes=4,
-                         el_suite=ElResidualReport(entries=(), max_abs=1e-9))
+                         el_suite=ElResidualReport(entries=(("cos1", "e12", 1e-10),
+                                                            ("sin1", "e12", 1e-9),
+                                                            ("cos2", "e12", 1e-9)),
+                                                   max_abs=1e-9))
     emit_solve_report(report, tmp_path, "abc")
     doc = json.loads((tmp_path / "solve_abc.json").read_text())
     assert doc["converged"] is True
@@ -295,13 +299,20 @@ def test_emit_solve_report_files(tmp_path):
     assert doc["iterations"] == 2
     assert (doc["final_grad_norm"], doc["final_el_residual_max"]) == (0.3, 1e-9)
     assert doc["energy_changes"] == 4
+    # the worst EL entry by label, the first one on a tie
+    assert doc["worst_el_entry"] == {"test_function": "sin1", "generator": "e12",
+                                     "residual": 1e-9}
     # exactly these keys, and no timing: that is not reproducible output
     assert sorted(doc) == ["converged", "energy_changes", "final_el_residual_max",
-                           "final_grad_norm", "iterations", "stop_reason"]
+                           "final_grad_norm", "iterations", "stop_reason", "worst_el_entry"]
     lines = (tmp_path / "trace_abc.csv").read_text().strip().splitlines()
     assert lines[0] == "iteration,energy,step,grad_norm"
     assert len(lines) == 4
     assert lines[-1] == "2,2.25,0.5,0.29999999999999999"
+    # an empty suite has no worst entry
+    emit_solve_report(replace(report, el_suite=ElResidualReport(entries=(), max_abs=0.0)),
+                      tmp_path, "empty")
+    assert json.loads((tmp_path / "solve_empty.json").read_text())["worst_el_entry"] is None
 
 
 def test_emit_probe_report_files(tmp_path):
