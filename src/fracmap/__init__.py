@@ -47,7 +47,6 @@ from .lab import (
     DecayTable,
     ProbeReport,
     decay_profile,
-    kernel_case_check,
     lagrange_check,
     run_probe,
     sobolev_exponent,

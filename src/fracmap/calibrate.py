@@ -2,16 +2,16 @@
 
 The inequality probes compare ratios against constants nobody knows
 sharply. This tool measures the worst ratio of each probe over its
-canonical seeded sample family (kernel_case has none: it reports the
-maximum of a one-variable ratio, whatever the seed), multiplies by a
-safety margin, and freezes the result into the versioned constants file
-that ships with the package. The sweeps are lab.run_probe's fixed
-setups, the same ones the `probe` command checks. Rerunning with the
-same seed and margin reproduces every constant within 1e-12 relative,
-not bit for bit: the packaged file predates the lag-by-lag order of the
-pair sums, and its kernel_case value was frozen from a Monte Carlo worst
-9.9e-13 below the maximum; it is kept as written so that probe artifacts
-keep their frozen_C values.
+canonical seeded sample family at seed SEED (kernel_case has none: it
+reports the maximum of a one-variable ratio, whatever the seed),
+multiplies by the safety margin MARGIN, and freezes the result into the
+versioned constants file that ships with the package. The sweeps are
+lab.run_probe's fixed setups, the same ones the `probe` command checks;
+`probe --set seed=N` varies the families. Rerunning reproduces every
+constant within 1e-12 relative, not bit for bit: the packaged file
+predates the lag-by-lag order of the pair sums, and its kernel_case value
+was frozen from a Monte Carlo worst 9.9e-13 below the maximum; it is kept
+as written so that probe artifacts keep their frozen_C values.
 
 The hole-filling comparison is exact (constant 1); it is written without
 calibration so the file covers every probe the CLI can run.
@@ -24,15 +24,16 @@ from pathlib import Path
 
 from .lab import config_hash, frozen_constants_path, run_probe
 
+SEED = 0
 MARGIN = 1.5
 CALIBRATED = ("sobolev", "commutator", "kernel_case", "lp_sup", "t1")
 
 
-def calibrate(seed: int, margin: float) -> dict:
+def calibrate() -> dict:
     constants = {}
     for name in CALIBRATED:
-        report = run_probe(name, seed=seed, bound_const=float("inf"))
-        constants[name] = report.worst_ratio * margin
+        report = run_probe(name, seed=SEED, bound_const=float("inf"))
+        constants[name] = report.worst_ratio * MARGIN
         print(f"{name}: worst ratio {report.worst_ratio:.6g} -> frozen {constants[name]:.6g}")
     constants["holefill"] = 1.0
     return constants
@@ -40,12 +41,10 @@ def calibrate(seed: int, margin: float) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="fracmap-calibrate", description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--margin", type=float, default=MARGIN)
     ap.add_argument("--out", default=None, help="target path (default: the packaged data file)")
     args = ap.parse_args(argv)
-    constants = calibrate(args.seed, args.margin)
-    payload = {"version": 1, "margin": args.margin, "seed": args.seed, "constants": constants}
+    constants = calibrate()
+    payload = {"version": 1, "margin": MARGIN, "seed": SEED, "constants": constants}
     payload["digest"] = config_hash(payload)
     path = Path(args.out) if args.out else frozen_constants_path()
     path.parent.mkdir(parents=True, exist_ok=True)

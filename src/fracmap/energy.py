@@ -12,9 +12,10 @@ The grid is periodic, so a pair weight depends only on the lag z = y - x:
 every pair sum reads one length-S lag kernel
 w(z) = h^{2n} / dist(z, 0)^{n + s p}, exactly even in z, zero at z = 0 and
 indexed like the sites. It is built once per process for each grid and
-kernel exponent n + s p and shared read-only; every pass looks it up from
-the field's grid and its own (s, p) through PairKernelCache, so no caller
-hands a kernel in and none can hand in one that contradicts them.
+(s, p) and shared read-only; every pass looks it up from the field's grid
+and its own (s, p) through PairKernelCache, so no caller hands a kernel in
+and none can hand in one that contradicts them. check_pair_weights takes
+the same (grid, s, p).
 
 Passes run over half the lags. The pair {x, y} appears at lag z = y - x
 and at -z with the same |du| and the same weight, so a pass visits one
@@ -131,16 +132,18 @@ def _lag_kernel(grid: GridSpec, of_dist) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _pair_weights(grid: GridSpec, exponent: float) -> np.ndarray:
-    """The pair lag kernel w(z) = h^{2n} / dist(z, 0)^exponent."""
+def _pair_weights(grid: GridSpec, s: float, p: float) -> np.ndarray:
+    """The pair lag kernel w(z) = h^{2n} / dist(z, 0)^{n + s p}."""
+    exponent = grid.dim + s * p
     return _lag_kernel(grid, lambda d: grid.h ** (2 * grid.dim) / d**exponent)
 
 
-def check_pair_weights(grid: GridSpec, exponent: float) -> None:
-    """Raise ValueError unless every pair weight h^{2n} / d^exponent of the
-    grid and its denominator d^exponent are normal float64 numbers. Both are
+def check_pair_weights(grid: GridSpec, s: float, p: float) -> None:
+    """Raise ValueError unless every pair weight h^{2n} / d^{n + s p} of the
+    grid and its denominator d^{n + s p} are normal float64 numbers. Both are
     monotone in d, so the nearest lag (d = h) and the farthest minimum image
     (d = sqrt(n) L / 2) decide."""
+    exponent = grid.dim + s * p
     d = grid.h * np.array([1.0, np.sqrt(grid.dim) * grid.points_per_axis / 2])
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         denom = d**exponent
@@ -152,11 +155,11 @@ def check_pair_weights(grid: GridSpec, exponent: float) -> None:
 
 
 @lru_cache(maxsize=32)
-def _pair_symbol(grid: GridSpec, exponent: float) -> np.ndarray:
+def _pair_symbol(grid: GridSpec, s: float, p: float) -> np.ndarray:
     """D(k) = w^(0) - w^(k) on the rfftn half grid, w^ the spectrum of the
     pair lag kernel: the symbol of Dg = w^(0) g - w * g, the operator the
     spectral passes apply. It is exactly 0 at k = 0."""
-    w_hat = lag_spectrum(grid, _pair_weights(grid, exponent)).real
+    w_hat = lag_spectrum(grid, _pair_weights(grid, s, p)).real
     D = w_hat.flat[0] - w_hat
     D.flags.writeable = False
     return D
@@ -182,11 +185,11 @@ def _half_lag_runs(M: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _half_weights(grid: GridSpec, exponent: float) -> np.ndarray:
+def _half_weights(grid: GridSpec, s: float, p: float) -> np.ndarray:
     """c'(z) w(z) over the half lags in pass order, with c' = 1 on paired
     lags and 1/2 on self-inverse lags (2z = 0)."""
     M, n = grid.points_per_axis, grid.dim
-    w = _pair_weights(grid, exponent).reshape((M,) * n)
+    w = _pair_weights(grid, s, p).reshape((M,) * n)
     runs = []
     for tail, first, stop in _half_lag_runs(M, n):
         run = w[(slice(first, stop),) + tail].copy()
@@ -205,27 +208,25 @@ class PairKernelCache:
     length-S array of w over the lags z, indexed like the sites and zero
     at z = 0, and `half_weights` holds c'(z) w(z) over the half lags of the
     pair passes (see the module docstring). Both are built once per process
-    for each grid and exponent n + s p and shared by every handle, so
-    constructing one after the first costs a cache lookup. The weights
-    depend on s and p only through n + s p. Every pair pass makes its own
+    for each grid and (s, p) and shared by every handle, so constructing
+    one after the first costs a cache lookup. Every pair pass makes its own
     handle from the field's grid and its parameters.
     """
 
     def __init__(self, grid: GridSpec, params: EnergyParams):
-        self._bind(grid, grid.dim + params.s * params.p)
+        self._bind(grid, params.s, params.p)
 
     @classmethod
     def from_exponent(cls, grid: GridSpec, s: float, p: float) -> "PairKernelCache":
         """Handle for a bare (s, p), which need not form valid EnergyParams."""
         obj = cls.__new__(cls)
-        obj._bind(grid, grid.dim + s * p)
+        obj._bind(grid, s, p)
         return obj
 
-    def _bind(self, grid: GridSpec, exponent: float):
+    def _bind(self, grid: GridSpec, s: float, p: float):
         self.grid = grid
-        self.exponent = exponent
-        self.weights = _pair_weights(grid, exponent)
-        self.half_weights = _half_weights(grid, exponent)
+        self.weights = _pair_weights(grid, s, p)
+        self.half_weights = _half_weights(grid, s, p)
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,7 @@ def _spectral_route(p: float, region) -> bool:
     return p == 4.0 and region is None
 
 
-def _cubic_form(grid: GridSpec, c: np.ndarray, f: np.ndarray, exponent: float) -> np.ndarray:
+def _cubic_form(grid: GridSpec, c: np.ndarray, f: np.ndarray, s: float, p: float) -> np.ndarray:
     """The p = 4 cubic form over the whole torus,
 
         H(c, f)(x) = 2 sum_y w(x - y) |c(x) - c(y)|^2 (f(x) - f(y)),
@@ -331,7 +332,7 @@ def _cubic_form(grid: GridSpec, c: np.ndarray, f: np.ndarray, exponent: float) -
     sym[i, j] = sym[j, i] = np.arange(len(i))
     fg = (f[:, :, None] * g[:, None, :]).reshape(S, -1)
     DX = fourier_multiply(grid, np.column_stack([c, C, C[:, None] * f, f[:, i] * f[:, j], fg]),
-                          _pair_symbol(grid, exponent))
+                          _pair_symbol(grid, s, p))
     Dc, DC, DCf, Dff, Dfg = np.split(DX, np.cumsum([c.shape[1], 1, N, len(i)]), axis=1)
     # D(f_i c_k) at [x, i, k]
     Dfc = np.concatenate([Dfg.reshape(S, N, g.shape[1]), Dff[:, sym]], axis=2)
@@ -382,7 +383,7 @@ def pair_flux(u: VectorField, params: EnergyParams, region=None) -> VectorField:
     pass at p = 4 over the whole torus, a pair pass otherwise."""
     if _spectral_route(params.p, region):
         v = u.samples - np.mean(u.samples, axis=0)
-        G = 0.5 * _cubic_form(u.grid, v, v, u.grid.dim + params.s * params.p)
+        G = 0.5 * _cubic_form(u.grid, v, v, params.s, params.p)
         return VectorField(grid=u.grid, components=u.components, samples=G)
     return _pair_flux(u, params, region)
 
@@ -461,7 +462,7 @@ def _change(grid: GridSpec, u: np.ndarray, v: np.ndarray, s: float, p: float, re
     e -= np.mean(e, axis=0)
     f = v + u
     f -= np.mean(f, axis=0)
-    return float(0.5 * np.sum(e * _cubic_form(grid, np.hstack([e, f]), f, grid.dim + s * p)))
+    return float(0.5 * np.sum(e * _cubic_form(grid, np.hstack([e, f]), f, s, p)))
 
 
 def _pair_change(kernel: PairKernelCache, u: np.ndarray, v: np.ndarray, p: float, region) -> float:

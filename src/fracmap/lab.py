@@ -235,33 +235,6 @@ def _case_majorant(case, dxy, dxz, dyz, beta, eps, n):
     return dxy**eps * base**expo
 
 
-def kernel_case_check(x, y, z, beta: float, eps: float):
-    """Classify one triple and test the difference-of-kernels majorant.
-
-    lhs = | |x-z|^{beta-n} - |y-z|^{beta-n} |, rhs the per-case majorant
-    |x-y|^eps (relevant distance)^{beta-eps-n}. Passes iff
-    lhs <= C rhs with the frozen kernel_case constant. x = y is allowed (both
-    sides vanish); z may not coincide with x or y.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    n = x.size
-    if not (0.0 < beta < n):
-        raise ValueError(f"beta must lie in (0, n) = (0, {n})")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
-    dxz = float(np.linalg.norm(x - z))
-    dyz = float(np.linalg.norm(y - z))
-    if dxz == 0.0 or dyz == 0.0:
-        raise ValueError("z must not coincide with x or y")
-    dxy = float(np.linalg.norm(x - y))
-    case = int(_classify_case(np.array(dxy), np.array(dxz), np.array(dyz)))
-    lhs = abs(dxz ** (beta - n) - dyz ** (beta - n))
-    rhs = float(_case_majorant(np.array(case), dxy, dxz, dyz, beta, eps, n))
-    return case, lhs, rhs, bool(lhs <= load_frozen_constants()["kernel_case"] * rhs)
-
-
 def kernel_case_probe(beta: float, eps: float) -> list:
     """The largest ratio lhs/rhs of the three-case majorant in each case, n = 1.
 

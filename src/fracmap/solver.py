@@ -126,18 +126,11 @@ def tangent_project(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return g - (u * g).sum(axis=1, keepdims=True) * u
 
 
-def kernel_symbol(grid: GridSpec, params: EnergyParams) -> np.ndarray:
-    """The Fourier symbol m(k) = 2p (w^(0) - w^(k)) of the circulant pair
-    kernel on the rfftn half grid: 2p times the cached symbol D of the
-    spectral passes. At p = 2, irfftn(m rfftn(u)) is the energy gradient of
-    an unconstrained u to round-off."""
-    return 2.0 * params.p * _pair_symbol(grid, grid.dim + params.s * params.p)
-
-
 def _preconditioner(grid: GridSpec, params: EnergyParams):
-    """v -> P^{-1} v with P = m + m_1, m the kernel symbol and m_1 its
-    smallest positive value, applied per component over the grid axes."""
-    m = kernel_symbol(grid, params)
+    """v -> P^{-1} v with P = m + m_1, m = 2p D the kernel symbol (D the
+    cached symbol of the spectral passes) and m_1 its smallest positive
+    value, applied per component over the grid axes."""
+    m = 2.0 * params.p * _pair_symbol(grid, params.s, params.p)
     inv = 1.0 / (m + m[m > 0].min())
     return lambda v: fourier_multiply(grid, v, inv)
 
@@ -210,7 +203,7 @@ def _wrap(samples: np.ndarray, like: VectorField) -> VectorField:
     return VectorField(grid=like.grid, components=like.components, samples=samples)
 
 
-def test_function_basis(grid: GridSpec):
+def bump_basis(grid: GridSpec):
     """Deterministic bumps for the residual suite: four centers spread over
     the torus, two widths each. Plateau radius r0, support radius 2 r0."""
     L = grid.box_length
@@ -251,7 +244,7 @@ def el_residual_suite(u: VectorField, params: EnergyParams) -> ElResidualReport:
     flux = pair_flux(u, params)
     u_sem = seminorm(u, params.s, params.p)
     entries = []
-    for phi_label, phi in test_function_basis(u.grid):
+    for phi_label, phi in bump_basis(u.grid):
         denom = seminorm(phi, params.s, params.p) * u_sem ** (params.p - 1.0)
         for om_label, om in elementary_omegas(u.components):
             raw = abs(el_pairing(u, flux, phi, om))

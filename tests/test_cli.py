@@ -5,6 +5,7 @@ drives it directly and checks both the code and the files left behind.
 The BLAS thread tests start a fresh interpreter, since the thread count is
 fixed when numpy is first imported.
 """
+import csv
 import filecmp
 import json
 import os
@@ -116,8 +117,9 @@ def test_verify_accepts_critical_point(tmp_path):
     # the worst EL entry is a row of verify's EL table, with the maximum
     worst = doc["el_residual"]["worst"]
     assert worst["residual"] == doc["el_residual"]["value"]
-    rows = next(check_dir.glob("el_residuals_verify_*.csv")).read_text().splitlines()
-    assert f"{worst['test_function']},{worst['generator']},{worst['residual']:.17g}" in rows
+    with open(next(check_dir.glob("el_residuals_verify_*.csv")), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [worst["test_function"], worst["generator"], f"{worst['residual']:.17g}"] in rows
     # the artifact format of every JSON the commands write
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -262,6 +264,29 @@ def test_commands_sharing_a_directory_write_distinct_files(tmp_path):
         seen[command] = written
     assert {f"decay_solve_{tag}.csv", f"decay_solve_{tag}.json"} <= seen["solve"]
     assert f"el_residuals_verify_{tag}.csv" in seen["verify"]
+
+
+def test_every_csv_artifact_parses_to_its_header_width(tmp_path):
+    # the EL tables' labels hold commas, bump(c=0.25L, r=0.7854) and
+    # omega[0,1], so those fields are quoted; a CSV reader reads every row
+    # of every table a solve with a hierarchy and a verify write with as
+    # many fields as the header names
+    doc = dict(SOLVE_DOC, hierarchy={"center": [3.141592653589793], "base_radius": 0.1,
+                                     "levels": 4})
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    tag = load_config(str(cfg), [], str(out)).tag
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    # at M = 32 verify's duality check fails (exit 1); its files are written
+    assert main(["verify", "--config", str(cfg), "--out", str(out),
+                 "--field", str(out / f"solution_{tag}.field")]) in (0, 1)
+    tables = sorted(out.glob("*.csv"))
+    assert {p.name.split("_")[0] for p in tables} == {"trace", "el", "decay"}
+    assert len(list(out.glob("el_residuals_*.csv"))) == 2
+    for path in tables:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and {len(row) for row in rows} == {len(header)}, path.name
 
 
 def test_verify_of_a_constant_map_passes(tmp_path):

@@ -14,6 +14,7 @@ from fracmap.energy import (
     PairKernelCache,
     _pair_change,
     _pair_flux,
+    _pair_symbol,
     duality_check,
     el_pairing,
     el_residual,
@@ -641,11 +642,16 @@ def test_pair_kernel_built_once_per_process():
     g = make_grid(1, 32, TWO_PI)
     a = PairKernelCache(g, EnergyParams(s=0.5, p=2.0))
     b = PairKernelCache.from_exponent(g, 0.5, 2.0)
-    assert a.weights is b.weights and a.exponent == b.exponent
+    assert a.weights is b.weights and a.half_weights is b.half_weights
     assert not a.weights.flags.writeable
     assert a.weights.shape == (g.n_sites,)
-    # the weights depend on (s, p) only through n + s p
-    assert PairKernelCache(g, EnergyParams(s=0.25, p=4.0)).weights is a.weights
+    # the kernel is keyed on (grid, s, p): in 1d, (1/2, 2) and (1/4, 4)
+    # share n + s p = 2, so they are distinct cache entries with equal bits
+    c = PairKernelCache(g, EnergyParams(s=0.25, p=4.0))
+    for mine, other in ((c.weights, a.weights), (c.half_weights, a.half_weights),
+                        (_pair_symbol(g, 0.25, 4.0), _pair_symbol(g, 0.5, 2.0))):
+        assert mine is not other
+        np.testing.assert_array_equal(mine, other)
     # a lag kernel stays small where an S x S matrix would take 2 GB
     big = make_grid(2, 128, TWO_PI)
     assert PairKernelCache(big, EnergyParams(s=0.5, p=2.0)).weights.shape == (big.n_sites,)

@@ -21,7 +21,6 @@ from fracmap.lab import (
     config_hash,
     decay_profile,
     holefill_probe,
-    kernel_case_check,
     kernel_case_probe,
     lagrange_bound_factor,
     lagrange_check,
@@ -145,37 +144,44 @@ def test_lagrange_bound_factor():
 
 
 def test_kernel_case_classification():
-    # x close to y, both far from z: difference-quotient case
-    case, lhs, rhs, ok = kernel_case_check(0.0, 0.1, 10.0, beta=0.5, eps=0.3)
-    assert case == 1 and ok and lhs <= rhs
-    # far pair, z nearer to x
-    case2, _, _, ok2 = kernel_case_check(0.0, 1.0, 0.4, beta=0.5, eps=0.3)
-    assert case2 == 2 and ok2
-    # far pair, z nearer to y
-    case3, _, _, ok3 = kernel_case_check(0.0, 1.0, 0.6, beta=0.5, eps=0.3)
-    assert case3 == 3 and ok3
-    # coincident pair is fine (lhs = 0), coincident z is not
-    _, lhs4, _, ok4 = kernel_case_check(0.7, 0.7, 3.0, beta=0.5, eps=0.3)
-    assert ok4 and lhs4 == 0.0
-    with pytest.raises(ValueError):
-        kernel_case_check(0.0, 1.0, 0.0, beta=0.5, eps=0.3)
-    with pytest.raises(ValueError):
-        kernel_case_check(0.0, 1.0, 0.5, beta=1.5, eps=0.3)
-    with pytest.raises(ValueError):
-        kernel_case_check(0.0, 1.0, 0.5, beta=0.5, eps=0.0)
+    # distances (|x-y|, |x-z|, |y-z|) of triples on the line
+    def case(x, y, z):
+        return int(lab._classify_case(np.abs(x - y), np.abs(x - z), np.abs(y - z)))
+
+    # x close to y, both far from z: the difference-quotient case
+    assert case(0.0, 0.1, 10.0) == 1
+    # a coincident pair is case 1 too
+    assert case(0.7, 0.7, 3.0) == 1
+    # far pair, z nearer to x, and z nearer to y
+    assert case(0.0, 1.0, 0.4) == 2
+    assert case(0.0, 1.0, 0.6) == 3
+    # the boundaries: |x-y| = |x-z| / 2 is case 1, and a tie |x-z| = |y-z|
+    # of a far pair is case 2
+    assert case(0.0, 1.0, -2.0) == 1
+    assert case(0.0, 1.0, 0.5) == 2
+    # arrays are classified elementwise
+    x, y, z = np.array([0.0, 0.0, 0.0]), np.array([0.1, 1.0, 1.0]), np.array([10.0, 0.4, 0.6])
+    np.testing.assert_array_equal(lab._classify_case(np.abs(x - y), np.abs(x - z), np.abs(y - z)),
+                                  [1, 2, 3])
 
 
 def test_kernel_case_probe_small_run():
-    rows = kernel_case_probe(beta=0.5, eps=0.3)
+    beta, eps = 0.5, 0.3
+    rows = kernel_case_probe(beta, eps)
     assert [row[0].split("/")[0] for row in rows] == ["case1", "case2", "case3"]
     assert max(row[3] for row in rows) <= load_frozen_constants()["kernel_case"]
-    # each row is the triple x = 1, y, z = 0 as kernel_case_check sees it
-    # (which takes its powers of python floats, numpy's of arrays)
+    # each row is the triple x = 1, y, z = 0, classified and majorized here
+    # from the definitions in python floats (the probe takes numpy's powers
+    # of arrays): lhs = |1 - |y|^(beta-1)| and rhs = |1-y|^eps base^(beta-eps-1),
+    # base the case's distance
     for k, (sample, lhs, rhs, ratio) in enumerate(rows, start=1):
         y = float(sample.split("/y=")[1])
-        case, lhs_c, rhs_c, ok = kernel_case_check(1.0, y, 0.0, beta=0.5, eps=0.3)
-        assert (case, ok) == (k, True)
-        np.testing.assert_allclose([lhs_c, rhs_c], [lhs, rhs], rtol=1e-15)
+        dxy, dyz = abs(1.0 - y), abs(y)
+        case = 1 if dxy <= 0.5 or dxy <= 0.5 * dyz else (2 if 1.0 <= dyz else 3)
+        base = (min(1.0, dyz), 1.0, dyz)[case - 1]
+        assert case == k
+        np.testing.assert_allclose([lhs, rhs], [abs(1.0 - dyz ** (beta - 1.0)),
+                                                dxy**eps * base ** (beta - eps - 1.0)], rtol=1e-15)
         assert ratio == lhs / rhs
 
 
@@ -319,7 +325,7 @@ def test_probe_setups_are_not_parameters():
 def test_calibration_reproduces_packaged_constants():
     # a rerun matches the packaged constants to round-off: a probe ratio
     # that moves by more than that is a bug, not a reason to recalibrate
-    constants = calibrate(0, 1.5)
+    constants = calibrate()
     packaged = load_frozen_constants()
     assert set(constants) == set(packaged)
     for name, value in packaged.items():

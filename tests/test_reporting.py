@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 from dataclasses import replace
@@ -347,12 +349,22 @@ def test_emit_decay_table_bytes(tmp_path):
 def test_emit_el_table_bytes(tmp_path):
     from fracmap.energy import ElResidualReport
 
-    report = ElResidualReport(entries=(("cos1", "e12", 1e-9), ("sin2", "e21", -0.5)), max_abs=0.5)
+    entries = (("cos1", "e12", 1e-9), ("sin2", "e21", -0.5),
+               ("bump(c=0.25L, r=0.7854)", "omega[0,1]", 0.25), ('a "b"', "c\nd", 2.0))
+    report = ElResidualReport(entries=entries, max_abs=2.0)
     paths = emit_el_table(report, tmp_path, "el")
     assert paths == [tmp_path / "el_residuals_el.csv"]
+    # only a field that holds a comma, a quote or a line break is quoted,
+    # the bytes csv.writer's minimal quoting writes
     assert paths[0].read_bytes() == (b"test_function,generator,residual\n"
                                      b"cos1,e12,1.0000000000000001e-09\n"
-                                     b"sin2,e21,-0.5\n")
+                                     b"sin2,e21,-0.5\n"
+                                     b'"bump(c=0.25L, r=0.7854)","omega[0,1]",0.25\n'
+                                     b'"a ""b""","c\nd",2\n')
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(
+        [["test_function", "generator", "residual"]] + [[a, b, "%.17g" % c] for a, b, c in entries])
+    assert paths[0].read_text() == want.getvalue()
 
 
 def test_manifest_contents(tmp_path):

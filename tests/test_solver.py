@@ -11,14 +11,13 @@ from fracmap.energy import (EnergyParams, PairKernelCache, _pair_symbol, el_pair
 from fracmap.grid import VectorField, make_grid, site_coords
 from fracmap.solver import (
     SolverConfig,
+    bump_basis,
     el_residual_suite,
     elementary_omegas,
-    kernel_symbol,
     minimize,
     project_sphere,
     tangent_project,
 )
-from fracmap.solver import test_function_basis as bump_basis
 
 TWO_PI = 2.0 * np.pi
 
@@ -81,11 +80,12 @@ def test_pair_passes_take_no_kernel_handle_and_the_solver_two_settings():
 @pytest.mark.parametrize("dim, M", [(1, 64), (2, 16)])
 def test_kernel_symbol_is_the_p2_gradient(dim, M):
     # at p = 2 the energy is a circulant quadratic form, so multiplying by
-    # its symbol in Fourier space is the gradient of any unconstrained field
+    # its symbol m = 2p D in Fourier space, the one the preconditioner
+    # reads, is the gradient of any unconstrained field
     g = make_grid(dim, M, TWO_PI)
     params = EnergyParams(s=0.5, p=2.0)
     v = np.random.default_rng(44).normal(size=(g.n_sites, 3))
-    m = kernel_symbol(g, params)
+    m = 2.0 * params.p * _pair_symbol(g, params.s, params.p)
     shape, axes = (M,) * dim, tuple(range(dim))
     via_symbol = np.fft.irfftn(m[..., None] * np.fft.rfftn(v.reshape(shape + (3,)), axes=axes),
                                s=shape, axes=axes).reshape(v.shape)
@@ -94,14 +94,14 @@ def test_kernel_symbol_is_the_p2_gradient(dim, M):
 
 
 def test_kernel_symbol_is_2p_times_the_spectral_symbol():
-    # the preconditioner and the spectral passes read one cached symbol D,
-    # and 2p D has the bits of 2p (w^(0) - w^(k)) formed from the kernel
+    # the preconditioner (2p D) and the spectral passes read one cached
+    # symbol D, which has the bits of w^(0) - w^(k) formed from the kernel
     g = make_grid(2, 16, TWO_PI)
     for p in (2.0, 3.0, 4.0):
         params = EnergyParams(s=0.5, p=p)
         w_hat = np.fft.rfftn(PairKernelCache(g, params).weights.reshape(16, 16)).real
-        np.testing.assert_array_equal(kernel_symbol(g, params), 2.0 * p * (w_hat.flat[0] - w_hat))
-        assert _pair_symbol(g, 2.0 + 0.5 * p) is _pair_symbol(g, 2.0 + 0.5 * p)
+        np.testing.assert_array_equal(_pair_symbol(g, 0.5, p), w_hat.flat[0] - w_hat)
+        assert _pair_symbol(g, 0.5, p) is _pair_symbol(g, 0.5, p)
 
 
 def test_minimize_2d_critical_winding_keeps_its_degree():
