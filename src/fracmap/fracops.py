@@ -1,5 +1,5 @@
 """Fractional Laplacian, Riesz potential, band projections, and the
-three-term product commutator, all on the periodic grid.
+three-term product commutator, all on scalar fields of the periodic grid.
 
 Lambda^t is the Fourier multiplier |k|^t on the DFT modes (physical
 frequency k = 2 pi j / L for integer j) with the zero mode annihilated, and
@@ -14,16 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, fourier_multiply, frequency_norms
-
-
-def _componentwise(field, f):
-    """f of the (S,) or (S, N) samples, as a field of the same kind."""
-    if isinstance(field, ScalarField):
-        return ScalarField(grid=field.grid, samples=f(field.samples))
-    if isinstance(field, VectorField):
-        return VectorField(grid=field.grid, components=field.components, samples=f(field.samples))
-    raise TypeError(f"expected a field, got {type(field).__name__}")
+from .grid import GridSpec, ScalarField, fourier_multiply, frequency_norms
 
 
 @lru_cache(maxsize=32)
@@ -39,31 +30,31 @@ def forward_constant(t: float, n: int) -> float:
     )
 
 
-def frac_laplacian(field, t: float):
-    """Lambda^t: multiplier |k|^t. Acts componentwise on vector fields."""
+def frac_laplacian(field: ScalarField, t: float) -> ScalarField:
+    """Lambda^t: multiplier |k|^t."""
     if not (0.0 < t < 1.0):
         raise ValueError(f"Lambda^t needs t in (0,1), got {t}")
     grid = field.grid
     mult = frequency_norms(grid) ** t
     mult.flat[0] = 0.0
-    return _componentwise(field, lambda s: fourier_multiply(grid, s, mult))
+    return ScalarField(grid=grid, samples=fourier_multiply(grid, field.samples, mult))
 
 
-def riesz_potential(field, t: float):
+def riesz_potential(field: ScalarField, t: float) -> ScalarField:
     """Lambda^{-t}: multiplier |k|^{-t} on mean-zero input."""
     grid = field.grid
     if not (0.0 < t < grid.dim):
         raise ValueError(f"Lambda^-t needs t in (0, n) = (0, {grid.dim}), got {t}")
     samples = field.samples
     scale = max(1.0, float(np.max(np.abs(samples))))
-    means = samples.mean(axis=0)
-    if np.max(np.abs(np.atleast_1d(means))) > 1e-10 * scale:
-        raise ValueError(f"riesz_potential needs mean-zero input, got mean {means}")
+    mean = samples.mean()
+    if abs(mean) > 1e-10 * scale:
+        raise ValueError(f"riesz_potential needs mean-zero input, got mean {mean}")
     kn = frequency_norms(grid)
     mult = np.zeros_like(kn)
     nz = kn > 0
     mult[nz] = kn[nz] ** (-t)
-    return _componentwise(field, lambda s: fourier_multiply(grid, s, mult))
+    return ScalarField(grid=grid, samples=fourier_multiply(grid, samples, mult))
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +75,6 @@ class LPBank:
     grid: GridSpec
     level_max: int
     profiles: tuple  # tuple of multiplier arrays, index j
-
-    def level_index(self, j: int) -> int:
-        if not (0 <= j <= self.level_max):
-            raise ValueError(f"level {j} outside [0, {self.level_max}]")
-        return j
 
 
 def build_lp_bank(grid: GridSpec) -> LPBank:
@@ -114,12 +100,13 @@ def build_lp_bank(grid: GridSpec) -> LPBank:
     return LPBank(grid=grid, level_max=level_max, profiles=tuple(profiles))
 
 
-def lp_project(field, bank: LPBank, j: int):
-    mult = bank.profiles[bank.level_index(j)]
+def lp_project(field: ScalarField, bank: LPBank, j: int) -> ScalarField:
+    if not (0 <= j <= bank.level_max):
+        raise ValueError(f"level {j} outside [0, {bank.level_max}]")
     grid = bank.grid
     if field.grid != grid:
         raise ValueError("field grid does not match the bank grid")
-    return _componentwise(field, lambda s: fourier_multiply(grid, s, mult))
+    return ScalarField(grid=grid, samples=fourier_multiply(grid, field.samples, bank.profiles[j]))
 
 
 def commutator_H(a: ScalarField, b: ScalarField, alpha: float) -> ScalarField:
@@ -145,18 +132,14 @@ def lp_sup_bound_probe(f: ScalarField, bank: LPBank, s: float, t: float, p: floa
     inputs are reported as 0. The bound constant is empirical, measured by
     the calibration sweep.
     """
-    if not (0.0 <= t < s < 1.0):
-        raise ValueError(f"need 0 <= t < s < 1, got t={t}, s={s}")
+    if not (0.0 < t < s < 1.0):
+        raise ValueError(f"need 0 < t < s < 1, got t={t}, s={s}")
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got {p}")
     n = f.grid.dim
     rows = []
     for j in range(bank.level_max + 1):
-        fj = lp_project(f, bank, j)
-        if t == 0.0:
-            lhs = float(np.max(np.abs(fj.samples)))
-        else:
-            lhs = float(np.max(np.abs(frac_laplacian(fj, t).samples)))
+        lhs = float(np.max(np.abs(frac_laplacian(lp_project(f, bank, j), t).samples)))
         rhs = 2.0 ** (j * (n / p + t - s)) * sem
         ratio = lhs / rhs if rhs > 0 else 0.0
         rows.append((j, lhs, rhs, ratio))

@@ -280,19 +280,15 @@ def sobolev_exponent(n, s, t, p):
 
 def sobolev_probe(f_family, s: float, t: float, p: float) -> list:
     """||Lambda^t f||_{p*} against [f]_{s,p} over a field family."""
-    if not (0.0 <= t < s < 1.0):
-        raise ValueError(f"need 0 <= t < s < 1, got t={t}, s={s}")
+    if not (0.0 < t < s < 1.0):
+        raise ValueError(f"need 0 < t < s < 1, got t={t}, s={s}")
     n = f_family[0].grid.dim
     if not (1.0 < p < n / (s - t)):
         raise ValueError(f"p must lie in (1, n/(s-t)) = (1, {n / (s - t)})")
     p_star = sobolev_exponent(n, s, t, p)
     rows = []
     for i, f in enumerate(f_family):
-        if t == 0.0:
-            lf = f.samples
-        else:
-            lf = frac_laplacian(f, t).samples
-        lhs = _grid_norm(lf, f.grid, p_star)
+        lhs = _grid_norm(frac_laplacian(f, t).samples, f.grid, p_star)
         rhs = seminorm(f, s, p)
         if rhs == 0.0:
             continue  # constants carry no information here
@@ -301,31 +297,22 @@ def sobolev_probe(f_family, s: float, t: float, p: float) -> list:
     return rows
 
 
-def commutator_probe(pairs, alpha: float, eps: float, p: float, p1: float, p2: float) -> list:
-    """||Lambda^eps H_alpha(a,b)||_p against ||Lambda^alpha a||_{p1}
-    ||Lambda^alpha b||_{p2} over seeded smooth pairs.
+def commutator_probe(pairs, alpha: float, p: float, p1: float, p2: float) -> list:
+    """||H_alpha(a,b)||_p against ||Lambda^alpha a||_{p1} ||Lambda^alpha b||_{p2}
+    over seeded smooth pairs.
 
-    The exponents must satisfy 1/p = 1/p1 + 1/p2 - (alpha - eps)/n; a
-    violated relation is a caller bug and raises immediately.
+    The exponents must satisfy 1/p = 1/p1 + 1/p2 - alpha/n; a violated
+    relation is a caller bug and raises immediately.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0,1)")
-    if not (0.0 <= eps < 1.0):
-        raise ValueError("eps must lie in [0,1)")
     n = pairs[0][0].grid.dim
-    gap = abs(1.0 / p - (1.0 / p1 + 1.0 / p2 - (alpha - eps) / n))
+    gap = abs(1.0 / p - (1.0 / p1 + 1.0 / p2 - alpha / n))
     if gap > 1e-12:
-        raise ValueError(
-            f"exponent relation 1/p = 1/p1 + 1/p2 - (alpha-eps)/n violated by {gap:.3e}"
-        )
+        raise ValueError(f"exponent relation 1/p = 1/p1 + 1/p2 - alpha/n violated by {gap:.3e}")
     rows = []
     for i, (a, b) in enumerate(pairs):
-        h_ab = commutator_H(a, b, alpha)
-        if eps == 0.0:
-            lf = h_ab.samples
-        else:
-            lf = frac_laplacian(h_ab, eps).samples
-        lhs = _grid_norm(lf, a.grid, p)
+        lhs = _grid_norm(commutator_H(a, b, alpha).samples, a.grid, p)
         la = frac_laplacian(a, alpha).samples
         lb = frac_laplacian(b, alpha).samples
         rhs = _grid_norm(la, a.grid, p1) * _grid_norm(lb, b.grid, p2)
@@ -467,7 +454,7 @@ def run_probe(name: str, seed: int = 0, bound_const: float | None = None) -> Pro
     elif name == "commutator":
         pairs = list(zip(band_limited_family(grid, 50, seed + 202),
                          band_limited_family(grid, 50, seed + 203)))
-        rows = commutator_probe(pairs, alpha=0.5, eps=0.0, p=2.0, p1=2.0, p2=2.0)
+        rows = commutator_probe(pairs, alpha=0.5, p=2.0, p1=2.0, p2=2.0)
     elif name == "kernel_case":
         rows = kernel_case_probe(beta=0.5, eps=0.3)
     elif name == "lp_sup":

@@ -101,6 +101,34 @@ def test_set_overrides_reach_the_run(tmp_path):
     assert float(lines[-1].split(",")[3]) == solve_doc["final_grad_norm"]
 
 
+def test_random_start_is_seeded_and_file_start_needs_a_path(tmp_path, capsys):
+    doc = dict(SOLVE_DOC, grid={"dim": 1, "points_per_axis": 16},
+               solver={"max_iters": 40}, initial={"kind": "random"})
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    runs = {}
+    for name, seed in (("first", 0), ("again", 0), ("seed1", 1)):
+        # one --out for every run, since the tag hashes the whole config
+        assert main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--set", f"seed={seed}"]) in (0, 3)
+        runs[name] = tmp_path / name
+        shutil.move(out, runs[name])
+    names = sorted(p.name for p in runs["first"].iterdir() if not p.name.startswith("manifest"))
+    assert names == sorted(p.name for p in runs["again"].iterdir()
+                           if not p.name.startswith("manifest"))
+    for name in names:
+        assert filecmp.cmp(runs["first"] / name, runs["again"] / name, shallow=False), name
+
+    def first_row(run):
+        return next(run.glob("trace_*.csv")).read_text().splitlines()[1]
+
+    assert first_row(runs["seed1"]) != first_row(runs["first"])
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "file"),
+                 "--set", "initial.kind=file"]) == 2
+    assert "initial.path" in capsys.readouterr().err
+
+
 def test_verify_accepts_critical_point(tmp_path):
     # the duality gate inside verify is calibrated at M = 64, so run there
     doc = dict(SOLVE_DOC, grid={"dim": 1, "points_per_axis": 64})
@@ -424,6 +452,15 @@ def test_a_fresh_cli_runs_one_blas_thread_unless_told_otherwise(tmp_path, blas_t
     out = _fresh_python(["-c", "import os, fracmap.cli; print(len(os.listdir('/proc/self/task')))"],
                         blas_threads, tmp_path)
     assert int(out) == threads
+
+
+def test_importing_the_package_loads_no_module(tmp_path):
+    # the package root only pins one BLAS thread: numpy and every fracmap
+    # module load when a module is imported, not before
+    out = _fresh_python(["-c", "import sys, fracmap; print(sorted(m for m in sys.modules "
+                         "if m == 'numpy' or m.startswith(('numpy.', 'fracmap.'))))"],
+                        None, tmp_path)
+    assert out.strip() == "[]"
 
 
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):

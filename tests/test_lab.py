@@ -11,8 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracmap import lab
-from fracmap.calibrate import calibrate
+from fracmap import calibrate, lab
 from fracmap.energy import EnergyParams
 from fracmap.grid import BallHierarchy, ScalarField, ball_mask, make_grid, site_coords
 from fracmap.lab import (
@@ -256,10 +255,10 @@ def test_commutator_probe_validates_exponent_relation():
     g = make_grid(1, 64, TWO_PI)
     fam = list(zip(band_limited_family(g, 4, seed=62),
                    band_limited_family(g, 4, seed=63)))
-    rows = commutator_probe(fam, alpha=0.5, eps=0.0, p=2.0, p1=2.0, p2=2.0)
+    rows = commutator_probe(fam, alpha=0.5, p=2.0, p1=2.0, p2=2.0)
     assert max(row[3] for row in rows) <= load_frozen_constants()["commutator"]
     with pytest.raises(ValueError):
-        commutator_probe(fam, alpha=0.5, eps=0.0, p=2.0, p1=2.0, p2=3.0)
+        commutator_probe(fam, alpha=0.5, p=2.0, p1=2.0, p2=3.0)
 
 
 def test_t1_bound_probe_fixture():
@@ -322,11 +321,16 @@ def test_probe_setups_are_not_parameters():
         assert "seed" not in inspect.signature(fn).parameters, fn.__name__
 
 
-def test_calibration_reproduces_packaged_constants():
+def test_calibration_reproduces_packaged_constants(tmp_path, monkeypatch):
     # a rerun matches the packaged constants to round-off: a probe ratio
-    # that moves by more than that is a bug, not a reason to recalibrate
-    constants = calibrate()
+    # that moves by more than that is a bug, not a reason to recalibrate.
+    # The rerun goes through fracmap-calibrate's main, and its file is read
+    # back through the digest check
     packaged = load_frozen_constants()
+    out = tmp_path / "frozen.json"
+    assert calibrate.main(["--out", str(out)]) == 0
+    monkeypatch.setattr(lab, "frozen_constants_path", lambda: out)
+    constants = load_frozen_constants()
     assert set(constants) == set(packaged)
     for name, value in packaged.items():
         assert abs(constants[name] - value) <= 1e-12 * abs(value), name
