@@ -22,7 +22,8 @@ import argparse
 import json
 from pathlib import Path
 
-from .lab import config_hash, frozen_constants_path, run_probe
+from .lab import frozen_constants_path, run_probe
+from .reporting import config_hash
 
 SEED = 0
 MARGIN = 1.5

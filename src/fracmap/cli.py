@@ -12,24 +12,33 @@ set. Commands that share a config and an output directory write
 distinct files: each writes its own
 `manifest_<command>_<tag>.json`, solve its decay table as
 `decay_solve_<tag>` and verify its EL table as `el_residuals_verify_<tag>`.
+A manifest also records the process CPU seconds spent before the
+command's work (`startup_cpu_s`: interpreter, imports, config loading)
+and by its end (`cpu_s`); under selftest, which runs four commands in one
+process, both accumulate.
 `probe` runs each selected probe on its calibrated setup, the one its
 frozen constant was measured on; only the seed varies it, and kernel_case,
 a maximum over one variable, takes no seed. `selftest` takes no options:
 it runs solve, verify (on the solution solve wrote), decay and probe on
 the default 1d config with a ball hierarchy in a temporary directory,
 and exits 1 when any of them exits non-zero.
+
+Each command loads only the layers it runs: lab (and with it fracops) is
+imported inside the code that calls it (a random start, a solve with a
+hierarchy, probe and decay), so a plain solve compiles and maps neither.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import tempfile
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import lab, reporting
+from . import reporting
 from .energy import _validate_t, duality_check, holefill_check
 from .grid import BallHierarchy, ScalarField, VectorField, site_coords
 from .reporting import (
@@ -65,15 +74,22 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _finish(cfg: RunConfig, command: str, started: str, outputs: list) -> None:
+def _start() -> dict:
+    """The manifest's readings at the start of a command's work: the
+    wall-clock time and the process CPU seconds spent so far."""
+    return {"started": _now(), "startup_cpu_s": time.process_time()}
+
+
+def _finish(cfg: RunConfig, command: str, started: dict, outputs: list) -> None:
     """Write the command's run manifest, the one artifact that carries
-    wall-clock time."""
+    clock readings; `started` is what _start read."""
     manifest = RunManifest(
         config_hash=config_hash(cfg.raw),
         artifact_version=reporting.ARTIFACT_VERSION,
-        started=started,
         finished=_now(),
+        cpu_s=time.process_time(),
         outputs=[Path(p).name for p in outputs],
+        **started,
     )
     manifest.write(Path(cfg.out_dir) / f"manifest_{command}_{cfg.tag}.json")
 
@@ -111,6 +127,8 @@ def initial_field(cfg: RunConfig) -> VectorField:
         samples = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return VectorField(grid=grid, components=2, samples=samples, unit_constrained=True)
     if init["kind"] == "random":
+        from . import lab
+
         return lab.unit_circle_family(grid, 1, cfg.seed)[0]
     if not init["path"]:
         raise ConfigError("initial.path: required for kind = file")
@@ -127,7 +145,7 @@ def _default_hierarchy(cfg: RunConfig) -> BallHierarchy:
 
 def cmd_solve(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    started = _now()
+    started = _start()
     u0 = initial_field(cfg)
     u, report = minimize(u0, cfg.params, cfg.solver)
     outputs = emit_solve_report(report, out, cfg.tag)
@@ -137,6 +155,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     write_field(solution_path, u)
     outputs.append(solution_path)
     if cfg.hierarchy is not None:
+        from . import lab
+
         table = lab.decay_profile(u, cfg.hierarchy, cfg.params)
         outputs += emit_decay_table(table, out, f"solve_{cfg.tag}")
     _finish(cfg, "solve", started, outputs)
@@ -150,7 +170,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig, field_path: str) -> int:
     out = Path(cfg.out_dir)
-    started = _now()
+    started = _start()
     u = _read_map("--field", field_path, cfg.grid)
     params = cfg.params
     t = cfg.t
@@ -187,7 +207,9 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
 
 
 def cmd_probe(cfg: RunConfig) -> int:
-    started = _now()
+    from . import lab
+
+    started = _start()
     outputs = []
     all_pass = True
     for name in cfg.probes:
@@ -205,7 +227,9 @@ def cmd_probe(cfg: RunConfig) -> int:
 def cmd_decay(cfg: RunConfig) -> int:
     if cfg.hierarchy is None:
         raise ConfigError("hierarchy: required for the decay command")
-    started = _now()
+    from . import lab
+
+    started = _start()
     u = initial_field(cfg)
     table = lab.decay_profile(u, cfg.hierarchy, cfg.params)
     outputs = emit_decay_table(table, cfg.out_dir, cfg.tag)

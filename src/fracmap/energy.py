@@ -93,7 +93,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .fracops import frac_laplacian
 from .grid import (BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask,
                    fourier_multiply, lag_spectrum, torus_dist)
 
@@ -706,6 +705,8 @@ def duality_check(u: VectorField, phi: ScalarField, t: float, params: EnergyPara
     right side as 2 gamma_n(t) sum_x phi(x) G(x).
     Returns (lhs vector, rhs vector, relative error).
     """
+    from .fracops import frac_laplacian  # here only, so that a solve never loads fracops
+
     _validate_t(t, params)
     grid = u.grid
     if grid.dim != 1:

@@ -19,10 +19,14 @@ bounded.
 Alongside the probes: localized-energy decay tables with a power-law
 fit, and the exact Lagrange decomposition of a vector against a unit
 vector.
+
+The probe names, the fewest levels of a decay table and config_hash, the
+digest of the frozen constants, belong to the run config and live in
+reporting. The functions here import them when they run, so that
+`import fracmap.lab` loads neither reporting nor the solver.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,12 +45,6 @@ from .grid import (
     site_coords,
     torus_dist,
 )
-
-PROBE_NAMES = ("sobolev", "commutator", "kernel_case", "lp_sup", "t1", "holefill")
-
-# fewest hierarchy levels a decay table accepts
-DECAY_MIN_LEVELS = 4
-
 
 
 @dataclass(frozen=True)
@@ -142,6 +140,8 @@ def decay_profile(u: VectorField, hierarchy: BallHierarchy, params: EnergyParams
     nonnegative terms over nested index sets); a violation means the
     caller handed in inconsistent pieces and raises.
     """
+    from .reporting import DECAY_MIN_LEVELS
+
     levels = range(hierarchy.level_max + 1)
     if len(levels) < DECAY_MIN_LEVELS:
         raise ValueError(f"hierarchy must span at least {DECAY_MIN_LEVELS} levels")
@@ -408,17 +408,11 @@ def frozen_constants_path() -> Path:
     return Path(__file__).parent / "data" / FROZEN_FILE
 
 
-def config_hash(doc: dict) -> str:
-    """sha256 of the canonical JSON of doc (sorted keys, no whitespace):
-    the digest of the frozen constants, of a run config and of a field
-    header."""
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def load_frozen_constants() -> dict:
     """Read the versioned constants file, verifying its digest. A digest
     mismatch means the file was edited by hand; recalibrate instead."""
+    from .reporting import config_hash
+
     try:
         raw = json.loads(frozen_constants_path().read_text())
     except FileNotFoundError:
@@ -481,6 +475,8 @@ def run_probe(name: str, seed: int = 0, bound_const: float | None = None) -> Pro
         rows, passed = holefill_probe(grid, EnergyParams(s=0.5, p=2.0), hierarchy, count=8,
                                       seed=seed + 606)
     else:
+        from .reporting import PROBE_NAMES
+
         raise ValueError(f"unknown probe {name!r}; choose from {PROBE_NAMES}")
     if bound_const is None:
         bound_const = load_frozen_constants()[name]

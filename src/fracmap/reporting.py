@@ -10,12 +10,15 @@ feed (make_grid, EnergyParams, SolverConfig, BallHierarchy), and the
 seed's sign and the few rules that tie keys together (critical p = n/s,
 the admissible t window, a non-empty selection of distinct known probes) by
 parse_config. Every violation raises ConfigError naming
-the offending key. `probes` picks which probes run; no key reaches a
-probe's setup, which is fixed by its frozen constant (lab.run_probe).
-The canonical input document, without defaults, is
-kept as RunConfig.raw: its hash tags the artifact file names.
-Scientific outputs are byte-reproducible; wall-clock timestamps are
-quarantined in the run manifest.
+the offending key. `probes` picks which probes run, from PROBE_NAMES; no
+key reaches a probe's setup, which is fixed by its frozen constant
+(lab.run_probe). The canonical input document, without defaults, is
+kept as RunConfig.raw: its config_hash tags the artifact file names.
+PROBE_NAMES, DECAY_MIN_LEVELS and config_hash live here, on the config
+side, and lab reads them inside the functions that use them, so that
+importing this module loads neither lab nor fracops.
+Scientific outputs are byte-reproducible; wall-clock timestamps and CPU
+readings are quarantined in the run manifest.
 
 This module alone formats the run artifacts, each through _write_json
 or _write_csv. The emitters return the paths they wrote into an output
@@ -35,7 +38,6 @@ malformed file raises FieldFormatError or FieldDigestError.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -44,11 +46,39 @@ import numpy as np
 
 from .energy import MAX_KERNEL_PAIRS, EnergyParams, _validate_t, check_pair_weights
 from .grid import BallHierarchy, GridSpec, VectorField, make_grid
-from .lab import DECAY_MIN_LEVELS, DecayTable, ProbeReport, PROBE_NAMES, config_hash
 from .solver import SolverConfig
+
+# The interpreter's own SHA-256 (CPython builds it in: _sha256 up to 3.11,
+# _sha2 from 3.12). hashlib maps OpenSSL's libcrypto, which added 3.5 MB to
+# every command's resident memory only to hash a config and a field of a
+# few kB (CPython 3.11, x86-64 Linux); hashlib is the fallback.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
+
+PROBE_NAMES = ("sobolev", "commutator", "kernel_case", "lp_sup", "t1", "holefill")
+
+# fewest hierarchy levels a decay table accepts
+DECAY_MIN_LEVELS = 4
+
+
+def sha256_hex(data: bytes) -> str:
+    """Hex SHA-256 digest of data, the one hash of the run artifacts."""
+    return _sha256(data).hexdigest()
+
+
+def config_hash(doc: dict) -> str:
+    """sha256 of the canonical JSON of doc (sorted keys, no whitespace):
+    the digest of the frozen constants, of a run config and of a field
+    header."""
+    return sha256_hex(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
 
 
 class ConfigError(ValueError):
@@ -281,10 +311,18 @@ def apply_overrides(doc: dict, assignments) -> dict:
 
 @dataclass
 class RunManifest:
+    """A command's run manifest: the one artifact that carries clock
+    readings. startup_cpu_s and cpu_s are the process CPU seconds
+    (time.process_time) when the command began its work, after the
+    interpreter, the imports and the config loading, and when it wrote
+    this manifest."""
+
     config_hash: str
     artifact_version: str
     started: str
     finished: str
+    startup_cpu_s: float
+    cpu_s: float
     outputs: list
 
     def write(self, path) -> None:
@@ -323,7 +361,7 @@ def write_field(path, f) -> None:
         "box_length": f.grid.box_length,
         "components": f.components,
         "unit_constrained": f.unit_constrained,
-        "digest": hashlib.sha256(block).hexdigest(),
+        "digest": sha256_hex(block),
     }
     header["header_digest"] = _header_digest(header)
     with open(path, "wb") as fh:
@@ -360,7 +398,7 @@ def read_field(path):
         raise FieldFormatError(
             f"{path}: sample block holds {len(block)} bytes, header implies {expect}"
         )
-    if hashlib.sha256(block).hexdigest() != digest:
+    if sha256_hex(block) != digest:
         raise FieldDigestError(f"{path}: sample block digest mismatch")
     samples = np.frombuffer(block, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(samples)):
@@ -438,14 +476,16 @@ def emit_solve_report(report, out_dir, tag: str) -> list:
             _write_csv(Path(out_dir) / f"trace_{tag}.csv", "iteration,energy,step,grad_norm", rows)]
 
 
-def emit_decay_table(table: DecayTable, out_dir, tag: str) -> list:
+def emit_decay_table(table, out_dir, tag: str) -> list:
+    """lab.DecayTable -> CSV of its rows + JSON of its fit."""
     rows = ((lev, float(r), float(e)) for lev, r, e in table.rows)
     return [_write_csv(Path(out_dir) / f"decay_{tag}.csv", "level,radius,energy", rows),
             _write_json(Path(out_dir) / f"decay_{tag}.json",
                         {"theta": table.theta, "fit_residual": table.fit_residual})]
 
 
-def emit_probe_report(report: ProbeReport, out_dir, tag: str) -> list:
+def emit_probe_report(report, out_dir, tag: str) -> list:
+    """lab.ProbeReport -> CSV of its rows + JSON summary."""
     stem = f"probe_{report.name}_{tag}"
     rows = ((sample, float(lhs), float(rhs), float(ratio)) for sample, lhs, rhs, ratio in report.rows)
     summary = {"probe": report.name, "sample_count": report.sample_count,

@@ -21,7 +21,7 @@ import pytest
 from fracmap import cli, lab
 from fracmap.cli import main
 from fracmap.grid import VectorField, make_grid
-from fracmap.reporting import load_config, write_field
+from fracmap.reporting import PROBE_NAMES, load_config, write_field
 
 SOLVE_DOC = {
     "grid": {"dim": 1, "points_per_axis": 32, "box_length": 6.283185307179586},
@@ -463,6 +463,42 @@ def test_importing_the_package_loads_no_module(tmp_path):
     assert out.strip() == "[]"
 
 
+# a fresh interpreter runs one command through main, then prints its exit
+# code and which of the layers and libraries a command may skip it loaded
+RUN_AND_LIST_MODULES = """
+import json, sys
+from fracmap.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("fracmap.lab", "fracmap.fracops", "mpmath", "_hashlib")
+                         if m in sys.modules]]))
+"""
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    # lab, fracops, mpmath and OpenSSL's libcrypto (_hashlib) cost every
+    # process their compile time and memory, so a command loads only what it
+    # calls: a solve none of them, verify the spectral operators and mpmath's
+    # duality kernel, decay and probe the lab. At M = 16 verify runs every
+    # check and exits 1: the duality rel_error, 9.9e-3, is above its tolerance
+    common = ["--set", "grid.points_per_axis=16", "--out", "."]
+    solution = f"solution_{load_config(None, ['grid.points_per_axis=16'], '.').tag}.field"
+    runs = [("solve", [], 0, []),
+            ("verify", ["--field", solution], 1, ["fracmap.fracops", "mpmath"]),
+            ("decay", ["--set", "hierarchy.levels=4"], 0, ["fracmap.lab", "fracmap.fracops"]),
+            ("probe", ["--set", 'probes=["kernel_case"]'], 0, ["fracmap.lab", "fracmap.fracops"])]
+    for command, extra, want_code, want_modules in runs:
+        out = _fresh_python(["-c", RUN_AND_LIST_MODULES, command, *common, *extra], None, tmp_path)
+        code, modules = json.loads(out.splitlines()[-1])
+        assert modules == want_modules, command
+        assert code == want_code, command
+        manifest = json.loads(next(tmp_path.glob(f"manifest_{command}_*.json")).read_text())
+        assert 0.0 < manifest["startup_cpu_s"] <= manifest["cpu_s"], command
+
+    out = _fresh_python(["-c", "import sys, fracmap.lab; print([m for m in ('fracmap.reporting', "
+                         "'fracmap.solver', 'fracmap.cli') if m in sys.modules])"], None, tmp_path)
+    assert out.strip() == "[]"
+
+
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # the same relative --out in two directories, so the tags agree
     first, second = tmp_path / "unset", tmp_path / "two"
@@ -577,7 +613,7 @@ def test_probe_reports_carry_the_run_seed(tmp_path):
     out = tmp_path / "o"
     assert main(["probe", "--set", "seed=7", "--out", str(out)]) == 0
     docs = [json.loads(p.read_text()) for p in out.glob("probe_*.json")]
-    assert sorted(d["probe"] for d in docs) == sorted(lab.PROBE_NAMES)
+    assert sorted(d["probe"] for d in docs) == sorted(PROBE_NAMES)
     assert [d["seed"] for d in docs] == [7] * len(docs)
 
 

@@ -17,7 +17,6 @@ from fracmap.grid import BallHierarchy, ScalarField, ball_mask, make_grid, site_
 from fracmap.lab import (
     band_limited_family,
     commutator_probe,
-    config_hash,
     decay_profile,
     holefill_probe,
     kernel_case_probe,
@@ -31,6 +30,7 @@ from fracmap.lab import (
     t1_bound_probe,
     unit_circle_family,
 )
+from fracmap.reporting import config_hash
 
 TWO_PI = 2.0 * np.pi
 

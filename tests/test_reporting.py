@@ -29,6 +29,7 @@ from fracmap.reporting import (
     load_config,
     parse_config,
     read_field,
+    sha256_hex,
     write_field,
 )
 
@@ -370,11 +371,49 @@ def test_emit_el_table_bytes(tmp_path):
 def test_manifest_contents(tmp_path):
     m = RunManifest(config_hash="deadbeef", artifact_version="0.1.0",
                     started="2026-01-01T00:00:00", finished="2026-01-01T00:00:01",
-                    outputs=("a.json",))
+                    startup_cpu_s=0.25, cpu_s=0.75, outputs=("a.json",))
     m.write(tmp_path / "manifest.json")
     doc = json.loads((tmp_path / "manifest.json").read_text())
     assert doc["config_hash"] == "deadbeef"
     assert doc["outputs"] == ["a.json"]
+    assert (doc["startup_cpu_s"], doc["cpu_s"]) == (0.25, 0.75)
+
+
+@pytest.mark.parametrize("data", [b"", b"abc", bytes(range(256)) * 300])
+def test_sha256_hex_matches_hashlib(data):
+    # the interpreter's built-in SHA-256 must digest as OpenSSL's does, on
+    # an empty, a short and a multi-block input of 76.8 kB
+    import hashlib
+
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_config_tag_keeps_its_value():
+    # the tag names every artifact of a run, so its digest is pinned: this
+    # is the value hashlib.sha256 gave when the digests came from OpenSSL
+    cfg = parse_config({"grid": {"points_per_axis": 32}, "energy": {"s": 0.5, "p": 2.0}, "seed": 3})
+    assert config_hash(cfg.raw) == "caab23e16ab3e531576e333279e91dbb47af740572d68d7f25e0cf1b36519eb7"
+    assert cfg.tag == "caab23e16ab3"
+
+
+# the header line of a 4-site winding written with hashlib.sha256 digests
+WINDING4_HEADER = (
+    b'{"box_length": 6.283185307179586, "components": 2, '
+    b'"digest": "35051fd2bf2a3d2fdefc87fcb92782279bf1671d312b699d4de710a30665f017", "dim": 1, '
+    b'"header_digest": "b096b46ffde1dd51ae7c2853dd411916277c0788713ef575374124ef2ccb7735", '
+    b'"points_per_axis": 4, "schema_version": 1, "unit_constrained": true}\n'
+)
+
+
+def test_a_field_file_of_hashlib_digests_reads_back_and_rewrites_alike(tmp_path):
+    samples = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    path = tmp_path / "winding4.field"
+    path.write_bytes(WINDING4_HEADER + samples.astype("<f8").tobytes())
+    f = read_field(path)
+    assert f.grid == make_grid(1, 4, TWO_PI) and f.unit_constrained
+    assert f.samples.tobytes() == samples.tobytes()
+    write_field(tmp_path / "again.field", f)
+    assert (tmp_path / "again.field").read_bytes() == path.read_bytes()
 
 
 # leaves include values that the schema accepts, so that draws get past
