@@ -105,9 +105,8 @@ def _read_map(key: str, path, grid) -> VectorField:
         raise ConfigError(f"{key}: {e}") from None
     if f.grid != grid:
         raise ConfigError(f"{key}: {path}: grid does not match the config grid")
-    defect = np.max(np.abs(np.linalg.norm(f.samples, axis=1) - 1.0))
-    if defect > 1e-9:
-        raise ConfigError(f"{key}: {path}: field is not unit length (defect {defect:.2e})")
+    if f.norm_defect > 1e-9:
+        raise ConfigError(f"{key}: {path}: field is not unit length (defect {f.norm_defect:.2e})")
     return f
 
 
@@ -125,7 +124,7 @@ def initial_field(cfg: RunConfig) -> VectorField:
         if grid.dim == 2:
             theta += 0.2 * np.sin(2.0 * np.pi * x[:, 1] / grid.box_length)
         samples = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return VectorField(grid=grid, components=2, samples=samples, unit_constrained=True)
+        return VectorField(grid=grid, samples=samples)
     if init["kind"] == "random":
         from . import lab
 

@@ -14,8 +14,9 @@ w(z) = h^{2n} / dist(z, 0)^{n + s p}, exactly even in z, zero at z = 0 and
 indexed like the sites. It is built once per process for each grid and
 (s, p) and shared read-only; every pass looks it up from the field's grid
 and its own (s, p) through PairKernelCache, so no caller hands a kernel in
-and none can hand in one that contradicts them. check_pair_weights takes
-the same (grid, s, p).
+and none can hand in one that contradicts them. The kernel checks its own
+float64 range; parse_config builds the run's kernel, and the first pass
+reuses it.
 
 Passes run over half the lags. The pair {x, y} appears at lag z = y - x
 and at -z with the same |du| and the same weight, so a pass visits one
@@ -87,13 +88,14 @@ flux takes it as 0, the derivative of the pair term |du|^p for every p > 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .grid import (BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask,
+from .grid import (UNIT_TOL, BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask,
                    fourier_multiply, lag_spectrum, torus_dist)
 
 # most pair terms S^2 that one pass may take: a config accepts 1d grids of
@@ -132,25 +134,21 @@ def _lag_kernel(grid: GridSpec, of_dist) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _pair_weights(grid: GridSpec, s: float, p: float) -> np.ndarray:
-    """The pair lag kernel w(z) = h^{2n} / dist(z, 0)^{n + s p}."""
+    """The pair lag kernel w(z) = h^{2n} / dist(z, 0)^{n + s p}. Raises
+    ValueError unless h^{2n}, every dist(z, 0)^{n + s p} and every w(z),
+    z != 0, is a normal float64: no pass gets an overflowed or zero weight."""
     exponent = grid.dim + s * p
-    return _lag_kernel(grid, lambda d: grid.h ** (2 * grid.dim) / d**exponent)
-
-
-def check_pair_weights(grid: GridSpec, s: float, p: float) -> None:
-    """Raise ValueError unless every pair weight h^{2n} / d^{n + s p} of the
-    grid and its denominator d^{n + s p} are normal float64 numbers. Both are
-    monotone in d, so the nearest lag (d = h) and the farthest minimum image
-    (d = sqrt(n) L / 2) decide."""
-    exponent = grid.dim + s * p
-    d = grid.h * np.array([1.0, np.sqrt(grid.dim) * grid.points_per_axis / 2])
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        denom = d**exponent
-        w = grid.h ** (2 * grid.dim) / denom
-    tiny = np.finfo(np.float64).tiny
-    if not np.all((tiny <= denom) & (denom < np.inf) & (tiny <= w) & (w < np.inf)):
+    with np.errstate(all="ignore"):  # a value out of range raises below
+        cell = np.float64(grid.h) ** (2 * grid.dim)
+        denom = _lag_kernel(grid, lambda d: d**exponent)
+        w = np.zeros_like(denom)
+        w[1:] = cell / denom[1:]  # the zero lag is site 0
+    checked = np.concatenate([[cell], denom[1:], w[1:]])
+    if not np.all((np.finfo(np.float64).tiny <= checked) & (checked < np.inf)):
         raise ValueError(f"box_length {grid.box_length:g} puts the pair weights "
                          f"h^{2 * grid.dim} / d^{exponent:g} outside the normal float64 range")
+    w.flags.writeable = False
+    return w
 
 
 @lru_cache(maxsize=32)
@@ -383,7 +381,7 @@ def pair_flux(u: VectorField, params: EnergyParams, region=None) -> VectorField:
     if _spectral_route(params.p, region):
         v = u.samples - np.mean(u.samples, axis=0)
         G = 0.5 * _cubic_form(u.grid, v, v, params.s, params.p)
-        return VectorField(grid=u.grid, components=u.components, samples=G)
+        return VectorField(grid=u.grid, samples=G)
     return _pair_flux(u, params, region)
 
 
@@ -435,7 +433,7 @@ def _pair_flux(u: VectorField, params: EnergyParams, region) -> VectorField:
         lo, hi = np.split(rev, 2, axis=ax)
         rev = lo + hi
     G -= rev.reshape(N, S)
-    return VectorField(grid=grid, components=N, samples=G.T)
+    return VectorField(grid=grid, samples=G.T)
 
 
 def energy_change(u: VectorField, v: VectorField, params: EnergyParams) -> float:
@@ -528,7 +526,7 @@ def energy_gradient(u: VectorField, params: EnergyParams) -> VectorField:
     g(x) = 2 p sum_y w(y-x) |u(x)-u(y)|^{p-2} (u(x) - u(y)) = 2 p G(x)
     """
     G = pair_flux(u, params)
-    return VectorField(grid=u.grid, components=u.components, samples=2.0 * params.p * G.samples)
+    return VectorField(grid=u.grid, samples=2.0 * params.p * G.samples)
 
 
 def first_variation(u: VectorField, psi: VectorField, params: EnergyParams) -> float:
@@ -539,10 +537,8 @@ def first_variation(u: VectorField, psi: VectorField, params: EnergyParams) -> f
     and the result is the plain gradient paired with that tangential part.
     Radial directions psi = lambda(x) u(x) therefore return zero.
     """
-    if not u.unit_constrained:
-        norms = np.linalg.norm(u.samples, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ValueError("first_variation requires a unit-constrained field")
+    if not u.norm_defect <= UNIT_TOL:  # a non-finite defect fails too
+        raise ValueError(f"first_variation requires unit samples, norm defect {u.norm_defect:.3e}")
     g = energy_gradient(u, params).samples
     psi_t = psi.samples - (u.samples * psi.samples).sum(axis=1, keepdims=True) * u.samples
     return float(np.sum(np.sum(g * psi_t, axis=1)))
@@ -682,16 +678,13 @@ def t_operator(u: VectorField, t: float, params: EnergyParams, region=None) -> V
     _validate_t(t, params)
     G = pair_flux(u, params, region=region).samples
     T = _riesz_correlation(u.grid, G, _kappa_exact(u.grid, t))
-    return VectorField(grid=u.grid, components=u.components, samples=T)
+    return VectorField(grid=u.grid, samples=T)
 
 
 def riesz_pairing_constant(t: float, n: int) -> float:
     """gamma_n(t) = pi^{n/2} 2^t Gamma(t/2) / Gamma((n-t)/2), the constant
     with which |x|^{t-n} inverts the multiplier |k|^t."""
-    import mpmath as mp
-
-    tt = mp.mpf(t)
-    return float(mp.pi ** (n / 2.0) * 2**tt * mp.gamma(tt / 2) / mp.gamma((n - tt) / 2))
+    return math.pi ** (n / 2) * 2**t * math.gamma(t / 2) / math.gamma((n - t) / 2)
 
 
 def duality_check(u: VectorField, phi: ScalarField, t: float, params: EnergyParams):

@@ -9,6 +9,7 @@ energy.py). Every operator here is applied through grid.fourier_multiply.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,12 +23,7 @@ def forward_constant(t: float, n: int) -> float:
     """c_{n,t} = 2^t Gamma((n+t)/2) / (pi^{n/2} |Gamma(-t/2)|), the
     normalization of the singular-integral form of Lambda^t. No operator
     here uses it; it stays only as a hook that bench/traced.py wraps."""
-    import mpmath as mp
-
-    tt = mp.mpf(t)
-    return float(
-        2**tt * mp.gamma((n + tt) / 2) / (mp.pi ** (mp.mpf(n) / 2) * abs(mp.gamma(-tt / 2)))
-    )
+    return 2**t * math.gamma((n + t) / 2) / (math.pi ** (n / 2) * abs(math.gamma(-t / 2)))
 
 
 def frac_laplacian(field: ScalarField, t: float) -> ScalarField:

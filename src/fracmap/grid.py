@@ -20,7 +20,7 @@ both diagnostics read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "GridSpec",
     "ScalarField",
     "VectorField",
+    "UNIT_TOL",
     "BallHierarchy",
     "make_grid",
     "site_coords",
@@ -56,7 +57,8 @@ class GridSpec:
 
 def make_grid(dim: int, points_per_axis: int, box_length: float) -> GridSpec:
     """Validated grid constructor. M must be an integral power of two, at
-    least 4, and the pair weights' factor h^{2n} a normal float64."""
+    least 4, and L positive and finite; the float64 range of the pair
+    weights depends on (s, p) too, and energy._pair_weights checks it."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     if not (isinstance(points_per_axis, (int, np.integer)) or float(points_per_axis).is_integer()):
@@ -64,16 +66,14 @@ def make_grid(dim: int, points_per_axis: int, box_length: float) -> GridSpec:
     M = int(points_per_axis)
     if M < 4 or (M & (M - 1)) != 0:
         raise ValueError(f"points_per_axis must be a power of two >= 4, got {points_per_axis}")
-    if not (float(box_length) > 0):
-        raise ValueError(f"box_length must be positive, got {box_length}")
-    try:
-        cell = (float(box_length) / M) ** (2 * dim)  # the h^{2n} of every pair weight
-    except OverflowError:
-        cell = math.inf
-    if not (np.finfo(np.float64).tiny <= cell < math.inf):
-        raise ValueError(f"box_length {box_length} puts h^{2 * dim} outside the normal "
-                         f"float64 range")
+    if not (0 < float(box_length) < math.inf):
+        raise ValueError(f"box_length must be positive and finite, got {box_length}")
     return GridSpec(dim=int(dim), points_per_axis=M, box_length=float(box_length))
+
+
+# the largest norm defect of a map into the unit sphere: a field file's
+# unit_constrained header and first_variation's input are held to it
+UNIT_TOL = 1e-12
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -98,22 +98,25 @@ class ScalarField:
 @dataclass(frozen=True)
 class VectorField:
     grid: GridSpec
-    components: int
     samples: np.ndarray  # shape (n_sites, components), sample-major
-    unit_constrained: bool = field(default=False)
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _as_readonly(self.samples))
-        if self.samples.shape != (self.grid.n_sites, self.components):
-            raise ValueError(
-                f"vector field needs shape {(self.grid.n_sites, self.components)}, "
-                f"got {self.samples.shape}"
-            )
-        if self.unit_constrained:
-            norms = np.linalg.norm(self.samples, axis=1)
-            worst = float(np.max(np.abs(norms - 1.0)))
-            if not worst <= 1e-12:  # NaN fails too
-                raise ValueError(f"unit-constrained field has norm defect {worst:.3e}")
+        S = self.grid.n_sites
+        if self.samples.ndim != 2 or self.samples.shape[0] != S or self.samples.shape[1] < 1:
+            raise ValueError(f"vector field needs shape ({S}, N) with N >= 1, "
+                             f"got {self.samples.shape}")
+
+    @property
+    def components(self) -> int:
+        """N, the dimension of the target space, read off the samples."""
+        return self.samples.shape[1]
+
+    @property
+    def norm_defect(self) -> float:
+        """max_x ||u(x)| - 1|. It is not finite when a sample is not, so
+        every test `norm_defect <= tol` fails on such a field."""
+        return float(np.max(np.abs(np.linalg.norm(self.samples, axis=1) - 1.0)))
 
 
 def site_coords(grid: GridSpec) -> np.ndarray:

@@ -114,7 +114,7 @@ def unit_circle_family(grid: GridSpec, count: int, seed: int):
     out = []
     for th in angles:
         samples = np.stack([np.cos(th.samples), np.sin(th.samples)], axis=1)
-        out.append(VectorField(grid=grid, components=2, samples=samples, unit_constrained=True))
+        out.append(VectorField(grid=grid, samples=samples))
     return out
 
 

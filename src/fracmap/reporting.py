@@ -5,15 +5,17 @@ A config is a strict JSON object described by one table, SCHEMA, of
 are errors; a float key takes any JSON number, an int key an integral
 number, either only a finite float64 (NaN, Infinity and 1e400 are out of
 range, also in a list), a bool key only true or false, a string key only
-a string, and null is accepted only where the default is None. Value ranges are checked by the constructors the values
-feed (make_grid, EnergyParams, SolverConfig, BallHierarchy), and the
-seed's sign and the few rules that tie keys together (critical p = n/s,
-the admissible t window, a non-empty selection of distinct known probes) by
-parse_config. Every violation raises ConfigError naming
-the offending key. `probes` picks which probes run, from PROBE_NAMES; no
-key reaches a probe's setup, which is fixed by its frozen constant
-(lab.run_probe). The canonical input document, without defaults, is
-kept as RunConfig.raw: its config_hash tags the artifact file names.
+a string, and null is accepted only where the default is None. Value
+ranges are checked by the constructors the values feed (make_grid,
+EnergyParams, SolverConfig, BallHierarchy, and the pair kernel, whose
+float64 range ties the grid to (s, p)), and the seed's sign and the few
+rules that tie keys together (critical p = n/s, the admissible t window, a
+non-empty selection of distinct known probes) by parse_config. Every
+violation raises ConfigError naming the offending key. `probes` picks
+which probes run, from PROBE_NAMES; no key reaches a probe's setup, which
+is fixed by its frozen constant (lab.run_probe). The canonical input
+document, without defaults, is kept as RunConfig.raw: its config_hash tags
+the artifact file names.
 PROBE_NAMES, DECAY_MIN_LEVELS and config_hash live here, on the config
 side, and lab reads them inside the functions that use them, so that
 importing this module loads neither lab nor fracops.
@@ -31,8 +33,11 @@ dim, points_per_axis, box_length, components (at least 1) and
 unit_constrained; read_field checks the latter when present and also
 reads files without it. Those five keys take the config's strict types:
 integral dim, points_per_axis and components, a number box_length, and
-unit_constrained only true or false. Cheap to write, bit-exact to read
-back, and self-describing enough to catch truncation, damaged headers, mismatched
+unit_constrained only true or false. A field is its grid and its samples,
+so write_field writes unit_constrained as measured: true when every sample
+has norm 1 to grid.UNIT_TOL (1e-12), and read_field holds a true claim to
+the same tolerance. Cheap to write, bit-exact to read back, and
+self-describing enough to catch truncation, damaged headers, mismatched
 grids and samples off the sphere under a unit_constrained header: any
 malformed file raises FieldFormatError or FieldDigestError.
 """
@@ -44,8 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import MAX_KERNEL_PAIRS, EnergyParams, _validate_t, check_pair_weights
-from .grid import BallHierarchy, GridSpec, VectorField, make_grid
+from .energy import MAX_KERNEL_PAIRS, EnergyParams, _pair_weights, _validate_t
+from .grid import UNIT_TOL, BallHierarchy, GridSpec, VectorField, make_grid
 from .solver import SolverConfig
 
 # The interpreter's own SHA-256 (CPython builds it in: _sha256 up to 3.11,
@@ -138,10 +143,8 @@ _EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "
              list[float]: "a list of numbers", list[str]: "a list of strings"}
 
 
-def _typed(value, typ, where: str, nullable: bool = False):
+def _typed(value, typ, where: str):
     """Check one config value against its schema type."""
-    if value is None and nullable:
-        return None
     if isinstance(typ, dict):
         return _section(value, typ, where)
     try:  # strict JSON, as the artifacts: no NaN or infinity, also from 1e400
@@ -177,8 +180,11 @@ def _section(doc, schema: dict, where: str) -> dict:
     for key in doc:
         if key not in schema:
             raise ConfigError(f"unknown config key {prefix}{key}")
-    return {key: _typed(doc.get(key, default), typ, prefix + key, nullable=default is None)
-            for key, (typ, default) in schema.items()}
+    out = {}
+    for key, (typ, default) in schema.items():
+        value = doc.get(key, default)
+        out[key] = None if value is None and default is None else _typed(value, typ, prefix + key)
+    return out
 
 
 def as_config_error(where: str, fn, *args, **kwargs):
@@ -211,8 +217,9 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"energy.p: critical_mode pins p = n/s = {p}, got {e['p']}")
     if e["t"] is not None:
         as_config_error("energy.t", _validate_t, e["t"], params)
-    # the pair weights tie the grid to the energy's (s, p)
-    as_config_error("grid", check_pair_weights, grid, params.s, params.p)
+    # the pair weights tie the grid to the energy's (s, p): build the run's
+    # kernel, which checks its own range; the first pass reuses it
+    as_config_error("grid", _pair_weights, grid, params.s, params.p)
 
     solver = as_config_error("solver", SolverConfig, **c["solver"])
 
@@ -360,7 +367,7 @@ def write_field(path, f) -> None:
         "points_per_axis": f.grid.points_per_axis,
         "box_length": f.grid.box_length,
         "components": f.components,
-        "unit_constrained": f.unit_constrained,
+        "unit_constrained": f.norm_defect <= UNIT_TOL,
         "digest": sha256_hex(block),
     }
     header["header_digest"] = _header_digest(header)
@@ -403,15 +410,11 @@ def read_field(path):
     samples = np.frombuffer(block, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(samples)):
         raise FieldFormatError(f"{path}: sample block holds non-finite values")
-    try:
-        return VectorField(
-            grid=grid,
-            components=components,
-            samples=samples.reshape(grid.n_sites, components),
-            unit_constrained=unit_constrained,
-        )
-    except ValueError as e:  # the samples break what the header claims
-        raise FieldFormatError(f"{path}: {e}") from None
+    f = VectorField(grid=grid, samples=samples.reshape(grid.n_sites, components))
+    if unit_constrained and not f.norm_defect <= UNIT_TOL:
+        raise FieldFormatError(f"{path}: unit-constrained field has norm defect "
+                               f"{f.norm_defect:.3e}")
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
         energy_trace.append(E)
         gt, gn = tangential_gradient(u)
         grad_trace.append(gn)
-    result = VectorField(grid=u0.grid, components=u0.components, samples=u, unit_constrained=True)
+    result = VectorField(grid=u0.grid, samples=u)
     report = SolveReport(
         energy_trace=energy_trace,
         step_trace=step_trace,
@@ -200,7 +200,7 @@ def minimize(u0: VectorField, params: EnergyParams, config: SolverConfig):
 
 
 def _wrap(samples: np.ndarray, like: VectorField) -> VectorField:
-    return VectorField(grid=like.grid, components=like.components, samples=samples)
+    return VectorField(grid=like.grid, samples=samples)
 
 
 def bump_basis(grid: GridSpec):

@@ -57,8 +57,7 @@ def _unit_field(grid, seed, components=2):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(grid.n_sites, components))
     raw += np.array([2.0] + [0.0] * (components - 1))
-    return VectorField(grid=grid, components=components,
-                       samples=project_sphere(raw), unit_constrained=True)
+    return VectorField(grid=grid, samples=project_sphere(raw))
 
 
 def test_criterion_1_gradient_exactness():
@@ -70,13 +69,13 @@ def test_criterion_1_gradient_exactness():
         u = _unit_field(g, seed=1000 + k)
         rng = np.random.default_rng(2000 + k)
         psi_raw = rng.normal(size=(64, 2))
-        psi = VectorField(grid=g, components=2, samples=psi_raw)
+        psi = VectorField(grid=g, samples=psi_raw)
         analytic = first_variation(u, psi, params)
         step = 1e-6
 
         def constrained_energy(tau):
             moved = project_sphere(u.samples + tau * psi_raw)
-            return energy(VectorField(grid=g, components=2, samples=moved), params)
+            return energy(VectorField(grid=g, samples=moved), params)
 
         fd = (constrained_energy(step) - constrained_energy(-step)) / (2 * step)
         rel = abs(analytic - fd) / max(1.0, abs(fd))
@@ -253,9 +252,7 @@ def _duality_fixture(M):
     g = make_grid(1, M, TWO_PI)
     x = site_coords(g)[:, 0]
     theta = x + 0.3 * np.sin(x) + 0.15 * np.cos(2 * x)
-    u = VectorField(grid=g, components=2,
-                    samples=np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                    unit_constrained=True)
+    u = VectorField(grid=g, samples=np.stack([np.cos(theta), np.sin(theta)], axis=1))
     phi = ScalarField(grid=g, samples=0.7 * np.cos(x) - 0.4 * np.sin(2 * x)
                       + 0.2 * np.cos(3 * x) + 0.1 * np.sin(4 * x))
     return u, phi
@@ -279,9 +276,7 @@ def test_criterion_5_solver_fixture():
     g = make_grid(1, 128, TWO_PI)
     x = site_coords(g)[:, 0]
     theta = x + 0.3 * np.sin(x)
-    u0 = VectorField(grid=g, components=2,
-                     samples=np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                     unit_constrained=True)
+    u0 = VectorField(grid=g, samples=np.stack([np.cos(theta), np.sin(theta)], axis=1))
     params = EnergyParams(s=0.5, p=2.0)
     u, report = minimize(u0, params, SolverConfig())
     trace = np.array(report.energy_trace)
@@ -327,9 +322,7 @@ def test_criterion_7_probes_against_frozen_constants():
 def test_criterion_8_decay_scaling():
     g = make_grid(1, 256, TWO_PI)
     x = site_coords(g)[:, 0]
-    u = VectorField(grid=g, components=2,
-                    samples=np.stack([np.cos(x), np.sin(x)], axis=1),
-                    unit_constrained=True)
+    u = VectorField(grid=g, samples=np.stack([np.cos(x), np.sin(x)], axis=1))
     hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.05,
                          level_max=4)
     table = decay_profile(u, hier, EnergyParams(s=0.5, p=2.0))

@@ -167,7 +167,7 @@ def test_verify_rejects_non_critical_field(tmp_path):
     rng = np.random.default_rng(81)
     raw = rng.normal(size=(32, 2)) + np.array([2.0, 0.0])
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    u = VectorField(grid=g, components=2, samples=raw, unit_constrained=True)
+    u = VectorField(grid=g, samples=raw)
     field_path = tmp_path / "guess.field"
     write_field(field_path, u)
     cfg = _write(tmp_path, SOLVE_DOC)
@@ -198,8 +198,7 @@ def _run_on_map(tmp_path, command, field_path) -> Path:
 @pytest.mark.parametrize("command", list(MAP_KEYS))
 def test_verify_grid_mismatch_is_config_error(tmp_path, capsys, command):
     g = make_grid(1, 16, 2 * np.pi)
-    u = VectorField(grid=g, components=2,
-                    samples=np.tile([1.0, 0.0], (16, 1)), unit_constrained=True)
+    u = VectorField(grid=g, samples=np.tile([1.0, 0.0], (16, 1)))
     field_path = tmp_path / "small.field"
     write_field(field_path, u)
     out = _run_on_map(tmp_path, command, field_path)  # the config declares M = 32
@@ -215,7 +214,7 @@ def test_verify_off_sphere_unit_field_is_config_error(tmp_path, capsys, command)
     # command refuses it before any work rather than projecting or fitting it
     g = make_grid(1, 32, 2 * np.pi)
     theta = 2 * np.pi * np.arange(32) / 32
-    u = VectorField(grid=g, components=2, samples=2.0 * np.stack([np.cos(theta), np.sin(theta)], 1))
+    u = VectorField(grid=g, samples=2.0 * np.stack([np.cos(theta), np.sin(theta)], 1))
     field_path = tmp_path / "off.field"
     write_field(field_path, u)
     out = _run_on_map(tmp_path, command, field_path)
@@ -230,7 +229,7 @@ def test_non_finite_field_file_exits_2_naming_it(tmp_path, capsys):
     samples = np.tile([1.0, 0.0], (32, 1))
     samples[9, 1] = np.nan
     field_path = tmp_path / "nan.field"
-    write_field(field_path, VectorField(grid=g, components=2, samples=samples))
+    write_field(field_path, VectorField(grid=g, samples=samples))
     cfg = _write(tmp_path, SOLVE_DOC)
     expected = f"config error: {field_path}: sample block holds non-finite values\n"
     assert main(["verify", "--config", str(cfg), "--field", str(field_path),
@@ -252,8 +251,7 @@ def test_non_integral_field_header_exits_2_naming_it(tmp_path, capsys, key, valu
     # strict types, so `true` is no size and "no" no flag
     g = make_grid(1, 32, 2 * np.pi)
     field_path = tmp_path / "sizes.field"
-    write_field(field_path, VectorField(grid=g, components=2, samples=np.tile([1.0, 0.0], (32, 1)),
-                                        unit_constrained=True))
+    write_field(field_path, VectorField(grid=g, samples=np.tile([1.0, 0.0], (32, 1))))
     header, _, block = field_path.read_bytes().partition(b"\n")
     doc = json.loads(header)
     del doc["header_digest"]
@@ -321,8 +319,7 @@ def test_verify_of_a_constant_map_passes(tmp_path):
     # a constant map's pair flux is exactly zero, so both sides of the
     # duality identity vanish and its relative error is 0, not 0/0
     g = make_grid(1, 16, 2 * np.pi)
-    u = VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (16, 1)),
-                    unit_constrained=True)
+    u = VectorField(grid=g, samples=np.tile([0.6, 0.8], (16, 1)))
     field_path = tmp_path / "const.field"
     write_field(field_path, u)
     cfg = _write(tmp_path, dict(SOLVE_DOC, grid={"dim": 1, "points_per_axis": 16}))
@@ -597,8 +594,7 @@ def test_verify_checks_the_default_t_before_any_work(tmp_path, capsys):
     # before its EL suite, so the output directory stays empty
     g = make_grid(1, 16, 2 * np.pi)
     field_path = tmp_path / "const.field"
-    write_field(field_path, VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (16, 1)),
-                                        unit_constrained=True))
+    write_field(field_path, VectorField(grid=g, samples=np.tile([0.6, 0.8], (16, 1))))
     out = tmp_path / "o"
     assert main(["verify", "--set", "energy.s=0.04", "--set", "energy.p=2",
                  "--set", "grid.points_per_axis=16", "--field", str(field_path),

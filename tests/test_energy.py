@@ -15,6 +15,7 @@ from fracmap.energy import (
     _pair_change,
     _pair_flux,
     _pair_symbol,
+    _pair_weights,
     duality_check,
     el_pairing,
     el_residual,
@@ -131,8 +132,7 @@ def _unit_field(grid, seed, components=2):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(grid.n_sites, components))
     raw += np.array([2.0] + [0.0] * (components - 1))  # keep away from the origin
-    return VectorField(grid=grid, components=components, samples=project_sphere(raw),
-                       unit_constrained=True)
+    return VectorField(grid=grid, samples=project_sphere(raw))
 
 
 def test_params_validation():
@@ -147,7 +147,7 @@ def test_energy_constant_is_zero():
     # from the zero map, a constant's pair terms are 0/0, which takes the
     # direct form; every flux term has du = 0, which is 0 also for p < 2
     g = make_grid(1, 16, TWO_PI)
-    u = VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (16, 1)))
+    u = VectorField(grid=g, samples=np.tile([0.6, 0.8], (16, 1)))
     mask = np.arange(16) < 9
     for p in (2.0, 3.0, 4.0, 1.5):
         params = EnergyParams(s=0.5, p=p)
@@ -164,7 +164,7 @@ def test_flux_below_p_2_takes_coincident_samples_as_zero_terms():
     u = _unit_field(g, seed=47)
     samples = u.samples.copy()
     samples[[3, 4, 9, 12]] = samples[3]
-    u = VectorField(grid=g, components=2, samples=samples)
+    u = VectorField(grid=g, samples=samples)
     params = EnergyParams(s=0.6, p=1.5)
     want = naive_flux(u.samples, site_coords(g), g.box_length, g.h, 1, 0.6, 1.5)
     got = pair_flux(u, params).samples
@@ -228,7 +228,7 @@ def test_energy_scaling_homogeneity():
     for p in (2.0, 3.0):
         params = EnergyParams(s=0.5, p=p)
         base = energy(u, params)
-        scaled = VectorField(grid=g, components=2, samples=2.5 * u.samples)
+        scaled = VectorField(grid=g, samples=2.5 * u.samples)
         np.testing.assert_allclose(energy(scaled, params), 2.5 ** p * base, rtol=1e-13)
 
 
@@ -236,7 +236,7 @@ def test_energy_translation_invariance():
     g = make_grid(1, 32, TWO_PI)
     u = _unit_field(g, seed=15)
     params = EnergyParams(s=0.5, p=2.0)
-    rolled = VectorField(grid=g, components=2, samples=np.roll(u.samples, 5, axis=0))
+    rolled = VectorField(grid=g, samples=np.roll(u.samples, 5, axis=0))
     np.testing.assert_allclose(energy(rolled, params), energy(u, params), rtol=1e-13)
 
 
@@ -278,8 +278,8 @@ def test_gradient_matches_finite_differences():
     for _ in range(4):
         direction = rng.normal(size=u.samples.shape)
         step = 1e-6
-        up = VectorField(grid=g, components=2, samples=u.samples + step * direction)
-        dn = VectorField(grid=g, components=2, samples=u.samples - step * direction)
+        up = VectorField(grid=g, samples=u.samples + step * direction)
+        dn = VectorField(grid=g, samples=u.samples - step * direction)
         fd = (energy(up, params) - energy(dn, params)) / (2 * step)
         analytic = float((grad.samples * direction).sum())
         np.testing.assert_allclose(analytic, fd, rtol=1e-7)
@@ -291,7 +291,7 @@ def test_first_variation_vanishes_for_radial_directions():
     params = EnergyParams(s=0.5, p=2.0)
     rng = np.random.default_rng(20)
     radial = u.samples * rng.normal(size=(g.n_sites, 1))
-    psi = VectorField(grid=g, components=2, samples=radial)
+    psi = VectorField(grid=g, samples=radial)
     assert abs(first_variation(u, psi, params)) < 1e-10
 
 
@@ -321,7 +321,7 @@ def test_el_residual_sign_and_zero_cases():
     r = el_residual(u, phi, omega, params)
     r_neg = el_residual(u, phi, -omega, params)
     assert r_neg == -r  # exact antisymmetry in the generator
-    const = VectorField(grid=g, components=2, samples=np.tile([1.0, 0.0], (16, 1)))
+    const = VectorField(grid=g, samples=np.tile([1.0, 0.0], (16, 1)))
     assert el_residual(const, phi, omega, params) == 0.0
     assert el_residual(u, phi, np.zeros((2, 2)), params) == 0.0
 
@@ -467,9 +467,7 @@ def test_duality_identity_at_fixture():
         g = make_grid(1, M, TWO_PI)
         x = site_coords(g)[:, 0]
         theta = x + 0.3 * np.sin(x) + 0.15 * np.cos(2 * x)
-        u = VectorField(grid=g, components=2,
-                        samples=np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                        unit_constrained=True)
+        u = VectorField(grid=g, samples=np.stack([np.cos(theta), np.sin(theta)], axis=1))
         phi = ScalarField(grid=g, samples=0.7 * np.cos(x) - 0.4 * np.sin(2 * x)
                           + 0.2 * np.cos(3 * x) + 0.1 * np.sin(4 * x))
         return u, phi
@@ -489,9 +487,7 @@ def test_holefill_inequality_and_nesting():
     rng = np.random.default_rng(27)
     x = site_coords(g)[:, 0]
     theta = x + 0.2 * rng.normal() * np.sin(x) + 0.1 * rng.normal() * np.cos(2 * x)
-    u = VectorField(grid=g, components=2,
-                    samples=np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                    unit_constrained=True)
+    u = VectorField(grid=g, samples=np.stack([np.cos(theta), np.sin(theta)], axis=1))
     params = EnergyParams(s=0.5, p=2.0)
     hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.3, level_max=3)
     lhs, rhs, ok = holefill_check(u, hier, 0, 3, params)
@@ -610,7 +606,7 @@ def test_energy_change_is_the_exact_difference(dim, M, p):
     # 1e-9 apart: the totals share all but their last digits, the change
     # keeps its own
     rng = np.random.default_rng(39)
-    near = VectorField(grid=g, components=2,
+    near = VectorField(grid=g,
                        samples=project_sphere(u.samples + 1e-9 * rng.normal(size=u.samples.shape)))
     want = float(_naive_change_longdouble(u.samples, near.samples, g, 0.5, p))
     plain = energy(near, params) - energy(u, params)
@@ -657,10 +653,23 @@ def test_pair_kernel_built_once_per_process():
     assert PairKernelCache(big, EnergyParams(s=0.5, p=2.0)).weights.shape == (big.n_sites,)
 
 
+@pytest.mark.parametrize("dim, M, L, s, p", [
+    (1, 64, 1e200, 0.5, 2.0),  # h^2 overflows
+    (2, 8, 1e100, 0.5, 4.0),  # h^4 overflows
+    (1, 64, 1e-200, 0.5, 2.0),  # h^2 underflows
+    (1, 64, 1e-100, 0.9, 10.0),  # h^2 is normal, the nearest d^10 underflows
+    (1, 64, 1e100, 0.9, 10.0),  # h^2 is normal, the farthest d^10 overflows
+])
+def test_pair_weights_raise_outside_the_float64_range(dim, M, L, s, p):
+    # the out-of-range grids of test_malformed_values_exit_2_with_one_line
+    # are valid grids; the kernel refuses them, with no RuntimeWarning
+    g = make_grid(dim, M, L)
+    with pytest.raises(ValueError, match="outside the normal float64 range"):
+        _pair_weights(g, s, p)
+
+
 def _circle_field(grid, theta):
-    return VectorField(grid=grid, components=2,
-                       samples=np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                       unit_constrained=True)
+    return VectorField(grid=grid, samples=np.stack([np.cos(theta), np.sin(theta)], axis=1))
 
 
 @pytest.fixture(scope="module")
@@ -708,7 +717,7 @@ def test_spectral_passes_match_pair_passes(spectral_fields):
         # the change, the most under random angle noise, where the change is
         # smallest; the pair sum by at most 2e-14 (both against a
         # long-double pair sum)
-        near = VectorField(grid=u.grid, components=u.components,
+        near = VectorField(grid=u.grid,
                            samples=project_sphere(u.samples + 1e-3 * rng.normal(size=u.samples.shape)))
         change = _pair_change(PairKernelCache(u.grid, params), u.samples, near.samples, 4.0, None)
         assert abs(energy_change(u, near, params) - change) <= 1e-12 * abs(change), label
@@ -727,12 +736,11 @@ def test_spectral_passes_give_exact_zeros_for_constants():
     for dim, M in ((1, 16), (1, 512), (2, 8), (2, 32)):
         g = make_grid(dim, M, TWO_PI)
         for value in ([0.6, 0.8], [1.0 / 3.0, -2.0 / 3.0, 2.0 / 3.0], [-0.1234567]):
-            u = VectorField(grid=g, components=len(value), samples=np.tile(value, (g.n_sites, 1)))
+            u = VectorField(grid=g, samples=np.tile(value, (g.n_sites, 1)))
             assert energy(u, params) == 0.0
             assert not pair_flux(u, params).samples.any()
             assert seminorm(u, 0.5, 4.0) == 0.0
-            other = VectorField(grid=g, components=len(value),
-                                samples=np.tile(np.negative(value), (g.n_sites, 1)))
+            other = VectorField(grid=g, samples=np.tile(np.negative(value), (g.n_sites, 1)))
             assert energy_change(u, other, params) == 0.0
 
 

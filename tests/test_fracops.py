@@ -255,11 +255,9 @@ def test_settable_values_census():
         "energy.energy.region",
         "energy.pair_flux.region",
         "energy.t_operator.region",
-        "grid.VectorField.unit_constrained",
         "lab.band_limited_family.max_mode",
         "lab.run_probe.bound_const",
         "lab.run_probe.seed",
-        "reporting._typed.nullable",
         "solver.SolverConfig.grad_tol",
         "solver.SolverConfig.max_iters",
     ]

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracmap.energy import EnergyParams, first_variation
 from fracmap.grid import (
     BallHierarchy,
     ScalarField,
@@ -26,8 +27,9 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(1, 24, 1.0)  # not a power of two
     with pytest.raises(ValueError):
         make_grid(1, 2, 1.0)  # below the minimum
-    with pytest.raises(ValueError):
-        make_grid(1, 16, 0.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="box_length must be positive and finite"):
+            make_grid(1, 16, bad)
     for bad in (64.5, np.inf, np.nan):
         with pytest.raises(ValueError, match="points_per_axis must be an integer"):
             make_grid(1, bad, 1.0)
@@ -103,10 +105,11 @@ def test_field_shape_validation():
     g = make_grid(1, 8, 1.0)
     with pytest.raises(ValueError):
         ScalarField(grid=g, samples=np.zeros(7))
-    with pytest.raises(ValueError):
-        VectorField(grid=g, components=2, samples=np.zeros((8, 3)))
-    with pytest.raises(ValueError):
-        VectorField(grid=g, components=2, samples=np.full((8, 2), 0.9), unit_constrained=True)
+    assert VectorField(grid=g, samples=np.zeros((8, 3))).components == 3
+    # 1-D samples, the wrong row count, no columns
+    for bad in (np.zeros(8), np.zeros((7, 2)), np.zeros((8, 0))):
+        with pytest.raises(ValueError, match="vector field needs shape"):
+            VectorField(grid=g, samples=bad)
 
 
 def test_unit_check_rejects_non_finite_samples():
@@ -114,8 +117,10 @@ def test_unit_check_rejects_non_finite_samples():
     g = make_grid(1, 8, 1.0)
     samples = np.tile([1.0, 0.0], (8, 1))
     samples[3, 0] = np.nan
+    u = VectorField(grid=g, samples=samples)
+    assert np.isnan(u.norm_defect)
     with pytest.raises(ValueError, match="norm defect nan"):
-        VectorField(grid=g, components=2, samples=samples, unit_constrained=True)
+        first_variation(u, u, EnergyParams(s=0.5, p=2.0))
 
 
 def test_ball_mask_closed_ball_includes_boundary():

@@ -73,7 +73,7 @@ def test_decay_fit_leaves_out_balls_that_wrap_the_torus(dim, M):
 def _unit(g, samples):
     from fracmap.grid import VectorField
 
-    return VectorField(grid=g, components=2, samples=samples, unit_constrained=True)
+    return VectorField(grid=g, samples=samples)
 
 
 @pytest.mark.parametrize("dim, M, center", [(1, 64, (2.3,)), (2, 16, (2.3, 4.1))])

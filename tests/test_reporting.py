@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fracmap.energy import PairKernelCache, _pair_weights
 from fracmap.grid import ScalarField, VectorField, make_grid
 from fracmap.reporting import (
     ConfigError,
@@ -62,6 +63,16 @@ def test_parse_config_defaults():
     assert cfg.initial["kind"] == "winding"
     assert cfg.probes == ("sobolev", "commutator", "kernel_case",
                           "lp_sup", "t1", "holefill")
+
+
+def test_parse_config_builds_the_kernel_the_first_pass_reads():
+    # the config's range check is the run's kernel build: the first pass
+    # finds the kernel in the cache (a grid no other test uses)
+    cfg = parse_config({"grid": {"points_per_axis": 16, "box_length": 3.0}})
+    misses = _pair_weights.cache_info().misses
+    weights = PairKernelCache(cfg.grid, cfg.params).weights
+    assert _pair_weights.cache_info().misses == misses
+    assert weights is _pair_weights(cfg.grid, 0.5, 2.0)
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -183,12 +194,11 @@ def test_field_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(71)
     raw = rng.normal(size=(32, 2))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    u = VectorField(grid=g, components=2, samples=raw, unit_constrained=True)
+    u = VectorField(grid=g, samples=raw)
     path = tmp_path / "u.field"
     write_field(path, u)
     back = read_field(path)
     assert isinstance(back, VectorField)
-    assert back.unit_constrained
     np.testing.assert_array_equal(back.samples, u.samples)
     assert back.grid == g
     # the header holds the map only; files whose header also carries a
@@ -213,10 +223,23 @@ def test_field_roundtrip_bitwise(tmp_path):
         read_field(tmp_path / "f.field")
 
 
+def test_write_field_measures_unit_constrained(tmp_path):
+    # the header's unit_constrained says whether the samples lie on the
+    # sphere to 1e-12; read_field holds a true claim to it
+    g = make_grid(1, 8, TWO_PI)
+    theta = np.linspace(0.0, 1.0, 8)
+    unit = np.stack([np.cos(theta), np.sin(theta)], 1)
+    for samples, claim in ((unit, True), (unit * (1 + 1e-10), False),
+                           (np.stack([theta, theta**2, -theta], 1), False)):
+        path = tmp_path / "f.field"
+        write_field(path, VectorField(grid=g, samples=samples))
+        assert json.loads(path.read_bytes().partition(b"\n")[0])["unit_constrained"] is claim
+        assert read_field(path).samples.tobytes() == samples.tobytes()
+
+
 def test_field_corruption_detected(tmp_path):
     g = make_grid(1, 16, TWO_PI)
-    u = VectorField(grid=g, components=2,
-                    samples=np.tile([0.6, 0.8], (16, 1)), unit_constrained=True)
+    u = VectorField(grid=g, samples=np.tile([0.6, 0.8], (16, 1)))
     path = tmp_path / "u.field"
     write_field(path, u)
     blob = bytearray(path.read_bytes())
@@ -250,7 +273,7 @@ def test_field_corruption_detected(tmp_path):
     # a unit_constrained header, both digests intact, over samples 1e-10 off
     # the sphere: the header claims what the samples do not meet
     write_field(tmp_path / "off.field",
-                VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (16, 1)) * (1 + 1e-10)))
+                VectorField(grid=g, samples=np.tile([0.6, 0.8], (16, 1)) * (1 + 1e-10)))
     off_header, _, off_block = (tmp_path / "off.field").read_bytes().partition(b"\n")
     doc = json.loads(off_header)
     doc["unit_constrained"] = True
@@ -271,7 +294,7 @@ def test_read_field_rejects_non_finite_samples(tmp_path, bad):
     samples = np.tile([0.6, 0.8], (16, 1))
     samples[7, 0] = bad
     path = tmp_path / "bad.field"
-    write_field(path, VectorField(grid=g, components=2, samples=samples))
+    write_field(path, VectorField(grid=g, samples=samples))
     with pytest.raises(FieldFormatError, match="bad.field: sample block holds non-finite values"):
         read_field(path)
 
@@ -410,7 +433,7 @@ def test_a_field_file_of_hashlib_digests_reads_back_and_rewrites_alike(tmp_path)
     path = tmp_path / "winding4.field"
     path.write_bytes(WINDING4_HEADER + samples.astype("<f8").tobytes())
     f = read_field(path)
-    assert f.grid == make_grid(1, 4, TWO_PI) and f.unit_constrained
+    assert f.grid == make_grid(1, 4, TWO_PI) and f.norm_defect == 0.0
     assert f.samples.tobytes() == samples.tobytes()
     write_field(tmp_path / "again.field", f)
     assert (tmp_path / "again.field").read_bytes() == path.read_bytes()
@@ -455,9 +478,8 @@ def test_any_config_document_raises_only_config_error(doc, overrides):
 def _field_file_bytes(tmp_path) -> list:
     g = make_grid(1, 8, TWO_PI)
     theta = np.linspace(0.0, 1.0, 8)
-    fields = [VectorField(grid=g, components=3, samples=np.stack([theta, theta**2, -theta], 1)),
-              VectorField(grid=g, components=2, samples=np.stack([np.cos(theta), np.sin(theta)], 1),
-                          unit_constrained=True)]
+    fields = [VectorField(grid=g, samples=np.stack([theta, theta**2, -theta], 1)),
+              VectorField(grid=g, samples=np.stack([np.cos(theta), np.sin(theta)], 1))]
     out = []
     for f in fields:
         write_field(tmp_path / "f.field", f)
@@ -488,4 +510,3 @@ def test_damaged_field_files_raise_only_field_errors(tmp_path, which, cut, bit, 
     intact = read_field(path)
     assert type(back) is type(intact) and back.grid == intact.grid
     assert back.samples.tobytes() == intact.samples.tobytes()
-    assert getattr(back, "unit_constrained", None) == getattr(intact, "unit_constrained", None)

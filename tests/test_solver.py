@@ -25,9 +25,7 @@ TWO_PI = 2.0 * np.pi
 def _winding(grid, phase_amp=0.3):
     x = site_coords(grid)[:, 0]
     theta = x + phase_amp * np.sin(x)
-    return VectorField(grid=grid, components=2,
-                       samples=np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                       unit_constrained=True)
+    return VectorField(grid=grid, samples=np.stack([np.cos(theta), np.sin(theta)], axis=1))
 
 
 def test_project_sphere_examples():
@@ -89,7 +87,7 @@ def test_kernel_symbol_is_the_p2_gradient(dim, M):
     shape, axes = (M,) * dim, tuple(range(dim))
     via_symbol = np.fft.irfftn(m[..., None] * np.fft.rfftn(v.reshape(shape + (3,)), axes=axes),
                                s=shape, axes=axes).reshape(v.shape)
-    grad = energy_gradient(VectorField(grid=g, components=3, samples=v), params).samples
+    grad = energy_gradient(VectorField(grid=g, samples=v), params).samples
     assert np.abs(via_symbol - grad).max() <= 1e-12 * np.abs(grad).max()
 
 
@@ -211,7 +209,7 @@ def test_minimize_counts_its_evaluations(monkeypatch):
 
 def test_minimize_constant_field_is_already_critical():
     g = make_grid(1, 16, TWO_PI)
-    u0 = VectorField(grid=g, components=2, samples=np.tile([0.6, 0.8], (16, 1)))
+    u0 = VectorField(grid=g, samples=np.tile([0.6, 0.8], (16, 1)))
     params = EnergyParams(s=0.5, p=2.0)
     u, report = minimize(u0, params, SolverConfig())
     assert report.converged and report.iterations == 0
@@ -251,8 +249,7 @@ def test_minimize_equivariance_under_exact_rotation():
     cfg = SolverConfig(max_iters=200, grad_tol=1e-12)
     u0 = _winding(g)
     Q = np.array([[0.0, -1.0], [1.0, 0.0]])
-    u0_rot = VectorField(grid=g, components=2, samples=u0.samples @ Q.T,
-                         unit_constrained=True)
+    u0_rot = VectorField(grid=g, samples=u0.samples @ Q.T)
     ua, ra = minimize(u0, params, cfg)
     ub, rb = minimize(u0_rot, params, cfg)
     assert ra.iterations == rb.iterations
@@ -269,9 +266,7 @@ def test_minimize_equivariance_under_generic_rotation():
     phi = 0.7
     Q = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
     u0 = _winding(g)
-    u0_rot = VectorField(grid=g, components=2,
-                         samples=project_sphere(u0.samples @ Q.T),
-                         unit_constrained=True)
+    u0_rot = VectorField(grid=g, samples=project_sphere(u0.samples @ Q.T))
     ua, _ = minimize(u0, params, cfg)
     ub, _ = minimize(u0_rot, params, cfg)
     np.testing.assert_allclose(ub.samples, ua.samples @ Q.T, atol=1e-8)
@@ -285,9 +280,7 @@ def test_minimize_restart_returns_to_same_level():
     e_star = report.energy_trace[-1]
     rng = np.random.default_rng(43)
     noise = tangent_project(1e-4 * rng.normal(size=u.samples.shape), u.samples)
-    perturbed = VectorField(grid=g, components=2,
-                            samples=project_sphere(u.samples + noise),
-                            unit_constrained=True)
+    perturbed = VectorField(grid=g, samples=project_sphere(u.samples + noise))
     _, report2 = minimize(perturbed, params, cfg)
     assert report2.converged
     assert abs(report2.energy_trace[-1] - e_star) <= 1e-8 * max(1.0, abs(e_star))
@@ -305,7 +298,7 @@ def test_minimize_reports_stall_honestly():
     assert len(report.grad_trace) == len(report.energy_trace)
     trace = np.array(report.energy_trace)
     assert np.all(np.diff(trace) <= 0.0)
-    e_final = energy(VectorField(grid=g, components=2, samples=u.samples), params)
+    e_final = energy(VectorField(grid=g, samples=u.samples), params)
     np.testing.assert_allclose(e_final, trace[-1], rtol=1e-12)
 
 
@@ -330,7 +323,7 @@ def test_minimize_returns_its_el_suite():
 def test_el_residual_suite_structure():
     g = make_grid(1, 32, TWO_PI)
     params = EnergyParams(s=0.5, p=2.0)
-    const = VectorField(grid=g, components=2, samples=np.tile([1.0, 0.0], (32, 1)))
+    const = VectorField(grid=g, samples=np.tile([1.0, 0.0], (32, 1)))
     suite = el_residual_suite(const, params)
     assert suite.max_abs == 0.0
     n_bumps = len(bump_basis(g))
@@ -343,7 +336,7 @@ def test_el_residual_suite_maximum_keeps_nan():
     g = make_grid(1, 16, TWO_PI)
     samples = np.tile([1.0, 0.0], (16, 1))
     samples[5, 1] = np.nan
-    u = VectorField(grid=g, components=2, samples=samples)
+    u = VectorField(grid=g, samples=samples)
     with np.errstate(invalid="ignore"):
         suite = el_residual_suite(u, EnergyParams(s=0.5, p=2.0))
     assert np.isnan(suite.max_abs)
@@ -360,9 +353,7 @@ def test_el_suite_tests_each_generator_of_so_n_once():
                 assert not np.array_equal(wi, -wj)
     g = make_grid(1, 32, TWO_PI)
     rng = np.random.default_rng(5)
-    u = VectorField(grid=g, components=3,
-                    samples=project_sphere(rng.normal(size=(32, 3)) + [2.0, 0.0, 0.0]),
-                    unit_constrained=True)
+    u = VectorField(grid=g, samples=project_sphere(rng.normal(size=(32, 3)) + [2.0, 0.0, 0.0]))
     params = EnergyParams(s=0.5, p=2.5)
     suite = el_residual_suite(u, params)
     labels = [(phi_label, om_label) for phi_label, om_label, _ in suite.entries]
