@@ -44,6 +44,7 @@ from fracmap.solver import (
     minimize,
     project_sphere,
 )
+from oracles import lag_kernel, naive_el_residual, naive_energy, naive_t_operator, unit_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,20 +54,13 @@ def _verdict(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _unit_field(grid, seed, components=2):
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(grid.n_sites, components))
-    raw += np.array([2.0] + [0.0] * (components - 1))
-    return VectorField(grid=grid, samples=project_sphere(raw))
-
-
 def test_criterion_1_gradient_exactness():
     t0 = time.perf_counter()
     g = make_grid(1, 64, TWO_PI)
     params = EnergyParams(s=0.5, p=2.0)
     worst = 0.0
     for k in range(20):
-        u = _unit_field(g, seed=1000 + k)
+        u = unit_field(g, seed=1000 + k)
         rng = np.random.default_rng(2000 + k)
         psi_raw = rng.normal(size=(64, 2))
         psi = VectorField(grid=g, samples=psi_raw)
@@ -86,117 +80,51 @@ def test_criterion_1_gradient_exactness():
              f"{worst:.3e} (tol 1e-6), {wall:.1f}s (budget 30s)")
 
 
-def _naive_energy(samples, coords, L, h, n, s, p, mask=None):
-    S = samples.shape[0]
-    total = 0.0
-    for i in range(S):
-        if mask is not None and not mask[i]:
-            continue
-        for j in range(S):
-            if j == i or (mask is not None and not mask[j]):
-                continue
-            diff = np.abs(coords[i] - coords[j])
-            diff = np.minimum(diff, L - diff)
-            d = np.sqrt((diff ** 2).sum())
-            du2 = float(((samples[i] - samples[j]) ** 2).sum())
-            total += h ** (2 * n) * du2 ** (p / 2.0) / d ** (n + s * p)
-    return total
-
-
-def _naive_el(samples, phi, omega, coords, L, h, n, s, p):
-    S = samples.shape[0]
-    total = 0.0
-    for i in range(S):
-        for j in range(S):
-            if j == i:
-                continue
-            diff = np.abs(coords[i] - coords[j])
-            diff = np.minimum(diff, L - diff)
-            d = np.sqrt((diff ** 2).sum())
-            du = samples[i] - samples[j]
-            q = (omega @ samples[i]) * phi[i] - (omega @ samples[j]) * phi[j]
-            mag = np.sqrt((du ** 2).sum())
-            if mag == 0.0:
-                continue
-            total += h ** (2 * n) * mag ** (p - 2.0) * float(du @ q) / d ** (n + s * p)
-    return total
-
-
-def _naive_t(samples, coords, L, h, n, s, p, t, mask=None):
-    S, N = samples.shape
-    out = np.zeros((S, N))
-    for iz in range(S):
-        for i in range(S):
-            if mask is not None and not mask[i]:
-                continue
-            for j in range(S):
-                if j == i or (mask is not None and not mask[j]):
-                    continue
-                diff = np.abs(coords[i] - coords[j])
-                diff = np.minimum(diff, L - diff)
-                d = np.sqrt((diff ** 2).sum())
-                du = samples[i] - samples[j]
-                mag = np.sqrt((du ** 2).sum())
-                if mag == 0.0:
-                    continue
-                w = h ** (2 * n) * mag ** (p - 2.0) / d ** (n + s * p)
-                kap = []
-                for other in (i, j):
-                    dz = np.abs(coords[other] - coords[iz])
-                    dz = np.minimum(dz, L - dz)
-                    dz = np.sqrt((dz ** 2).sum())
-                    kap.append(0.0 if dz == 0.0 else dz ** (t - n))
-                out[iz] += w * du * (kap[0] - kap[1])
-    return out
-
-
 def test_criterion_2_brute_force_oracles():
     t0 = time.perf_counter()
     worst = 0.0
 
     # 1d, M = 16, full torus and a ball region
     g1 = make_grid(1, 16, TWO_PI)
-    u1 = _unit_field(g1, seed=3001)
-    c1 = site_coords(g1)
+    u1 = unit_field(g1, seed=3001)
     params = EnergyParams(s=0.5, p=2.0)
     hier = BallHierarchy(grid=g1, center=(np.pi,), base_radius=1.2,
                          level_max=0)
     mask = ball_mask(hier, 0)
 
-    want = _naive_energy(u1.samples, c1, TWO_PI, g1.h, 1, 0.5, 2.0)
+    want = naive_energy(g1, u1.samples, 0.5, 2.0)
     got = energy(u1, params)
     worst = max(worst, abs(got - want) / abs(want))
 
-    want = _naive_energy(u1.samples, c1, TWO_PI, g1.h, 1, 0.5, 2.0, mask=mask)
+    want = naive_energy(g1, u1.samples, 0.5, 2.0, mask=mask)
     got = energy(u1, params, region=mask)
     worst = max(worst, abs(got - want) / abs(want))
 
-    x1 = c1[:, 0]
-    phi = np.cos(x1)
+    phi = np.cos(site_coords(g1)[:, 0])
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    want = _naive_el(u1.samples, phi, omega, c1, TWO_PI, g1.h, 1, 0.5, 2.0)
+    want = naive_el_residual(g1, u1.samples, phi, omega, 0.5, 2.0)
     got = el_residual(u1, ScalarField(grid=g1, samples=phi), omega, params)
     worst = max(worst, abs(got - want) / max(1.0, abs(want)))
 
-    want = _naive_t(u1.samples, c1, TWO_PI, g1.h, 1, 0.5, 2.0, 0.45)
+    k1 = lag_kernel(g1, lambda d: d ** (0.45 - 1))
+    want = naive_t_operator(g1, u1.samples, 0.5, 2.0, k1)
     got = t_operator(u1, 0.45, params).samples
     denom = max(1.0, np.abs(want).max())
     worst = max(worst, np.abs(got - want).max() / denom)
 
-    want = _naive_t(u1.samples, c1, TWO_PI, g1.h, 1, 0.5, 2.0, 0.45, mask=mask)
+    want = naive_t_operator(g1, u1.samples, 0.5, 2.0, k1, mask=mask)
     got = t_operator(u1, 0.45, params, region=mask).samples
     worst = max(worst, np.abs(got - want).max() / denom)
 
     # 2d, M = 8, critical exponent p = n/s = 4
     g2 = make_grid(2, 8, TWO_PI)
-    u2 = _unit_field(g2, seed=3002, components=3)
-    c2 = site_coords(g2)
+    u2 = unit_field(g2, seed=3002, components=3)
     params2 = EnergyParams(s=0.5, p=4.0)
-    want = _naive_energy(u2.samples, c2, TWO_PI, g2.h, 2, 0.5, 4.0)
+    want = naive_energy(g2, u2.samples, 0.5, 4.0)
     got = energy(u2, params2)
     worst = max(worst, abs(got - want) / abs(want))
 
-    want = _naive_t(u2.samples, c2, TWO_PI, g2.h, 2, 0.5, 4.0, 0.45)
+    want = naive_t_operator(g2, u2.samples, 0.5, 4.0, lag_kernel(g2, lambda d: d ** (0.45 - 2)))
     got = t_operator(u2, 0.45, params2).samples
     worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
 

@@ -1,9 +1,5 @@
-"""Oracle tests for the pair energy and its variations.
-
-The naive_* helpers below re-implement everything with explicit Python
-loops over sites, straight from the definitions. They share no code with
-the vectorized module, so agreement is a real check.
-"""
+"""The pair energy and its variations against the naive loops of
+oracles.py and against bit-for-bit reference passes."""
 import tracemalloc
 
 import numpy as np
@@ -38,101 +34,20 @@ from fracmap.grid import (
     torus_dist,
 )
 from fracmap.solver import project_sphere
+from oracles import (
+    lag_kernel,
+    lag_table,
+    lag_weights,
+    naive_change_longdouble,
+    naive_el_residual,
+    naive_energy,
+    naive_flux,
+    naive_t_operator,
+    ordered_pairs,
+    unit_field,
+)
 
 TWO_PI = 2.0 * np.pi
-
-
-def _min_image(dx, L):
-    dx = abs(dx)
-    return min(dx, L - dx)
-
-
-def _dist(xi, xj, L):
-    return np.sqrt(sum(_min_image(a - b, L) ** 2 for a, b in zip(xi, xj)))
-
-
-def naive_energy(samples, coords, L, h, n, s, p, mask=None):
-    S = samples.shape[0]
-    total = 0.0
-    for i in range(S):
-        if mask is not None and not mask[i]:
-            continue
-        for j in range(S):
-            if j == i or (mask is not None and not mask[j]):
-                continue
-            d = _dist(coords[i], coords[j], L)
-            du2 = float(((samples[i] - samples[j]) ** 2).sum())
-            total += h ** (2 * n) * du2 ** (p / 2.0) / d ** (n + s * p)
-    return total
-
-
-def naive_el_residual(samples, phi, omega, coords, L, h, n, s, p, mask=None):
-    S = samples.shape[0]
-    total = 0.0
-    for i in range(S):
-        if mask is not None and not mask[i]:
-            continue
-        for j in range(S):
-            if j == i or (mask is not None and not mask[j]):
-                continue
-            d = _dist(coords[i], coords[j], L)
-            du = samples[i] - samples[j]
-            q = (omega @ samples[i]) * phi[i] - (omega @ samples[j]) * phi[j]
-            mag = np.sqrt((du ** 2).sum())
-            if mag == 0.0:
-                continue
-            total += h ** (2 * n) * mag ** (p - 2.0) * float(du @ q) / d ** (n + s * p)
-    return total
-
-
-def naive_flux(samples, coords, L, h, n, s, p, mask=None):
-    """G(x) = sum_{y in B, y != x} w_xy |du|^{p-2} du for x in B, zero
-    elsewhere; a term with du = 0 is 0, also for p < 2."""
-    S = samples.shape[0]
-    out = np.zeros_like(samples)
-    for i in range(S):
-        if mask is not None and not mask[i]:
-            continue
-        for j in range(S):
-            if j == i or (mask is not None and not mask[j]):
-                continue
-            du = samples[i] - samples[j]
-            mag = np.sqrt((du ** 2).sum())
-            if mag == 0.0:
-                continue
-            d = _dist(coords[i], coords[j], L)
-            out[i] += h ** (2 * n) * mag ** (p - 2.0) * du / d ** (n + s * p)
-    return out
-
-
-def naive_t_operator(samples, coords, L, h, n, s, p, kap, mask=None):
-    """kap(xi, xj) -> kernel value; must return 0 at zero separation."""
-    S = samples.shape[0]
-    N = samples.shape[1]
-    out = np.zeros((S, N))
-    for iz in range(S):
-        for i in range(S):
-            if mask is not None and not mask[i]:
-                continue
-            for j in range(S):
-                if j == i or (mask is not None and not mask[j]):
-                    continue
-                d = _dist(coords[i], coords[j], L)
-                du = samples[i] - samples[j]
-                mag = np.sqrt((du ** 2).sum())
-                if mag == 0.0:
-                    continue
-                w = h ** (2 * n) / d ** (n + s * p)
-                pair = w * mag ** (p - 2.0) * du
-                out[iz] += pair * (kap(coords[i], coords[iz]) - kap(coords[j], coords[iz]))
-    return out
-
-
-def _unit_field(grid, seed, components=2):
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(grid.n_sites, components))
-    raw += np.array([2.0] + [0.0] * (components - 1))  # keep away from the origin
-    return VectorField(grid=grid, samples=project_sphere(raw))
 
 
 def test_params_validation():
@@ -161,12 +76,12 @@ def test_flux_below_p_2_takes_coincident_samples_as_zero_terms():
     # |du|^{p-2} is infinite where u(x) = u(y); its term |du|^{p-2} du,
     # of size |du|^{p-1}, is 0 there
     g = make_grid(1, 16, TWO_PI)
-    u = _unit_field(g, seed=47)
+    u = unit_field(g, seed=47)
     samples = u.samples.copy()
     samples[[3, 4, 9, 12]] = samples[3]
     u = VectorField(grid=g, samples=samples)
     params = EnergyParams(s=0.6, p=1.5)
-    want = naive_flux(u.samples, site_coords(g), g.box_length, g.h, 1, 0.6, 1.5)
+    want = naive_flux(g, u.samples, 0.6, 1.5)
     got = pair_flux(u, params).samples
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -174,48 +89,45 @@ def test_flux_below_p_2_takes_coincident_samples_as_zero_terms():
 
 def test_energy_matches_naive_loop_1d():
     g = make_grid(1, 16, TWO_PI)
-    u = _unit_field(g, seed=11)
-    coords = site_coords(g)
+    u = unit_field(g, seed=11)
     for s, p in [(0.5, 2.0), (0.35, 3.0), (0.6, 1.5)]:
         params = EnergyParams(s=s, p=p)
-        want = naive_energy(u.samples, coords, g.box_length, g.h, 1, s, p)
+        want = naive_energy(g, u.samples, s, p)
         got = energy(u, params)
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_energy_matches_naive_loop_2d():
     g = make_grid(2, 8, TWO_PI)
-    u = _unit_field(g, seed=12, components=3)
-    coords = site_coords(g)
+    u = unit_field(g, seed=12, components=3)
     params = EnergyParams(s=0.5, p=2.0)
-    want = naive_energy(u.samples, coords, g.box_length, g.h, 2, 0.5, 2.0)
+    want = naive_energy(g, u.samples, 0.5, 2.0)
     got = energy(u, params)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_energy_region_matches_naive_loop():
     g = make_grid(1, 16, TWO_PI)
-    u = _unit_field(g, seed=13)
+    u = unit_field(g, seed=13)
     hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=1.0, level_max=1)
     mask = ball_mask(hier, 1)
     params = EnergyParams(s=0.5, p=2.0)
-    want = naive_energy(u.samples, site_coords(g), g.box_length, g.h, 1, 0.5, 2.0, mask=mask)
+    want = naive_energy(g, u.samples, 0.5, 2.0, mask=mask)
     got = energy(u, params, region=mask)
     assert abs(got - want) <= 1e-12 * abs(want)
     # a 2d ball centred at the origin crosses both seams, so its pairs come
     # from lag windows that wrap around the torus
     g = make_grid(2, 8, TWO_PI)
-    u = _unit_field(g, seed=33, components=3)
+    u = unit_field(g, seed=33, components=3)
     hier = BallHierarchy(grid=g, center=(0.0, 0.0), base_radius=1.0, level_max=1)
     mask = ball_mask(hier, 1)
     assert mask[0] and mask[g.n_sites - 1] and not mask.all()
-    coords = site_coords(g)
     for p in (2.0, 3.0):
         params = EnergyParams(s=0.5, p=p)
-        want = naive_energy(u.samples, coords, g.box_length, g.h, 2, 0.5, p, mask=mask)
+        want = naive_energy(g, u.samples, 0.5, p, mask=mask)
         got = energy(u, params, region=mask)
         assert abs(got - want) <= 1e-12 * abs(want)
-        want = naive_flux(u.samples, coords, g.box_length, g.h, 2, 0.5, p, mask=mask)
+        want = naive_flux(g, u.samples, 0.5, p, mask=mask)
         got = pair_flux(u, params, region=mask).samples
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         assert not got[~mask].any()
@@ -224,7 +136,7 @@ def test_energy_region_matches_naive_loop():
 def test_energy_scaling_homogeneity():
     # E(lam * u) = |lam|^p E(u)
     g = make_grid(1, 32, TWO_PI)
-    u = _unit_field(g, seed=14)
+    u = unit_field(g, seed=14)
     for p in (2.0, 3.0):
         params = EnergyParams(s=0.5, p=p)
         base = energy(u, params)
@@ -234,7 +146,7 @@ def test_energy_scaling_homogeneity():
 
 def test_energy_translation_invariance():
     g = make_grid(1, 32, TWO_PI)
-    u = _unit_field(g, seed=15)
+    u = unit_field(g, seed=15)
     params = EnergyParams(s=0.5, p=2.0)
     rolled = VectorField(grid=g, samples=np.roll(u.samples, 5, axis=0))
     np.testing.assert_allclose(energy(rolled, params), energy(u, params), rtol=1e-13)
@@ -246,7 +158,7 @@ def test_energy_and_gradient_stay_below_one_dense_pair_array():
     # exponent 2 + 0.55 * 4.1 is built by no other test, so the kernel
     # build falls inside the measurement
     g = make_grid(2, 32, TWO_PI)
-    u = _unit_field(g, seed=34, components=3)
+    u = unit_field(g, seed=34, components=3)
     params = EnergyParams(s=0.55, p=4.1)
     tracemalloc.start()
     try:
@@ -262,16 +174,15 @@ def test_seminorm_power_equals_scalar_energy():
     g = make_grid(1, 16, TWO_PI)
     x = site_coords(g)[:, 0]
     f = ScalarField(grid=g, samples=np.cos(x) + 0.3 * np.sin(2 * x))
-    coords = site_coords(g)
     for s, p in [(0.5, 2.0), (0.45, 1.8)]:
         sn = seminorm(f, s, p)
-        want = naive_energy(f.samples[:, None], coords, g.box_length, g.h, 1, s, p)
+        want = naive_energy(g, f.samples[:, None], s, p)
         np.testing.assert_allclose(sn ** p, want, rtol=1e-12)
 
 
 def test_gradient_matches_finite_differences():
     g = make_grid(1, 16, TWO_PI)
-    u = _unit_field(g, seed=17)
+    u = unit_field(g, seed=17)
     params = EnergyParams(s=0.5, p=1.5)
     grad = energy_gradient(u, params)
     rng = np.random.default_rng(18)
@@ -287,7 +198,7 @@ def test_gradient_matches_finite_differences():
 
 def test_first_variation_vanishes_for_radial_directions():
     g = make_grid(1, 32, TWO_PI)
-    u = _unit_field(g, seed=19)
+    u = unit_field(g, seed=19)
     params = EnergyParams(s=0.5, p=2.0)
     rng = np.random.default_rng(20)
     radial = u.samples * rng.normal(size=(g.n_sites, 1))
@@ -297,7 +208,7 @@ def test_first_variation_vanishes_for_radial_directions():
 
 def test_el_residual_matches_naive_loop():
     g = make_grid(1, 16, TWO_PI)
-    u = _unit_field(g, seed=21)
+    u = unit_field(g, seed=21)
     x = site_coords(g)[:, 0]
     phi = np.cos(x)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -306,14 +217,13 @@ def test_el_residual_matches_naive_loop():
     ball = ball_mask(BallHierarchy(grid=g, center=(np.pi,), base_radius=1.2, level_max=0), 0)
     for mask, got in ((None, el_residual(u, phif, omega, params)),
                       (ball, el_pairing(u, pair_flux(u, params, region=ball), phif, omega))):
-        want = naive_el_residual(u.samples, phi, omega, site_coords(g), g.box_length, g.h,
-                                 1, 0.5, 2.0, mask=mask)
+        want = naive_el_residual(g, u.samples, phi, omega, 0.5, 2.0, mask=mask)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_el_residual_sign_and_zero_cases():
     g = make_grid(1, 16, TWO_PI)
-    u = _unit_field(g, seed=22)
+    u = unit_field(g, seed=22)
     x = site_coords(g)[:, 0]
     phi = ScalarField(grid=g, samples=np.sin(x))
     omega = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -328,7 +238,7 @@ def test_el_residual_sign_and_zero_cases():
 
 def test_el_residual_rejects_bad_generator():
     g = make_grid(1, 8, TWO_PI)
-    u = _unit_field(g, seed=23)
+    u = unit_field(g, seed=23)
     phi = ScalarField(grid=g, samples=np.ones(8))
     params = EnergyParams(s=0.5, p=2.0)
     with pytest.raises(ValueError):
@@ -339,16 +249,10 @@ def test_el_residual_rejects_bad_generator():
 
 def test_t_operator_exact_matches_naive_loop():
     g = make_grid(1, 16, TWO_PI)
-    u = _unit_field(g, seed=24)
+    u = unit_field(g, seed=24)
     params = EnergyParams(s=0.5, p=2.0)
     t = 0.45
-    L = g.box_length
-
-    def kap(xi, xz):
-        d = _dist(xi, xz, L)
-        return 0.0 if d == 0.0 else d ** (t - 1.0)
-
-    want = naive_t_operator(u.samples, site_coords(g), L, g.h, 1, 0.5, 2.0, kap)
+    want = naive_t_operator(g, u.samples, 0.5, 2.0, lag_kernel(g, lambda d: d ** (t - 1.0)))
     got = t_operator(u, t, params)
     np.testing.assert_allclose(got.samples, want, rtol=1e-12, atol=1e-14)
 
@@ -358,16 +262,11 @@ def test_t_operator_region_matches_naive_loop():
     t = 0.45
     for g in (make_grid(1, 16, TWO_PI), make_grid(2, 8, TWO_PI)):
         n = g.dim
-        u = _unit_field(g, seed=25)
-        L = g.box_length
+        u = unit_field(g, seed=25)
         hier = BallHierarchy(grid=g, center=(np.pi,) * n, base_radius=1.2, level_max=0)
         mask = ball_mask(hier, 0)
-
-        def kap(xi, xz):
-            d = _dist(xi, xz, L)
-            return 0.0 if d == 0.0 else d ** (t - n)
-
-        want = naive_t_operator(u.samples, site_coords(g), L, g.h, n, 0.5, 2.0, kap, mask=mask)
+        kernel = lag_kernel(g, lambda d: d ** (t - n))
+        want = naive_t_operator(g, u.samples, 0.5, 2.0, kernel, mask=mask)
         got = t_operator(u, t, params, region=mask)
         np.testing.assert_allclose(got.samples, want, rtol=1e-12, atol=1e-14)
 
@@ -378,17 +277,11 @@ def test_t_operator_duality_mode_matches_naive_loop():
     from fracmap.energy import _kappa_duality_1d, _riesz_correlation, pair_flux
 
     g = make_grid(1, 16, TWO_PI)
-    u = _unit_field(g, seed=26)
+    u = unit_field(g, seed=26)
     params = EnergyParams(s=0.5, p=2.0)
     t = 0.45
     karr = _kappa_duality_1d(g, t)
-    L = g.box_length
-
-    def kap(xi, xz):
-        j = int(round(_min_image_signed(xi[0] - xz[0], L) / g.h)) % g.points_per_axis
-        return karr[j]
-
-    want = naive_t_operator(u.samples, site_coords(g), L, g.h, 1, 0.5, 2.0, kap)
+    want = naive_t_operator(g, u.samples, 0.5, 2.0, karr)
     got = _riesz_correlation(g, pair_flux(u, params).samples, karr)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -452,14 +345,6 @@ def test_duality_kernel_build_makes_no_hurwitz_zeta_call(monkeypatch):
     assert calls and set(calls) == {1}
 
 
-def _min_image_signed(dx, L):
-    while dx <= -L / 2:
-        dx += L
-    while dx > L / 2:
-        dx -= L
-    return dx
-
-
 def test_duality_identity_at_fixture():
     # winding-type field and a mixed-mode test function; the relative gap
     # must sit at the cell-averaging floor and shrink under refinement
@@ -502,24 +387,19 @@ def test_holefill_difference_is_cross_term_sum():
     # E(B_L) - E(B_K) counts exactly the ordered pairs that touch the ring,
     # so the identity below is termwise and holds to machine precision
     g = make_grid(1, 32, TWO_PI)
-    u = _unit_field(g, seed=28)
+    u = unit_field(g, seed=28)
     params = EnergyParams(s=0.5, p=2.0)
     hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.5, level_max=2)
     inner = ball_mask(hier, 0)
     outer = ball_mask(hier, 2)
     e_outer = energy(u, params, region=outer)
     e_inner = energy(u, params, region=inner)
-    coords = site_coords(g)
+    w = lag_weights(g, 0.5, 2.0)[lag_table(g)]
     cross = 0.0
-    for i in range(g.n_sites):
-        for j in range(g.n_sites):
-            if i == j or not (outer[i] and outer[j]):
-                continue
-            if inner[i] and inner[j]:
-                continue
-            d = _dist(coords[i], coords[j], g.box_length)
-            du2 = float(((u.samples[i] - u.samples[j]) ** 2).sum())
-            cross += g.h ** 2 * du2 / d ** 2
+    for i, j in ordered_pairs(g.n_sites, outer):
+        if inner[i] and inner[j]:
+            continue
+        cross += w[i, j] * float(((u.samples[i] - u.samples[j]) ** 2).sum())
     np.testing.assert_allclose(e_outer - e_inner, cross, rtol=1e-12)
 
 
@@ -529,24 +409,19 @@ def test_holefill_sides_match_naive_loops(p):
     # lhs sums x in B_L, y in the ring B_L minus B_K; rhs = E(B_L) - E(B_K)
     # is every ordered pair of B_L that is not a pair of B_K
     g = make_grid(1, 32, TWO_PI)
-    u = _unit_field(g, seed=32)
+    u = unit_field(g, seed=32)
     params = EnergyParams(s=0.5, p=p)
     hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.4, level_max=2)
     inner = ball_mask(hier, 0)
     outer = ball_mask(hier, 2)
-    coords = site_coords(g)
+    w = lag_weights(g, 0.5, p)[lag_table(g)]
     lhs_want = rhs_want = 0.0
-    for i in range(g.n_sites):
-        for j in range(g.n_sites):
-            if i == j or not (outer[i] and outer[j]):
-                continue
-            d = _dist(coords[i], coords[j], g.box_length)
-            du2 = float(((u.samples[i] - u.samples[j]) ** 2).sum())
-            term = g.h ** 2 * du2 ** (p / 2.0) / d ** (1 + 0.5 * p)
-            if not inner[j]:
-                lhs_want += term
-            if not (inner[i] and inner[j]):
-                rhs_want += term
+    for i, j in ordered_pairs(g.n_sites, outer):
+        term = w[i, j] * float(((u.samples[i] - u.samples[j]) ** 2).sum()) ** (p / 2.0)
+        if not inner[j]:
+            lhs_want += term
+        if not (inner[i] and inner[j]):
+            rhs_want += term
     lhs, rhs, ok = holefill_check(u, hier, 0, 2, params)
     assert ok and lhs < rhs
     np.testing.assert_allclose(lhs, lhs_want, rtol=1e-12)
@@ -558,37 +433,16 @@ def test_folded_passes_match_naive_loops_2d_random_region():
     # and (4, 4), which the passes count once; a random region breaks every
     # symmetry a ball would have
     g = make_grid(2, 8, TWO_PI)
-    u = _unit_field(g, seed=35, components=3)
-    coords = site_coords(g)
+    u = unit_field(g, seed=35, components=3)
     mask = np.random.default_rng(36).random(g.n_sites) < 0.5
     for p in (2.0, 3.0, 4.0, 1.5):
         params = EnergyParams(s=0.5, p=p)
         for region in (None, mask):
-            want = naive_energy(u.samples, coords, g.box_length, g.h, 2, 0.5, p, mask=region)
+            want = naive_energy(g, u.samples, 0.5, p, mask=region)
             assert abs(energy(u, params, region=region) - want) <= 1e-12 * abs(want)
-            want = naive_flux(u.samples, coords, g.box_length, g.h, 2, 0.5, p, mask=region)
+            want = naive_flux(g, u.samples, 0.5, p, mask=region)
             got = pair_flux(u, params, region=region).samples
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-
-def _naive_change_longdouble(u, v, g, s, p):
-    """E(v) - E(u) as one double loop over ordered pairs in long double.
-    Per pair, a - b = |D_v|^2 - |D_u|^2 is (D_v - D_u) . (D_v + D_u) with
-    D_v - D_u formed from v - u, and a^q - b^q = b^q expm1(q log1p((a - b) / b))."""
-    coords = site_coords(g)
-    U, V = u.astype(np.longdouble), v.astype(np.longdouble)
-    q = np.longdouble(p / 2.0)
-    total = np.longdouble(0.0)
-    for i in range(g.n_sites):
-        for j in range(g.n_sites):
-            if i == j:
-                continue
-            d = np.longdouble(_dist(coords[i], coords[j], g.box_length))
-            w = np.longdouble(g.h) ** (2 * g.dim) / d ** np.longdouble(g.dim + s * p)
-            delta = ((V[i] - U[i]) - (V[j] - U[j])) @ ((V[i] + U[i]) - (V[j] + U[j]))
-            b = ((U[i] - U[j]) ** 2).sum()
-            total += w * b**q * np.expm1(q * np.log1p(delta / b))
-    return total
 
 
 # ids as when each case also named a regularizer, which the energy no longer has
@@ -596,11 +450,11 @@ def _naive_change_longdouble(u, v, g, s, p):
 @pytest.mark.parametrize("dim, M", [(1, 16), (2, 8)])
 def test_energy_change_is_the_exact_difference(dim, M, p):
     g = make_grid(dim, M, TWO_PI)
-    u = _unit_field(g, seed=37)
+    u = unit_field(g, seed=37)
     params = EnergyParams(s=0.5, p=p)
     assert energy_change(u, u, params) == 0.0
     # well separated: the plain difference of the totals is accurate
-    far = _unit_field(g, seed=38)
+    far = unit_field(g, seed=38)
     plain = energy(far, params) - energy(u, params)
     assert abs(energy_change(u, far, params) - plain) <= 1e-12 * abs(plain)
     # 1e-9 apart: the totals share all but their last digits, the change
@@ -608,7 +462,7 @@ def test_energy_change_is_the_exact_difference(dim, M, p):
     rng = np.random.default_rng(39)
     near = VectorField(grid=g,
                        samples=project_sphere(u.samples + 1e-9 * rng.normal(size=u.samples.shape)))
-    want = float(_naive_change_longdouble(u.samples, near.samples, g, 0.5, p))
+    want = float(naive_change_longdouble(g, u.samples, near.samples, 0.5, p))
     plain = energy(near, params) - energy(u, params)
     assert abs(plain - want) > 1e-9 * abs(want)
     assert abs(energy_change(u, near, params) - want) <= 1e-12 * abs(want)
@@ -632,6 +486,8 @@ def test_pair_kernel_matches_direct_distance_loop():
         half = np.all(np.stack(lag) <= M // 2, axis=0)
         np.testing.assert_array_equal(w[half], want[half])
         np.testing.assert_allclose(w, want, rtol=1e-14)
+        # the one weight the naive loops of oracles.py read is the module's
+        np.testing.assert_array_equal(lag_weights(g, params.s, params.p), w)
 
 
 def test_pair_kernel_built_once_per_process():
@@ -685,7 +541,7 @@ def spectral_fields():
     for dim, M in ((1, 64), (1, 256), (2, 16), (2, 32)):
         g = make_grid(dim, M, TWO_PI)
         for N in (2, 3):
-            fields[f"random-{dim}d-M{M}-N{N}"] = _unit_field(g, seed=50 + M + N, components=N)
+            fields[f"random-{dim}d-M{M}-N{N}"] = unit_field(g, seed=50 + M + N, components=N)
     g = make_grid(2, 32, TWO_PI)
     start = _circle_field(g, band_limited_family(g, 1, 0, max_mode=6)[0].samples)
     fields["band-limited-2d"] = start
@@ -747,8 +603,8 @@ def test_spectral_passes_give_exact_zeros_for_constants():
 def test_only_p4_full_torus_passes_are_spectral():
     # every other pass is the pair pass itself, to the last bit
     g = make_grid(2, 8, TWO_PI)
-    u = _unit_field(g, seed=40, components=3)
-    v = _unit_field(g, seed=45, components=3)
+    u = unit_field(g, seed=40, components=3)
+    v = unit_field(g, seed=45, components=3)
     mask = np.random.default_rng(41).random(g.n_sites) < 0.5
     for p, region in [(2.0, None), (3.0, None), (4.0, mask), (1.5, None)]:
         params = EnergyParams(s=0.5, p=p)
@@ -773,8 +629,8 @@ def test_energy_change_peaks_no_higher_than_the_flux():
     # the flux takes N, so they run half-size lag blocks; every kernel is
     # built before measuring
     g = make_grid(1, 256, TWO_PI)
-    u = _unit_field(g, seed=42)
-    v = _unit_field(g, seed=43)
+    u = unit_field(g, seed=42)
+    v = unit_field(g, seed=43)
     params = EnergyParams(s=0.5, p=3.0)
     mask = np.arange(g.n_sites) < 160
     peaks = []
@@ -812,11 +668,7 @@ def _reference_lags(grid, s, p, u, mask=None):
     M = grid.points_per_axis
     shape = (M,) * grid.dim
     axes = tuple(range(grid.dim))
-    idx = np.stack(np.unravel_index(np.arange(grid.n_sites), shape), axis=-1)
-    d = torus_dist(np.minimum(idx, M - idx) * grid.h, 0.0, grid.box_length)
-    w = np.zeros_like(d)
-    w[d > 0] = grid.h ** (2 * grid.dim) / d[d > 0] ** (grid.dim + s * p)
-    w = w.reshape(shape)
+    w = lag_weights(grid, s, p).reshape(shape)
     U = u.reshape(shape + (u.shape[1],))
 
     def order(z):
@@ -879,7 +731,7 @@ def test_energy_and_gradient_bit_identical_to_reference(dim, M, N, s, p):
     # the pair passes are called directly: at p = 4 the public functions
     # take the spectral route over the whole torus
     g = make_grid(dim, M, TWO_PI)
-    u = _unit_field(g, seed=30 + M + N, components=N)
+    u = unit_field(g, seed=30 + M + N, components=N)
     params = EnergyParams(s=s, p=p)
     mask = np.random.default_rng(31).random(g.n_sites) < 0.6
     assert _pair_energy(u, params) == _reference_energy(g, s, p, u.samples)
