@@ -6,15 +6,18 @@ canonical seeded sample family at seed SEED (kernel_case has none: it
 reports the maximum of a one-variable ratio, whatever the seed),
 multiplies by the safety margin MARGIN, and freezes the result into the
 versioned constants file that ships with the package. The sweeps are
-lab.run_probe's fixed setups, the same ones the `probe` command checks;
-`probe --set seed=N` varies the families. Rerunning reproduces every
-constant within 1e-12 relative, not bit for bit: the packaged file
-predates the lag-by-lag order of the pair sums, and its kernel_case value
-was frozen from a Monte Carlo worst 9.9e-13 below the maximum; it is kept
-as written so that probe artifacts keep their frozen_C values.
+lab.measure_probe's fixed setups, the same ones the `probe` command
+checks; `probe --set seed=N` varies the families. Measuring judges
+nothing, so calibration never reads the packaged file. Rerunning
+reproduces every constant within 1e-12 relative, not bit for bit: the
+packaged file predates the lag-by-lag order of the pair sums, and its
+kernel_case value was frozen from a Monte Carlo worst 9.9e-13 below the
+maximum; it is kept as written so that probe artifacts keep their
+frozen_C values.
 
-The hole-filling comparison is exact (constant 1); it is written without
-calibration so the file covers every probe the CLI can run.
+The hole-filling comparison is exact (constant 1, in EXACT); it is
+written without calibration so the file covers every probe the CLI can
+run.
 """
 from __future__ import annotations
 
@@ -22,21 +25,21 @@ import argparse
 import json
 from pathlib import Path
 
-from .lab import frozen_constants_path, run_probe
-from .reporting import config_hash
+from .lab import frozen_constants_path, measure_probe
+from .reporting import PROBE_NAMES, config_hash
 
 SEED = 0
 MARGIN = 1.5
-CALIBRATED = ("sobolev", "commutator", "kernel_case", "lp_sup", "t1")
+EXACT = {"holefill": 1.0}
 
 
 def calibrate() -> dict:
-    constants = {}
-    for name in CALIBRATED:
-        report = run_probe(name, seed=SEED, bound_const=float("inf"))
-        constants[name] = report.worst_ratio * MARGIN
-        print(f"{name}: worst ratio {report.worst_ratio:.6g} -> frozen {constants[name]:.6g}")
-    constants["holefill"] = 1.0
+    constants = dict(EXACT)
+    for name in PROBE_NAMES:
+        if name not in EXACT:
+            _, worst = measure_probe(name, SEED)
+            constants[name] = worst * MARGIN
+            print(f"{name}: worst ratio {worst:.6g} -> frozen {constants[name]:.6g}")
     return constants
 
 

@@ -56,7 +56,6 @@ from .reporting import (
     emit_verify_report,
     load_config,
     read_field,
-    worst_el_entry,
     write_field,
 )
 from .solver import el_residual_suite, minimize
@@ -180,7 +179,7 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
 
     suite = el_residual_suite(u, params)
     checks["el_residual"] = {"value": suite.max_abs, "tol": EL_TOL, "pass": suite.max_abs <= EL_TOL,
-                             "worst": worst_el_entry(suite)}
+                             "worst": suite.worst}
     outputs = emit_el_table(suite, out, f"verify_{cfg.tag}")
 
     hierarchy = _default_hierarchy(cfg)
@@ -188,10 +187,13 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
     checks["holefill"] = {"lhs": lhs, "rhs": rhs, "pass": bool(hf_ok)}
 
     if cfg.grid.dim == 1:
-        x = site_coords(cfg.grid)[:, 0]
-        phi = ScalarField(
-            grid=cfg.grid, samples=np.cos(2.0 * np.pi * x / cfg.grid.box_length)
-        )
+        # the map's most varying component u_k, mean removed: at a critical
+        # point G = lambda u with lambda = u . G >= 0 and sum_x G = 0, so the
+        # right side 2 gamma sum_x lambda u_k^2 cannot vanish for a
+        # nonconstant map
+        v = u.samples - u.samples.mean(axis=0)
+        spread = list(np.sum(v * v, axis=0))
+        phi = ScalarField(grid=cfg.grid, samples=v[:, spread.index(max(spread))])
         _, _, rel = duality_check(u, phi, t, params)
         checks["duality"] = {"rel_error": rel, "tol": DUALITY_TOL, "pass": rel <= DUALITY_TOL}
     else:

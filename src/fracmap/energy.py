@@ -226,12 +226,6 @@ class PairKernelCache:
         self.half_weights = _half_weights(grid, s, p)
 
 
-@dataclass(frozen=True)
-class ElResidualReport:
-    entries: tuple  # of (label, omega_id, residual)
-    max_abs: float
-
-
 def _sq_norm(dus: list) -> np.ndarray:
     """|du|^2 from one difference array per component, summed in component order."""
     du2 = dus[0] * dus[0]

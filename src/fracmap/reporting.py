@@ -9,11 +9,12 @@ a string, and null is accepted only where the default is None. Value
 ranges are checked by the constructors the values feed (make_grid,
 EnergyParams, SolverConfig, BallHierarchy, and the pair kernel, whose
 float64 range ties the grid to (s, p)), and the seed's sign and the few
-rules that tie keys together (critical p = n/s, the admissible t window, a
-non-empty selection of distinct known probes) by parse_config. Every
+rules that tie keys together (critical p = n/s, the admissible t window,
+a p whose largest unit-map energy S 2^p sum_z w(z) has a finite square,
+a non-empty selection of distinct known probes) by parse_config. Every
 violation raises ConfigError naming the offending key. `probes` picks
 which probes run, from PROBE_NAMES; no key reaches a probe's setup, which
-is fixed by its frozen constant (lab.run_probe). The canonical input
+is fixed by its frozen constant (lab.measure_probe). The canonical input
 document, without defaults, is kept as RunConfig.raw: its config_hash tags
 the artifact file names.
 PROBE_NAMES, DECAY_MIN_LEVELS and config_hash live here, on the config
@@ -219,7 +220,13 @@ def parse_config(doc: dict) -> RunConfig:
         as_config_error("energy.t", _validate_t, e["t"], params)
     # the pair weights tie the grid to the energy's (s, p): build the run's
     # kernel, which checks its own range; the first pass reuses it
-    as_config_error("grid", _pair_weights, grid, params.s, params.p)
+    w = as_config_error("grid", _pair_weights, grid, params.s, params.p)
+    # |du| <= 2 on the sphere, so no unit map has an energy above
+    # S 2^p sum_z w(z); the descent squares numbers of that size, and a
+    # float64 square is finite below 2^1024
+    if not grid.n_sites * float(np.sum(w)) < 2.0 ** (512.0 - params.p):
+        raise ConfigError(f"energy: p = {params.p:g} lets a unit map's energy pass 2^512, "
+                          f"whose square is outside the float64 range")
 
     solver = as_config_error("solver", SolverConfig, **c["solver"])
 
@@ -452,22 +459,13 @@ def _write_csv(path, header: str, rows):
     return path
 
 
-def worst_el_entry(suite) -> dict | None:
-    """The first entry of an ElResidualReport with its largest residual,
-    keyed as the EL table's columns; None when it is empty."""
-    if not suite.entries:
-        return None
-    phi_label, om_label, val = max(suite.entries, key=lambda entry: entry[2])
-    return {"test_function": phi_label, "generator": om_label, "residual": float(val)}
-
-
 def emit_solve_report(report, out_dir, tag: str) -> list:
     """SolveReport -> JSON summary + energy-trace CSV. Returns the paths."""
     summary = {
         "iterations": report.iterations,
         "final_grad_norm": report.final_grad_norm,
         "final_el_residual_max": report.final_el_residual_max,
-        "worst_el_entry": worst_el_entry(report.el_suite),
+        "worst_el_entry": report.el_suite.worst,
         "converged": report.converged,
         "stop_reason": report.stop_reason,
         "energy_changes": report.energy_changes,

@@ -49,6 +49,12 @@ that same candidate again, so the solve stops there with
 line_search_stalled at the current iterate. The rule has no trial
 budget: from any STEP0 the search halves until it accepts or until the
 step vanishes in the rounding of u, which a finite d always reaches.
+
+The returned field's EL suite is an ElResidualReport, built here by
+el_residual_suite and holding its entries only. Its worst entry and its
+maximum are read off those entries by one rule, the first NaN entry, else
+the first largest one: a NaN residual is the suite's worst entry and its
+maximum, and fails every verdict that reads them.
 """
 from __future__ import annotations
 
@@ -57,7 +63,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (
-    ElResidualReport,
     EnergyParams,
     _pair_symbol,
     el_pairing,
@@ -85,6 +90,30 @@ class SolverConfig:
             raise ValueError("max_iters must be nonnegative")
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be nonnegative")
+
+
+@dataclass(frozen=True)
+class ElResidualReport:
+    """The EL suite of a map: its entries and nothing read off them."""
+
+    entries: tuple  # of (test function, generator, residual)
+
+    @property
+    def worst(self) -> dict | None:
+        """The first NaN entry, else the first entry with the largest
+        residual, keyed as the EL table's columns; None when empty."""
+        if not self.entries:
+            return None
+        # a NaN, the one value unequal to itself, ranks above every number;
+        # max moves only to a strictly larger key, so it keeps the first NaN,
+        # else the first maximum
+        entry = max(self.entries, key=lambda entry: (entry[2] != entry[2], entry[2]))
+        return dict(zip(("test_function", "generator", "residual"), entry))
+
+    @property
+    def max_abs(self) -> float:
+        """The worst entry's residual, 0 for an empty suite."""
+        return self.worst["residual"] if self.entries else 0.0
 
 
 @dataclass
@@ -249,6 +278,4 @@ def el_residual_suite(u: VectorField, params: EnergyParams) -> ElResidualReport:
         for om_label, om in elementary_omegas(u.components):
             raw = abs(el_pairing(u, flux, phi, om))
             entries.append((phi_label, om_label, raw / denom if denom > 0 else raw))
-    # np.max, unlike max, keeps a NaN entry
-    worst = float(np.max([0.0] + [val for _, _, val in entries]))
-    return ElResidualReport(entries=tuple(entries), max_abs=worst)
+    return ElResidualReport(entries=tuple(entries))

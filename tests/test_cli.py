@@ -162,6 +162,24 @@ def test_solve_and_verify_at_a_critical_p_below_2(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_verify_passes_the_exact_degree_2_winding(tmp_path):
+    # (cos 2x, sin 2x) is critical by symmetry, and its flux has no first
+    # Fourier mode, so paired with cos x both duality sides are rounding
+    # noise. Paired with the map's own component the right side is
+    # 2 gamma sum_x lambda u_k^2 > 0, and rel_error reads 3.7e-4
+    g = make_grid(1, 128, 2 * np.pi)
+    theta = 2.0 * np.arange(128) * (2 * np.pi / 128)
+    field_path = tmp_path / "degree2.field"
+    write_field(field_path, VectorField(grid=g, samples=np.stack([np.cos(theta), np.sin(theta)],
+                                                                 axis=1)))
+    out = tmp_path / "o"
+    assert main(["verify", "--set", "grid.points_per_axis=128", "--set", "energy.p=2",
+                 "--field", str(field_path), "--out", str(out)]) == 0
+    doc = json.loads(next(out.glob("verify_*.json")).read_text())
+    assert doc["el_residual"]["value"] <= 1e-15
+    assert doc["duality"]["rel_error"] <= 4e-4
+
+
 def test_verify_rejects_non_critical_field(tmp_path):
     g = make_grid(1, 32, 2 * np.pi)
     rng = np.random.default_rng(81)
@@ -558,6 +576,8 @@ def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, doc, key):
     ("solve", ["energy.s=0.6", "energy.t=0.3"], "energy.t", "inadmissible"),
     # a probe run that selects nothing would pass having checked nothing
     ("probe", ["probes=[]"], "probes", "empty"),
+    # the critical p = n/s of a tiny s lets energies overflow when squared
+    ("solve", ["energy.s=0.0015"], "energy", "outside the float64 range"),
 ])
 def test_out_of_range_settings_exit_2_with_one_line(tmp_path, capsys, command, sets, key, says):
     argv = [command, "--out", str(tmp_path / "o")]

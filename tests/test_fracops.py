@@ -256,7 +256,6 @@ def test_settable_values_census():
         "energy.pair_flux.region",
         "energy.t_operator.region",
         "lab.band_limited_family.max_mode",
-        "lab.run_probe.bound_const",
         "lab.run_probe.seed",
         "solver.SolverConfig.grad_tol",
         "solver.SolverConfig.max_iters",

@@ -24,6 +24,7 @@ from fracmap.lab import (
     lagrange_check,
     lagrange_sweep,
     load_frozen_constants,
+    measure_probe,
     run_probe,
     sobolev_exponent,
     sobolev_probe,
@@ -283,9 +284,9 @@ def test_t1_bound_probe_fixture():
 def test_holefill_probe_all_nestings_pass():
     g = make_grid(1, 64, TWO_PI)
     hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.3, level_max=3)
-    rows, ok = holefill_probe(g, EnergyParams(s=0.5, p=2.0), hier, count=4, seed=64)
-    assert ok
-    assert max(row[3] for row in rows) <= 1.0 + 1e-12
+    rows = holefill_probe(g, EnergyParams(s=0.5, p=2.0), hier, count=4, seed=64)
+    # the probe's exact constant C = 1, judged as every probe is judged
+    assert max(row[3] for row in rows) <= 1.0
     assert any("B0in3" in row[0] for row in rows)
 
 
@@ -305,15 +306,15 @@ def test_run_probe_canonical_setups():
 
 
 def test_probe_setups_are_not_parameters():
-    # a probe's setup is written once, in run_probe: the sweep its constant
+    # a probe's setup is written once, in measure_probe: the sweep its constant
     # was frozen from; no config key, argument or default reaches it
     from fracmap.reporting import SCHEMA
 
     assert "probe_params" not in SCHEMA
-    assert list(inspect.signature(run_probe).parameters) == ["name", "seed", "bound_const"]
+    assert list(inspect.signature(run_probe).parameters) == ["name", "seed"]
     assert not hasattr(lab, "t1_probe") and not hasattr(lab, "lp_sup_probe")
     # the probe functions only measure: run_probe alone judges their rows
-    for fn in (kernel_case_probe, sobolev_probe, commutator_probe, holefill_probe):
+    for fn in (kernel_case_probe, sobolev_probe, commutator_probe, holefill_probe, measure_probe):
         defaulted = [p.name for p in inspect.signature(fn).parameters.values()
                      if p.default is not inspect.Parameter.empty]
         assert defaulted == [], fn.__name__
@@ -328,6 +329,8 @@ def test_calibration_reproduces_packaged_constants(tmp_path, monkeypatch):
     # back through the digest check
     packaged = load_frozen_constants()
     out = tmp_path / "frozen.json"
+    # measuring judges nothing, so calibration never reads the packaged file
+    monkeypatch.setattr(lab, "frozen_constants_path", lambda: tmp_path / "absent.json")
     assert calibrate.main(["--out", str(out)]) == 0
     monkeypatch.setattr(lab, "frozen_constants_path", lambda: out)
     constants = load_frozen_constants()

@@ -306,8 +306,7 @@ def test_json_artifacts_are_strict_json(tmp_path):
 
 
 def test_emit_solve_report_files(tmp_path):
-    from fracmap.energy import ElResidualReport
-    from fracmap.solver import SolveReport
+    from fracmap.solver import ElResidualReport, SolveReport
 
     report = SolveReport(energy_trace=(3.0, 2.5, 2.25),
                          step_trace=(1.0, 0.5), grad_trace=(0.9, 0.7, 0.3),
@@ -315,8 +314,7 @@ def test_emit_solve_report_files(tmp_path):
                          energy_changes=4,
                          el_suite=ElResidualReport(entries=(("cos1", "e12", 1e-10),
                                                             ("sin1", "e12", 1e-9),
-                                                            ("cos2", "e12", 1e-9)),
-                                                   max_abs=1e-9))
+                                                            ("cos2", "e12", 1e-9))))
     emit_solve_report(report, tmp_path, "abc")
     doc = json.loads((tmp_path / "solve_abc.json").read_text())
     assert doc["converged"] is True
@@ -336,7 +334,7 @@ def test_emit_solve_report_files(tmp_path):
     assert len(lines) == 4
     assert lines[-1] == "2,2.25,0.5,0.29999999999999999"
     # an empty suite has no worst entry
-    emit_solve_report(replace(report, el_suite=ElResidualReport(entries=(), max_abs=0.0)),
+    emit_solve_report(replace(report, el_suite=ElResidualReport(entries=())),
                       tmp_path, "empty")
     assert json.loads((tmp_path / "solve_empty.json").read_text())["worst_el_entry"] is None
 
@@ -371,11 +369,11 @@ def test_emit_decay_table_bytes(tmp_path):
 
 
 def test_emit_el_table_bytes(tmp_path):
-    from fracmap.energy import ElResidualReport
+    from fracmap.solver import ElResidualReport
 
     entries = (("cos1", "e12", 1e-9), ("sin2", "e21", -0.5),
                ("bump(c=0.25L, r=0.7854)", "omega[0,1]", 0.25), ('a "b"', "c\nd", 2.0))
-    report = ElResidualReport(entries=entries, max_abs=2.0)
+    report = ElResidualReport(entries=entries)
     paths = emit_el_table(report, tmp_path, "el")
     assert paths == [tmp_path / "el_residuals_el.csv"]
     # only a field that holds a comma, a quote or a line break is quoted,

@@ -10,6 +10,7 @@ from fracmap.energy import (EnergyParams, PairKernelCache, _pair_symbol, el_pair
                             energy, energy_change, energy_gradient, pair_flux, seminorm)
 from fracmap.grid import VectorField, make_grid, site_coords
 from fracmap.solver import (
+    ElResidualReport,
     SolverConfig,
     bump_basis,
     el_residual_suite,
@@ -340,6 +341,22 @@ def test_el_residual_suite_maximum_keeps_nan():
     with np.errstate(invalid="ignore"):
         suite = el_residual_suite(u, EnergyParams(s=0.5, p=2.0))
     assert np.isnan(suite.max_abs)
+
+
+def test_el_report_reads_its_worst_entry_and_maximum_by_one_rule():
+    # the first NaN entry, else the first largest one; a NaN after a larger
+    # entry is still the worst
+    nan = float("nan")
+    report = ElResidualReport(entries=(("a", "w", 1e-9), ("b", "w", nan), ("c", "w", 2e-9),
+                                       ("d", "w", nan)))
+    worst = report.worst
+    assert (worst["test_function"], worst["generator"]) == ("b", "w")
+    assert np.isnan(worst["residual"]) and np.isnan(report.max_abs)
+    report = ElResidualReport(entries=(("a", "w", 1e-9), ("b", "w", 2e-9), ("c", "w", 2e-9)))
+    assert report.worst == {"test_function": "b", "generator": "w", "residual": 2e-9}
+    assert report.max_abs == 2e-9
+    empty = ElResidualReport(entries=())
+    assert empty.worst is None and empty.max_abs == 0.0
 
 
 def test_el_suite_tests_each_generator_of_so_n_once():
