@@ -183,8 +183,9 @@ def cmd_verify(cfg: RunConfig, field_path: str) -> int:
     outputs = emit_el_table(suite, out, f"verify_{cfg.tag}")
 
     hierarchy = _default_hierarchy(cfg)
-    lhs, rhs, hf_ok = holefill_check(u, hierarchy, 0, hierarchy.level_max, params)
-    checks["holefill"] = {"lhs": lhs, "rhs": rhs, "pass": bool(hf_ok)}
+    lhs, rhs, ratio = holefill_check(u, hierarchy, 0, hierarchy.level_max, params)
+    # the hole-filling probe's rule: its exact constant is 1
+    checks["holefill"] = {"lhs": lhs, "rhs": rhs, "pass": ratio <= 1.0}
 
     if cfg.grid.dim == 1:
         # the map's most varying component u_k, mean removed: at a critical

@@ -1,4 +1,4 @@
-"""Nonlocal double-sum energy, its first variation, EL residuals, and the
+"""Nonlocal double-sum energy, its gradient, EL residuals, and the
 Riesz-kernel pairing operator.
 
 The discrete energy of a map u on the periodic grid is
@@ -95,8 +95,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .grid import (UNIT_TOL, BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask,
-                   fourier_multiply, lag_spectrum, torus_dist)
+from .grid import (BallHierarchy, GridSpec, ScalarField, VectorField, ball_mask, fourier_multiply,
+                   lag_spectrum, torus_dist)
 
 # most pair terms S^2 that one pass may take: a config accepts 1d grids of
 # up to 8192 sites and 2d grids of up to 64 x 64
@@ -523,21 +523,6 @@ def energy_gradient(u: VectorField, params: EnergyParams) -> VectorField:
     return VectorField(grid=u.grid, samples=2.0 * params.p * G.samples)
 
 
-def first_variation(u: VectorField, psi: VectorField, params: EnergyParams) -> float:
-    """Directional derivative of E along psi through the sphere constraint.
-
-    Differentiates t -> E((u + t psi)/|u + t psi|) at t = 0 by the chain
-    rule: the normalization map projects psi onto the tangent space at u,
-    and the result is the plain gradient paired with that tangential part.
-    Radial directions psi = lambda(x) u(x) therefore return zero.
-    """
-    if not u.norm_defect <= UNIT_TOL:  # a non-finite defect fails too
-        raise ValueError(f"first_variation requires unit samples, norm defect {u.norm_defect:.3e}")
-    g = energy_gradient(u, params).samples
-    psi_t = psi.samples - (u.samples * psi.samples).sum(axis=1, keepdims=True) * u.samples
-    return float(np.sum(np.sum(g * psi_t, axis=1)))
-
-
 def _validate_omega(omega: np.ndarray, N: int) -> np.ndarray:
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (N, N):
@@ -715,9 +700,11 @@ def holefill_check(u: VectorField, hierarchy: BallHierarchy, K: int, L: int, par
     lhs = sum over x in B_L, y in B_L minus B_K of the energy integrand;
     rhs = E(B_L) - E(B_K). The difference rhs - lhs is itself a sum of
     nonnegative terms (the pairs coupling B_L minus B_K with B_K), so the
-    inequality holds termwise on the grid; pass allows 1e-12 slack. With
-    the ring R = B_L minus B_K, rhs counts the B_K x R pairs in both orders
-    and the R x R pairs once, so lhs = (rhs + E(R)) / 2.
+    inequality lhs <= rhs holds termwise on the grid. With the ring
+    R = B_L minus B_K, rhs counts the B_K x R pairs in both orders and the
+    R x R pairs once, so lhs = (rhs + E(R)) / 2. Returns (lhs, rhs, ratio),
+    ratio = lhs / rhs where rhs > 0 and 0 otherwise: a constant map gives
+    lhs = rhs = 0 exactly. The inequality holds when ratio <= 1.
     """
     if not (K < L):
         raise ValueError("need K < L")
@@ -727,4 +714,4 @@ def holefill_check(u: VectorField, hierarchy: BallHierarchy, K: int, L: int, par
         raise ValueError("ball nesting violated")
     rhs = energy(u, params, region=ml) - energy(u, params, region=mk)
     lhs = 0.5 * (rhs + energy(u, params, region=ml & ~mk))
-    return lhs, rhs, bool(lhs <= rhs + 1e-12)
+    return lhs, rhs, lhs / rhs if rhs > 0 else 0.0

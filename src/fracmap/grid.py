@@ -72,7 +72,7 @@ def make_grid(dim: int, points_per_axis: int, box_length: float) -> GridSpec:
 
 
 # the largest norm defect of a map into the unit sphere: a field file's
-# unit_constrained header and first_variation's input are held to it
+# unit_constrained header is held to it
 UNIT_TOL = 1e-12
 
 

@@ -20,8 +20,7 @@ estimates sharp constants, bar the kernel_case maxima; the point is that
 the ratios are bounded and stay bounded.
 
 Alongside the probes: localized-energy decay tables with a power-law
-fit, and the exact Lagrange decomposition of a vector against a unit
-vector.
+fit.
 
 The probe names, the fewest levels of a decay table and config_hash, the
 digest of the frozen constants, belong to the run config and live in
@@ -165,59 +164,6 @@ def decay_profile(u: VectorField, hierarchy: BallHierarchy, params: EnergyParams
     coef, *_ = np.linalg.lstsq(A, loge, rcond=None)
     resid = float(np.sqrt(np.mean((loge - A @ coef) ** 2)))
     return DecayTable(rows=tuple(rows), theta=float(coef[0]), fit_residual=resid)
-
-
-# ---------------------------------------------------------------------------
-# Lagrange decomposition
-# ---------------------------------------------------------------------------
-
-
-def lagrange_check(u_sample: np.ndarray, v_sample: np.ndarray):
-    """Exact decomposition of |v|^2 against a unit vector u:
-
-        |v|^2 = (u.v)^2 + sum_{i<j} (u_i v_j - u_j v_i)^2.
-
-    Returns (lhs, rhs, equal) with equality tested to 1e-12 relative.
-    """
-    u = np.asarray(u_sample, dtype=np.float64)
-    v = np.asarray(v_sample, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("u and v must be vectors of the same length")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-        raise ValueError("u must be a unit vector")
-    radial = float(u @ v) ** 2
-    cross = np.outer(u, v) - np.outer(v, u)
-    iu = np.triu_indices(len(u), k=1)
-    rhs = radial + float(np.sum(cross[iu] ** 2))
-    lhs = float(v @ v)
-    return lhs, rhs, bool(abs(lhs - rhs) <= 1e-12 * max(1.0, lhs))
-
-
-def lagrange_bound_factor(N: int) -> float:
-    """sqrt(1 + N(N-1)/2): |v| is at most this times the largest single
-    term among |u.v| and the cross entries |u_i v_j - u_j v_i|."""
-    return float(np.sqrt(1.0 + N * (N - 1) / 2.0))
-
-
-def lagrange_sweep(N: int, count: int, seed: int):
-    """Monte-Carlo sweep of the decomposition; returns the worst identity
-    deviation and the number of max-bound violations."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    violations = 0
-    factor = lagrange_bound_factor(N)
-    for _ in range(count):
-        u = rng.standard_normal(N)
-        u /= np.linalg.norm(u)
-        v = rng.standard_normal(N)
-        lhs, rhs, _ = lagrange_check(u, v)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, lhs))
-        cross = np.outer(u, v) - np.outer(v, u)
-        iu = np.triu_indices(N, k=1)
-        peak = max(abs(float(u @ v)), float(np.max(np.abs(cross[iu]))))
-        if np.sqrt(lhs) > factor * peak * (1.0 + 1e-12):
-            violations += 1
-    return worst, violations
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +337,7 @@ def holefill_probe(grid: GridSpec, params: EnergyParams, hierarchy: BallHierarch
     rows = []
     for i, u in enumerate(fields):
         for K, L in combos:
-            lhs, rhs, _ = holefill_check(u, hierarchy, K, L, params)
-            rows.append((f"{i}/B{K}in{L}", lhs, rhs, lhs / rhs if rhs > 0 else 0.0))
+            rows.append((f"{i}/B{K}in{L}", *holefill_check(u, hierarchy, K, L, params)))
     return rows
 
 

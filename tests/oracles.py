@@ -10,7 +10,7 @@ one edit of lag_weights.
 import numpy as np
 
 from fracmap.grid import VectorField, torus_dist
-from fracmap.solver import project_sphere
+from fracmap.solver import elementary_omegas, project_sphere, tangent_project
 
 
 def unit_field(grid, seed, components=2):
@@ -128,3 +128,41 @@ def naive_change_longdouble(grid, u, v, s, p):
         b = ((U[i] - U[j]) ** 2).sum()
         total += w[i, j] * b**q * np.expm1(q * np.log1p(delta / b))
     return total
+
+
+def lagrange_sweep(N, count, seed):
+    """Monte-Carlo sweep of the pointwise Lagrange identity
+
+        |v|^2 = (u . v)^2 + sum_omega (v . omega u)^2
+
+    over the EL suite's generators omega of so(N) (solver.elementary_omegas),
+    at count seeded draws of a unit u and a vector v. Returns the worst
+    deviation |lhs - rhs| / max(1, lhs); the number of draws where |v|
+    exceeds sqrt(1 + K), K the number of generators, times the largest
+    single term |u . v| or |v . omega u|; and the worst entry of
+    sum_omega (omega u)(omega u)^T - P_T, P_T the solver's tangent
+    projection at u. That last one is 0 when the images omega u span the
+    tangent space at u and are a tight frame of it, which is why the EL
+    residuals over these generators vanish exactly at a critical point."""
+    omegas = [omega for _, omega in elementary_omegas(N)]
+    factor = np.sqrt(1.0 + len(omegas))
+    eye = np.eye(N)
+    rng = np.random.default_rng(seed)
+    worst = span = 0.0
+    violations = 0
+    for _ in range(count):
+        u = rng.standard_normal(N)
+        u /= np.linalg.norm(u)
+        v = rng.standard_normal(N)
+        images = np.array([omega @ u for omega in omegas])
+        cross = np.array([float(v @ image) for image in images])
+        radial = float(u @ v)
+        lhs = float(v @ v)
+        rhs = radial**2 + float(np.sum(cross**2))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, lhs))
+        peak = max(abs(radial), float(np.max(np.abs(cross))))
+        if np.sqrt(lhs) > factor * peak * (1.0 + 1e-12):
+            violations += 1
+        frame = images.T @ images - tangent_project(eye, u[None, :])
+        span = max(span, float(np.abs(frame).max()))
+    return worst, violations, span

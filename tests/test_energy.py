@@ -18,7 +18,6 @@ from fracmap.energy import (
     energy,
     energy_change,
     energy_gradient,
-    first_variation,
     holefill_check,
     pair_flux,
     seminorm,
@@ -33,7 +32,7 @@ from fracmap.grid import (
     site_coords,
     torus_dist,
 )
-from fracmap.solver import project_sphere
+from fracmap.solver import project_sphere, tangent_project
 from oracles import (
     lag_kernel,
     lag_table,
@@ -197,13 +196,15 @@ def test_gradient_matches_finite_differences():
 
 
 def test_first_variation_vanishes_for_radial_directions():
+    # the first variation through the sphere constraint is the gradient
+    # paired with the direction's tangential part, as criterion 1 forms it
     g = make_grid(1, 32, TWO_PI)
     u = unit_field(g, seed=19)
     params = EnergyParams(s=0.5, p=2.0)
     rng = np.random.default_rng(20)
     radial = u.samples * rng.normal(size=(g.n_sites, 1))
-    psi = VectorField(grid=g, samples=radial)
-    assert abs(first_variation(u, psi, params)) < 1e-10
+    grad = energy_gradient(u, params).samples
+    assert abs(float(np.sum(grad * tangent_project(radial, u.samples)))) < 1e-10
 
 
 def test_el_residual_matches_naive_loop():
@@ -375,8 +376,11 @@ def test_holefill_inequality_and_nesting():
     u = VectorField(grid=g, samples=np.stack([np.cos(theta), np.sin(theta)], axis=1))
     params = EnergyParams(s=0.5, p=2.0)
     hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.3, level_max=3)
-    lhs, rhs, ok = holefill_check(u, hier, 0, 3, params)
-    assert ok and lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+    lhs, rhs, ratio = holefill_check(u, hier, 0, 3, params)
+    assert ratio == lhs / rhs and ratio <= 1.0
+    # a constant map: both sides are exactly zero, and so is the ratio
+    const = VectorField(grid=g, samples=np.tile([1.0, 0.0], (g.n_sites, 1)))
+    assert holefill_check(const, hier, 0, 3, params) == (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         holefill_check(u, hier, 3, 0, params)
     with pytest.raises(ValueError):
@@ -422,8 +426,8 @@ def test_holefill_sides_match_naive_loops(p):
             lhs_want += term
         if not (inner[i] and inner[j]):
             rhs_want += term
-    lhs, rhs, ok = holefill_check(u, hier, 0, 2, params)
-    assert ok and lhs < rhs
+    lhs, rhs, ratio = holefill_check(u, hier, 0, 2, params)
+    assert ratio == lhs / rhs and ratio < 1.0
     np.testing.assert_allclose(lhs, lhs_want, rtol=1e-12)
     np.testing.assert_allclose(rhs, rhs_want, rtol=1e-12)
 

@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracmap.energy import EnergyParams, first_variation
 from fracmap.grid import (
     BallHierarchy,
     ScalarField,
@@ -110,17 +109,6 @@ def test_field_shape_validation():
     for bad in (np.zeros(8), np.zeros((7, 2)), np.zeros((8, 0))):
         with pytest.raises(ValueError, match="vector field needs shape"):
             VectorField(grid=g, samples=bad)
-
-
-def test_unit_check_rejects_non_finite_samples():
-    # a NaN norm defect compares false with any tolerance, so it must fail
-    g = make_grid(1, 8, 1.0)
-    samples = np.tile([1.0, 0.0], (8, 1))
-    samples[3, 0] = np.nan
-    u = VectorField(grid=g, samples=samples)
-    assert np.isnan(u.norm_defect)
-    with pytest.raises(ValueError, match="norm defect nan"):
-        first_variation(u, u, EnergyParams(s=0.5, p=2.0))
 
 
 def test_ball_mask_closed_ball_includes_boundary():

@@ -20,9 +20,6 @@ from fracmap.lab import (
     decay_profile,
     holefill_probe,
     kernel_case_probe,
-    lagrange_bound_factor,
-    lagrange_check,
-    lagrange_sweep,
     load_frozen_constants,
     measure_probe,
     run_probe,
@@ -119,28 +116,6 @@ def test_decay_profile_constant_has_no_fit():
     hier = BallHierarchy(grid=g, center=(np.pi,), base_radius=0.05, level_max=4)
     table = decay_profile(u, hier, EnergyParams(s=0.5, p=2.0))
     assert table.theta is None
-
-
-def test_lagrange_identity_examples():
-    lhs, rhs, ok = lagrange_check(np.array([1.0, 0.0]), np.array([3.0, 4.0]))
-    assert ok and lhs == 25.0 and abs(rhs - 25.0) < 1e-12
-    lhs2, rhs2, ok2 = lagrange_check(np.array([0.0, 1.0, 0.0]),
-                                     np.array([2.0, 0.0, 0.0]))
-    assert ok2 and lhs2 == 4.0
-    with pytest.raises(ValueError):
-        lagrange_check(np.array([2.0, 0.0]), np.array([1.0, 0.0]))  # u not unit
-
-
-def test_lagrange_sweep_small():
-    for N in (2, 3, 5):
-        worst, violations = lagrange_sweep(N, 1000, seed=N)
-        assert violations == 0
-        assert worst <= 1e-12
-
-
-def test_lagrange_bound_factor():
-    np.testing.assert_allclose(lagrange_bound_factor(2), np.sqrt(2.0), rtol=1e-15)
-    np.testing.assert_allclose(lagrange_bound_factor(3), np.sqrt(4.0), rtol=1e-15)
 
 
 def test_kernel_case_classification():

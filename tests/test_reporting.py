@@ -229,12 +229,24 @@ def test_write_field_measures_unit_constrained(tmp_path):
     g = make_grid(1, 8, TWO_PI)
     theta = np.linspace(0.0, 1.0, 8)
     unit = np.stack([np.cos(theta), np.sin(theta)], 1)
+    path = tmp_path / "f.field"
+
+    def claim_of(samples):
+        write_field(path, VectorField(grid=g, samples=samples))
+        return json.loads(path.read_bytes().partition(b"\n")[0])["unit_constrained"]
+
     for samples, claim in ((unit, True), (unit * (1 + 1e-10), False),
                            (np.stack([theta, theta**2, -theta], 1), False)):
-        path = tmp_path / "f.field"
-        write_field(path, VectorField(grid=g, samples=samples))
-        assert json.loads(path.read_bytes().partition(b"\n")[0])["unit_constrained"] is claim
+        assert claim_of(samples) is claim
         assert read_field(path).samples.tobytes() == samples.tobytes()
+    # a NaN sample gives a NaN norm defect, which compares false with any
+    # tolerance: the claim is false, and read_field refuses the samples
+    with_nan = unit.copy()
+    with_nan[3, 0] = np.nan
+    assert np.isnan(VectorField(grid=g, samples=with_nan).norm_defect)
+    assert claim_of(with_nan) is False
+    with pytest.raises(FieldFormatError, match="non-finite"):
+        read_field(path)
 
 
 def test_field_corruption_detected(tmp_path):
